@@ -120,6 +120,25 @@ def _require_total(g: ColoredDigraph, lab: Labeling) -> None:
         )
 
 
+def _require_no_violations(report: ViolationReport, what: str) -> None:
+    if report:
+        raise PreconditionError(
+            f"{what} ({len(report)} violation(s)); first: {report.entries[0].detail}"
+        )
+
+
+def _require_local_validity(g: ColoredDigraph, lab: Labeling) -> None:
+    _require_no_violations(check_local(g, lab), "labeling violates the local axioms")
+
+
+def _require_degree_axiom(g: ColoredDigraph) -> None:
+    report = check_degree_axiom(g)
+    if report:
+        raise DegreeAxiomError(
+            f"graph violates (B0) at {report.entries[0].at!r}; labelings are undefined"
+        )
+
+
 def _check_marking_scope(g: ColoredDigraph, marking: CentralMarking) -> None:
     for v in sorted(marking.central_vertices):
         if not g.has_vertex(v):
@@ -146,6 +165,28 @@ def _central_elements_on_string(
     return elements
 
 
+def _classify(
+    decomp1: StringDecomposition, marking: CentralMarking
+) -> tuple[dict[str, str], list[tuple[tuple[str, ...], int]]]:
+    """Classify the vertices of every 1-string carrying exactly one central
+    element; return the classes and each other 1-string with its count."""
+    classes: dict[str, str] = {}
+    unmarked = []
+    for string in decomp1.strings:
+        elements = _central_elements_on_string(string, marking)
+        if len(elements) != 1:
+            unmarked.append((string, len(elements)))
+            continue
+        # A central edge's tail is left, like everything before it.
+        kind, k = elements[0]
+        for v in string[:k]:
+            classes[v] = LEFT
+        classes[string[k]] = CENTRAL if kind == "vertex" else LEFT
+        for v in string[k + 1:]:
+            classes[v] = RIGHT
+    return classes, unmarked
+
+
 def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> VertexClass:
     """Classify every vertex from its position relative to the central
     element of its 1-string.
@@ -166,23 +207,9 @@ def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> 
         if pair not in consecutive:
             raise MarkingError(f"central edge {pair} is not an edge of any 1-string")
 
-    classes: dict[str, str] = {}
-    for string in decomp1.strings:
-        elements = _central_elements_on_string(string, marking)
-        if len(elements) != 1:
-            raise CentralityError(string, len(elements))
-        kind, k = elements[0]
-        if kind == "vertex":
-            for v in string[:k]:
-                classes[v] = LEFT
-            classes[string[k]] = CENTRAL
-            for v in string[k + 1:]:
-                classes[v] = RIGHT
-        else:
-            for v in string[:k + 1]:
-                classes[v] = LEFT
-            for v in string[k + 1:]:
-                classes[v] = RIGHT
+    classes, unmarked = _classify(decomp1, marking)
+    if unmarked:
+        raise CentralityError(*unmarked[0])
     return VertexClass(classes=classes)
 
 
@@ -196,38 +223,25 @@ def check_global(g: ColoredDigraph, marking: CentralMarking) -> ViolationReport:
     themselves violate (B1) have no classification, so only (B1) is reported
     for them.
     """
+    return _check_global(g, marking)[0]
+
+
+def _check_global(
+    g: ColoredDigraph, marking: CentralMarking
+) -> tuple[ViolationReport, dict[str, str]]:
+    """``check_global`` plus the vertex classes it was read from."""
     _check_marking_scope(g, marking)
-    decomp1 = decompose_strings(g, 1)
-    decomp2 = decompose_strings(g, 2)
+    classes, unmarked = _classify(decompose_strings(g, 1), marking)
+    violations = [
+        Violation(
+            clause=CLAUSE_B1,
+            at=string[0],
+            detail=f"1-string {list(string)} carries {count} central elements, expected exactly 1",
+        )
+        for string, count in unmarked
+    ]
 
-    violations: list[Violation] = []
-    classes: dict[str, str] = {}
-    for string in decomp1.strings:
-        elements = _central_elements_on_string(string, marking)
-        if len(elements) != 1:
-            violations.append(Violation(
-                clause=CLAUSE_B1,
-                at=string[0],
-                detail=(
-                    f"1-string {list(string)} carries {len(elements)} central elements, "
-                    f"expected exactly 1"
-                ),
-            ))
-            continue
-        kind, k = elements[0]
-        if kind == "vertex":
-            for v in string[:k]:
-                classes[v] = LEFT
-            classes[string[k]] = CENTRAL
-            for v in string[k + 1:]:
-                classes[v] = RIGHT
-        else:
-            for v in string[:k + 1]:
-                classes[v] = LEFT
-            for v in string[k + 1:]:
-                classes[v] = RIGHT
-
-    for string in decomp2.strings:
+    for string in decompose_strings(g, 2).strings:
         central_offsets = [k for k, v in enumerate(string) if v in marking.central_vertices]
         if len(central_offsets) != 1:
             violations.append(Violation(
@@ -263,7 +277,7 @@ def check_global(g: ColoredDigraph, marking: CentralMarking) -> ViolationReport:
                     ),
                 ))
 
-    return ViolationReport.build(g, violations)
+    return ViolationReport.build(g, violations), classes
 
 
 def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
@@ -353,15 +367,10 @@ def labels_from_marking(g: ColoredDigraph, marking: CentralMarking) -> Labeling:
 
     Left vertices map to 0, central vertices to c, right vertices to 1.
     """
-    report = check_global(g, marking)
-    if report:
-        raise PreconditionError(
-            f"marking violates the global axioms ({len(report)} violation(s)); "
-            f"first: {report.entries[0].detail}"
-        )
-    classes = classify_vertices(decompose_strings(g, 1), marking)
+    report, classes = _check_global(g, marking)
+    _require_no_violations(report, "marking violates the global axioms")
     to_label = {LEFT: LABEL_LEFT, CENTRAL: LABEL_CENTRAL, RIGHT: LABEL_RIGHT}
-    return Labeling(labels={v: to_label[classes.classes[v]] for v in g.vertices})
+    return Labeling(labels={v: to_label[classes[v]] for v in g.vertices})
 
 
 def marking_from_labels(g: ColoredDigraph, lab: Labeling) -> CentralMarking:
@@ -370,12 +379,7 @@ def marking_from_labels(g: ColoredDigraph, lab: Labeling) -> CentralMarking:
     Central vertices are those labeled c; central 1-edges are the 1-edges
     with label pair (0, 1).
     """
-    report = check_local(g, lab)
-    if report:
-        raise PreconditionError(
-            f"labeling violates the local axioms ({len(report)} violation(s)); "
-            f"first: {report.entries[0].detail}"
-        )
+    _require_local_validity(g, lab)
     labels = lab.labels
     central_vertices = frozenset(v for v in g.vertices if labels[v] == LABEL_CENTRAL)
     central_edges = frozenset(
@@ -444,11 +448,7 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
     exhaustively.  Results come in lexicographic order of the label vector
     under declared vertex order with 0 < c < 1.
     """
-    degree_report = check_degree_axiom(g)
-    if degree_report:
-        raise DegreeAxiomError(
-            f"graph violates (B0) at {degree_report.entries[0].at!r}; labelings are undefined"
-        )
+    _require_degree_axiom(g)
 
     domains = _unary_domains(g)
     if any(not dom for dom in domains.values()):
@@ -468,29 +468,31 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
         else:
             backward[e.tail].append((e.head, allowed, True))
 
+    def choices(k: int) -> list[tuple[int, str]]:
+        # Reversed, so the stack tries values in LABEL_VALUES order and the
+        # results come out in lexicographic order.
+        return [(k, value) for value in reversed(LABEL_VALUES) if value in domains[order[k]]]
+
+    # Depth-first search with an explicit stack of (depth, value) choices,
+    # so graph size is not limited by the interpreter's recursion depth.
     results: list[Labeling] = []
     assignment: dict[str, str] = {}
-
-    def extend(k: int) -> None:
-        if k == len(order):
+    stack = choices(0)
+    while stack:
+        k, value = stack.pop()
+        # Values assigned at depth k or deeper belong to an abandoned branch.
+        for stale in order[k:len(assignment)]:
+            del assignment[stale]
+        if not all(
+            ((value, assignment[other]) if v_is_tail else (assignment[other], value)) in allowed
+            for other, allowed, v_is_tail in backward[order[k]]
+        ):
+            continue
+        assignment[order[k]] = value
+        if k + 1 == len(order):
             results.append(Labeling(labels=dict(assignment)))
-            return
-        v = order[k]
-        for value in LABEL_VALUES:
-            if value not in domains[v]:
-                continue
-            ok = True
-            for other, allowed, v_is_tail in backward[v]:
-                pair = (value, assignment[other]) if v_is_tail else (assignment[other], value)
-                if pair not in allowed:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = value
-                extend(k + 1)
-                del assignment[v]
-
-    extend(0)
+        else:
+            stack.extend(choices(k + 1))
     return results
 
 
@@ -499,11 +501,7 @@ def infer_labelings_exhaustive(g: ColoredDigraph) -> list[Labeling]:
 
     Kept deliberately naive so the two routes can cross-check each other.
     """
-    degree_report = check_degree_axiom(g)
-    if degree_report:
-        raise DegreeAxiomError(
-            f"graph violates (B0) at {degree_report.entries[0].at!r}; labelings are undefined"
-        )
+    _require_degree_axiom(g)
     results = []
     for combo in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
         lab = Labeling(labels=dict(zip(g.vertices, combo)))

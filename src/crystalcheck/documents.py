@@ -198,15 +198,9 @@ def document_from_graph(
         "edges": [{"from": e.tail, "to": e.head, "color": e.color} for e in g.edges],
     }
     if labels is not None:
-        doc["labels"] = {v: labels.labels[v] for v in g.vertices}
+        doc["labels"] = labels.as_jsonable(g)
     if marking is not None:
-        doc["centers"] = {
-            "vertices": sorted(marking.central_vertices, key=g.vertex_index),
-            "edges_1": sorted(
-                (list(pair) for pair in marking.central_1_edges),
-                key=lambda pair: g.edge_index(pair[0], pair[1], 1),
-            ),
-        }
+        doc["centers"] = marking.as_jsonable(g)
     return doc
 
 

@@ -70,12 +70,6 @@ class _Encoder:
         total = len(slots)
         self.bit = {slot: 1 << (total - 1 - s) for s, slot in enumerate(slots)}
 
-    def encode(self, edges: tuple[PositionEdge, ...]) -> int:
-        code = 0
-        for edge in edges:
-            code |= self.bit[edge]
-        return code
-
     def decode(self, code: int) -> tuple[PositionEdge, ...]:
         return tuple(slot for slot in self.slots if code & self.bit[slot])
 

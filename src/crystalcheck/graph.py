@@ -1,8 +1,10 @@
 """Finite 2-edge-colored directed graphs and their string structure.
 
 Everything here is immutable after construction and safe to share between
-threads or processes.  All derived orderings (string lists, components,
-cycle certificates) follow the declared vertex/edge order of the input, so
+threads or processes.  A graph's string decompositions are computed on
+first use and kept on the graph, so every check reads the same string
+skeleton.  All derived orderings (string lists, components, cycle
+certificates) follow the declared vertex/edge order of the input, so
 repeated runs yield identical output.
 """
 
@@ -45,6 +47,8 @@ class ColoredDigraph:
     _edge_index: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
     _in: dict = field(init=False, repr=False, compare=False)
+    # color -> StringDecomposition, filled by ``decompose_strings``.
+    _strings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.vertices, list):
@@ -80,6 +84,7 @@ class ColoredDigraph:
         object.__setattr__(self, "_edge_index", edge_index)
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
         object.__setattr__(self, "_in", {k: tuple(v) for k, v in inc.items()})
+        object.__setattr__(self, "_strings", {})
 
     # -- basic accessors -------------------------------------------------
 
@@ -182,8 +187,12 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
     """Split the color-``color`` subgraph into its maximal directed paths.
 
     Requires (B0) for the given color and a cycle-free color class; under
-    those conditions the decomposition is unique.
+    those conditions the decomposition is unique.  It is computed once per
+    graph and color; a graph violating the requirements raises every time.
     """
+    memo = g._strings.get(color)
+    if memo is not None:
+        return memo
     if color not in COLORS:
         raise ValueError(f"color must be one of {COLORS}, got {color!r}")
     for v in g.vertices:
@@ -221,7 +230,9 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
         cycle.append(start)
         raise MonochromaticCycleError(color, tuple(cycle))
 
-    return StringDecomposition(color=color, strings=tuple(strings))
+    decomp = StringDecomposition(color=color, strings=tuple(strings))
+    g._strings[color] = decomp
+    return decomp
 
 
 def find_potential(g: ColoredDigraph) -> Union[Potential, CycleCertificate]:
@@ -294,5 +305,5 @@ def weak_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
                     seen.add(w)
                     component.add(w)
                     stack.append(w)
-        components.append(tuple(v for v in g.vertices if v in component))
+        components.append(tuple(sorted(component, key=g.vertex_index)))
     return tuple(components)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .axioms import LABEL_CENTRAL, LABEL_LEFT, LABEL_RIGHT, Labeling, check_local
-from .errors import LabelingError, PreconditionError
+from .axioms import LABEL_CENTRAL, LABEL_LEFT, LABEL_RIGHT, Labeling, _require_local_validity
+from .errors import LabelingError
 from .graph import ColoredDigraph, StringDecomposition
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
@@ -47,15 +47,6 @@ class PredicateReport:
             "status": self.status,
             "witnesses": list(self.witnesses),
         }
-
-
-def _require_local_validity(g: ColoredDigraph, lab: Labeling) -> None:
-    report = check_local(g, lab)
-    if report:
-        raise PreconditionError(
-            f"labeling violates the local axioms ({len(report)} violation(s)); "
-            f"first: {report.entries[0].detail}"
-        )
 
 
 def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from crystalcheck import (
     CentralityError,
     CentralMarking,
+    GraphStream,
     Labeling,
     LabelingError,
     MarkingError,
@@ -17,6 +20,7 @@ from crystalcheck import (
     classify_edges,
     classify_vertices,
     decompose_strings,
+    enumerate_graphs,
     infer_labelings,
     infer_labelings_exhaustive,
     labels_from_marking,
@@ -225,6 +229,27 @@ class TestConversions:
             labels_from_marking(g, marking(vertices=["v3"]))
         with pytest.raises(PreconditionError):
             marking_from_labels(g, labeling(g, ["c", "c", "c", "c", "c"]))
+
+    def test_labels_agree_with_classification_on_small_universe(self):
+        to_label = {"left": "0", "central": "c", "right": "1"}
+        checked = 0
+        for g in enumerate_graphs(GraphStream(max_vertices=4)):
+            elements = [("v", v) for v in g.vertices] + [
+                ("e", (e.tail, e.head)) for e in g.edges if e.color == 1
+            ]
+            for r in range(len(elements) + 1):
+                for subset in itertools.combinations(elements, r):
+                    m = marking(
+                        vertices=[x for kind, x in subset if kind == "v"],
+                        edges=[x for kind, x in subset if kind == "e"],
+                    )
+                    if check_global(g, m):
+                        continue
+                    classes = classify_vertices(decompose_strings(g, 1), m).classes
+                    lab = labels_from_marking(g, m)
+                    assert lab.labels == {v: to_label[classes[v]] for v in g.vertices}
+                    checked += 1
+        assert checked == 7  # the census marking totals for n = 1..4
 
     @given(b0_graphs(max_vertices=6))
     @settings(max_examples=60)

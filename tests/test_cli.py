@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from crystalcheck import infer_labelings, parse_graph
+
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -140,6 +142,26 @@ def test_infer_no_labelings_still_succeeds():
     result = run_cli("infer", str(DOCUMENTS / "bare_1_edge.json"))
     assert result.returncode == 0
     assert result.stdout == b""
+
+
+def test_infer_large_edgeless_graph_without_recursion_limit(tmp_path):
+    # One vertex per search level: deeper than the interpreter's default
+    # recursion limit.  The only labeling puts every vertex at c.
+    vertices = [f"v{k}" for k in range(1200)]
+    data = json.dumps({"vertices": vertices, "edges": []}).encode("utf-8")
+    labelings = infer_labelings(parse_graph(data))
+    assert [lab.labels for lab in labelings] == [{v: "c" for v in vertices}]
+
+    path = tmp_path / "edgeless.json"
+    path.write_bytes(data)
+    infer = run_cli("infer", str(path))
+    assert infer.returncode == 0
+    assert b"Traceback" not in infer.stderr
+    assert json.loads(infer.stdout) == {v: "c" for v in vertices}
+    validate = run_cli("validate", "--no-require-connected", str(path))
+    assert validate.returncode == 0
+    assert b"Traceback" not in validate.stderr
+    assert len(json.loads(validate.stdout)["labelings"]) == 1
 
 
 def test_infer_rejects_cyclic_input():

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 
 from crystalcheck import (
+    ColoredDigraph,
     CycleCertificate,
     DegreeAxiomError,
+    GraphStream,
     MonochromaticCycleError,
     Potential,
     check_degree_axiom,
     decompose_strings,
+    enumerate_graphs,
     find_potential,
     weak_components,
 )
@@ -107,6 +110,39 @@ class TestStringDecomposition:
                 assert not g.out_edges(string[-1], color)
 
 
+class TestStringSkeleton:
+    """Decompositions are computed once per graph and color, then shared."""
+
+    def test_memo_matches_a_fresh_decomposition(self):
+        for g in enumerate_graphs(GraphStream(max_vertices=5)):
+            for color in (1, 2):
+                first = decompose_strings(g, color)
+                assert decompose_strings(g, color) is first
+                fresh = decompose_strings(ColoredDigraph(g.vertices, g.edges), color)
+                assert fresh is not first
+                assert fresh == first
+
+    def test_failures_are_not_memoized(self):
+        cases = [
+            (graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)]), DegreeAxiomError),
+            (graph(["a", "b"], [("a", "b", 1), ("b", "a", 1)]), MonochromaticCycleError),
+        ]
+        for g, error in cases:
+            for _ in range(2):
+                with pytest.raises(error):
+                    decompose_strings(g, 1)
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        g = path5()
+        before = repr(g)
+        for color in (1, 2):
+            decompose_strings(g, color)
+        twin = ColoredDigraph(g.vertices, g.edges)
+        assert g == twin
+        assert hash(g) == hash(twin)
+        assert repr(g) == before == repr(twin)
+
+
 class TestPotential:
     def test_single_edge(self):
         g = graph(["a", "b"], [("a", "b", 1)])
@@ -160,6 +196,15 @@ class TestWeakComponents:
     def test_two_disjoint_edges(self):
         g = graph(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 2)])
         assert weak_components(g) == (("a", "b"), ("c", "d"))
+
+    def test_many_components_follow_declared_order(self):
+        # 2,500 two-vertex components: every head is declared before every
+        # tail and the tails come in reverse, so each component's members
+        # lie far apart in declared order and its edge runs tail to head.
+        n = 2500
+        vertices = [f"h{k}" for k in range(n)] + [f"t{k}" for k in reversed(range(n))]
+        g = graph(vertices, [(f"t{k}", f"h{k}", 1 + k % 2) for k in range(n)])
+        assert weak_components(g) == tuple((f"h{k}", f"t{k}") for k in range(n))
 
     @given(colored_digraphs(max_vertices=6))
     def test_components_partition_and_follow_declared_order(self, g):
