@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -45,15 +46,8 @@ LABEL_CENTRAL = "c"
 LABEL_RIGHT = "1"
 LABEL_VALUES = (LABEL_LEFT, LABEL_CENTRAL, LABEL_RIGHT)
 
-# Admissible (tail, head) label pairs per edge color.
-ALLOWED_PAIRS_1 = frozenset(
-    [("0", "0"), ("0", "c"), ("0", "1"), ("c", "1"), ("1", "1")]
-)
-ALLOWED_PAIRS_2 = frozenset(
-    [("1", "1"), ("1", "c"), ("c", "0"), ("0", "0")]
-)
-
-# Classification of edges by their label pair.
+# Admissible (tail, head) label pairs per edge color, with the class of
+# edge each pair makes.
 EDGE_CLASS_1 = {
     ("0", "0"): "left",
     ("0", "c"): "left",
@@ -67,15 +61,31 @@ EDGE_CLASS_2 = {
     ("1", "1"): "right",
     ("1", "c"): "right",
 }
+_EDGE_CLASS = {1: EDGE_CLASS_1, 2: EDGE_CLASS_2}
+ALLOWED_PAIRS_1 = frozenset(EDGE_CLASS_1)
+ALLOWED_PAIRS_2 = frozenset(EDGE_CLASS_2)
 
 LEFT, CENTRAL, RIGHT = "left", "central", "right"
 
 
 @dataclass(frozen=True)
 class Labeling:
-    """A total map from vertices to the label alphabet {0, c, 1}."""
+    """A total map from vertices to the label alphabet {0, c, 1}.
+
+    ``labels`` is a read-only copy of the mapping it was built from.
+    """
 
     labels: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.labels.items()))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; a dict can.
+        return (Labeling, (dict(self.labels),))
 
     def vector(self, g: ColoredDigraph) -> tuple[str, ...]:
         """Label values in the graph's declared vertex order."""
@@ -140,12 +150,15 @@ def _require_degree_axiom(g: ColoredDigraph) -> None:
 
 
 def _check_marking_scope(g: ColoredDigraph, marking: CentralMarking) -> None:
-    for v in sorted(marking.central_vertices):
-        if not g.has_vertex(v):
-            raise MarkingError(f"central vertex {v!r} is not in the graph")
-    for tail, head in sorted(marking.central_1_edges):
-        if not g.has_edge(tail, head, 1):
-            raise MarkingError(f"central edge ({tail!r}, {head!r}) is not a 1-edge of the graph")
+    """Reject a marking naming anything outside the graph; the error names
+    the first offender in sorted order."""
+    stray_vertices = [v for v in marking.central_vertices if not g.has_vertex(v)]
+    if stray_vertices:
+        raise MarkingError(f"central vertex {min(stray_vertices)!r} is not in the graph")
+    stray_edges = [pair for pair in marking.central_1_edges if not g.has_edge(*pair, 1)]
+    if stray_edges:
+        tail, head = min(stray_edges)
+        raise MarkingError(f"central edge ({tail!r}, {head!r}) is not a 1-edge of the graph")
 
 
 def _central_elements_on_string(
@@ -352,8 +365,7 @@ def classify_edges(g: ColoredDigraph, lab: Labeling) -> dict[Edge, str]:
     result: dict[Edge, str] = {}
     for e in g.edges:
         pair = (lab.labels[e.tail], lab.labels[e.head])
-        table = EDGE_CLASS_1 if e.color == 1 else EDGE_CLASS_2
-        cls = table.get(pair)
+        cls = _EDGE_CLASS[e.color].get(pair)
         if cls is None:
             raise PreconditionError(
                 f"edge {e.triple()} has label pair {pair} outside the admissible lists"
@@ -377,23 +389,29 @@ def marking_from_labels(g: ColoredDigraph, lab: Labeling) -> CentralMarking:
     """Read the central marking off a locally-valid labeling.
 
     Central vertices are those labeled c; central 1-edges are the 1-edges
-    with label pair (0, 1).
+    whose label pair is classed central.
     """
     _require_local_validity(g, lab)
-    labels = lab.labels
-    central_vertices = frozenset(v for v in g.vertices if labels[v] == LABEL_CENTRAL)
-    central_edges = frozenset(
-        (e.tail, e.head)
-        for e in g.edges
-        if e.color == 1 and labels[e.tail] == LABEL_LEFT and labels[e.head] == LABEL_RIGHT
-    )
+    central_vertices = frozenset(v for v in g.vertices if lab.labels[v] == LABEL_CENTRAL)
+    central_edges = frozenset((e.tail, e.head) for e in _central_1_edges(g, lab))
     return CentralMarking(central_vertices=central_vertices, central_1_edges=central_edges)
+
+
+def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
+    """The 1-edges whose label pair is classed central, in declared order."""
+    return [
+        e for e in g.edges_of_color(1)
+        if EDGE_CLASS_1.get((lab.labels[e.tail], lab.labels[e.head])) == CENTRAL
+    ]
 
 
 # -- label inference ------------------------------------------------------
 
 def _unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
-    """Per-vertex label domains from the endpoint clauses alone."""
+    """Per-vertex label domains from the endpoint clauses alone.
+
+    No endpoint clause excludes c, so no domain starts empty.
+    """
     domains = {}
     for v in g.vertices:
         dom = set(LABEL_VALUES)
@@ -413,6 +431,8 @@ def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
     """Prune domains to arc consistency along every edge constraint.
 
     Returns False as soon as some domain empties (no labeling exists).
+    Pruned domains are replaced, never changed in place, so callers may
+    share the sets between copies of ``domains``.
     """
     incident: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -424,7 +444,7 @@ def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
     while queue:
         e = queue.popleft()
         queued.discard(e)
-        allowed = ALLOWED_PAIRS_1 if e.color == 1 else ALLOWED_PAIRS_2
+        allowed = _EDGE_CLASS[e.color]
         tail_dom, head_dom = domains[e.tail], domains[e.head]
         new_tail = {a for a in tail_dom if any((a, b) in allowed for b in head_dom)}
         new_head = {b for b in head_dom if any((a, b) in allowed for a in tail_dom)}
@@ -443,56 +463,35 @@ def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
 def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
     """Enumerate every labeling satisfying the local axioms.
 
-    Domains are first narrowed by the endpoint clauses and arc-consistency
-    propagation along the strings; the survivors are then searched
-    exhaustively.  Results come in lexicographic order of the label vector
-    under declared vertex order with 0 < c < 1.
+    Propagation is the only pruning.  Each search node propagates its
+    domains to arc consistency; if a vertex still has several values, the
+    first such vertex in declared order is fixed to each of them in turn
+    and each copy is propagated again.  Every edge relation is closed under
+    the pointwise maximum for 0 < c < 1, so once propagation leaves no
+    domain empty, the largest value of every domain is a labeling (Jeavons
+    and Cooper, "Tractable constraints on ordered domains", 1995).  A branch
+    with no labeling therefore dies in its first propagation, and every
+    other branch yields at least one labeling.  Results come in
+    lexicographic order of the label vector under declared vertex order
+    with 0 < c < 1.
     """
     _require_degree_axiom(g)
-
-    domains = _unary_domains(g)
-    if any(not dom for dom in domains.values()):
-        return []
-    if not _propagate(g, domains):
-        return []
-
-    # Constraints from each vertex back to already-assigned vertices, given
-    # the declared assignment order.
-    order = g.vertices
-    rank = {v: i for i, v in enumerate(order)}
-    backward: dict[str, list[tuple[str, frozenset, bool]]] = {v: [] for v in order}
-    for e in g.edges:
-        allowed = ALLOWED_PAIRS_1 if e.color == 1 else ALLOWED_PAIRS_2
-        if rank[e.tail] < rank[e.head]:
-            backward[e.head].append((e.tail, allowed, False))
-        else:
-            backward[e.tail].append((e.head, allowed, True))
-
-    def choices(k: int) -> list[tuple[int, str]]:
-        # Reversed, so the stack tries values in LABEL_VALUES order and the
-        # results come out in lexicographic order.
-        return [(k, value) for value in reversed(LABEL_VALUES) if value in domains[order[k]]]
-
-    # Depth-first search with an explicit stack of (depth, value) choices,
-    # so graph size is not limited by the interpreter's recursion depth.
     results: list[Labeling] = []
-    assignment: dict[str, str] = {}
-    stack = choices(0)
+    # An explicit stack, so graph size is not limited by the interpreter's
+    # recursion depth.
+    stack = [_unary_domains(g)]
     while stack:
-        k, value = stack.pop()
-        # Values assigned at depth k or deeper belong to an abandoned branch.
-        for stale in order[k:len(assignment)]:
-            del assignment[stale]
-        if not all(
-            ((value, assignment[other]) if v_is_tail else (assignment[other], value)) in allowed
-            for other, allowed, v_is_tail in backward[order[k]]
-        ):
+        domains = stack.pop()
+        if not _propagate(g, domains):
             continue
-        assignment[order[k]] = value
-        if k + 1 == len(order):
-            results.append(Labeling(labels=dict(assignment)))
-        else:
-            stack.extend(choices(k + 1))
+        open_vertex = next((v for v in g.vertices if len(domains[v]) > 1), None)
+        if open_vertex is None:
+            results.append(Labeling(labels={v: value for v, (value,) in domains.items()}))
+            continue
+        # Reversed, so values are popped in LABEL_VALUES order.
+        for value in reversed(LABEL_VALUES):
+            if value in domains[open_vertex]:
+                stack.append({**domains, open_vertex: {value}})
     return results
 
 

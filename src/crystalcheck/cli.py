@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from .axioms import Labeling, check_global, check_local, infer_labelings, labels_from_marking
-from .documents import document_from_graph, dumps_document, parse_document
+from .documents import GraphDocument, document_from_graph, dumps_document, parse_document
 from .enumeration import (
     GraphStream,
     census,
@@ -48,6 +48,20 @@ def _read_input(path: str) -> bytes:
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _load_document(path: str) -> Optional[GraphDocument]:
+    """Read and parse the input document, or report why not and return None."""
+    try:
+        return parse_document(_read_input(path))
+    except (OSError, DocumentError) as exc:
+        _error(str(exc))
+        return None
+
+
+def _cycle_violation(cycle: CycleCertificate) -> dict:
+    detail = "directed cycle: " + " -> ".join(cycle.vertices)
+    return Violation(CLAUSE_ACYCLICITY, cycle.vertices[0], detail).as_jsonable()
 
 
 def _predicate_dicts(g: ColoredDigraph, lab: Labeling) -> list[dict]:
@@ -102,15 +116,8 @@ def _render_text(result: dict) -> str:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        data = _read_input(args.input)
-    except OSError as exc:
-        _error(str(exc))
-        return EXIT_INPUT
-    try:
-        doc = parse_document(data)
-    except DocumentError as exc:
-        _error(str(exc))
+    doc = _load_document(args.input)
+    if doc is None:
         return EXIT_INPUT
 
     g = doc.graph
@@ -146,10 +153,7 @@ def _cmd_validate(args) -> int:
     if not degree:
         potential = find_potential(g)
         if isinstance(potential, CycleCertificate):
-            detail = "directed cycle: " + " -> ".join(potential.vertices)
-            checks.append({"check": "acyclicity", "violations": [
-                Violation(CLAUSE_ACYCLICITY, potential.vertices[0], detail).as_jsonable()
-            ]})
+            checks.append({"check": "acyclicity", "violations": [_cycle_violation(potential)]})
         else:
             checks.append({"check": "acyclicity", "violations": []})
             connectivity: list[dict] = []
@@ -214,15 +218,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    try:
-        data = _read_input(args.input)
-    except OSError as exc:
-        _error(str(exc))
-        return EXIT_INPUT
-    try:
-        doc = parse_document(data)
-    except DocumentError as exc:
-        _error(str(exc))
+    doc = _load_document(args.input)
+    if doc is None:
         return EXIT_INPUT
 
     g = doc.graph
@@ -232,8 +229,7 @@ def _cmd_infer(args) -> int:
         return EXIT_VIOLATIONS
     potential = find_potential(g)
     if isinstance(potential, CycleCertificate):
-        detail = "directed cycle: " + " -> ".join(potential.vertices)
-        violations = [Violation(CLAUSE_ACYCLICITY, potential.vertices[0], detail).as_jsonable()]
+        violations = [_cycle_violation(potential)]
         print(json.dumps({"command": "infer", "violations": violations}, indent=2))
         return EXIT_VIOLATIONS
 

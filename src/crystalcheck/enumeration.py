@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .axioms import (
-    LABEL_VALUES,
     CentralMarking,
     Labeling,
     check_global,
-    check_local,
+    infer_labelings_exhaustive,
     labels_from_marking,
     marking_from_labels,
 )
@@ -273,11 +272,7 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
             if not check_global(g, marking):
                 valid_markings.append(marking)
 
-    valid_by_vector: dict[tuple[str, ...], Labeling] = {}
-    for combo in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
-        lab = Labeling(labels=dict(zip(g.vertices, combo)))
-        if not check_local(g, lab):
-            valid_by_vector[combo] = lab
+    valid_by_vector = {lab.vector(g): lab for lab in infer_labelings_exhaustive(g)}
 
     labelings = tuple(valid_by_vector.values())
     n_markings = len(valid_markings)

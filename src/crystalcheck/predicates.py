@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .axioms import LABEL_CENTRAL, LABEL_LEFT, LABEL_RIGHT, Labeling, _require_local_validity
+from .axioms import LABEL_CENTRAL, Labeling, _central_1_edges, _require_local_validity
 from .errors import LabelingError
 from .graph import ColoredDigraph, StringDecomposition
 
@@ -47,15 +47,6 @@ class PredicateReport:
             "status": self.status,
             "witnesses": list(self.witnesses),
         }
-
-
-def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list:
-    return [
-        e for e in g.edges
-        if e.color == 1
-        and lab.labels[e.tail] == LABEL_LEFT
-        and lab.labels[e.head] == LABEL_RIGHT
-    ]
 
 
 def check_corollary2(g: ColoredDigraph, lab: Labeling) -> PredicateReport:

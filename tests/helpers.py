@@ -28,6 +28,16 @@ def doc_bytes(obj) -> bytes:
     return json.dumps(obj).encode("utf-8")
 
 
+# Syntactically hostile inputs that the JSON decoder itself refuses to build.
+HOSTILE_DOCUMENTS = {
+    "deep-nesting": b"[" * 100_000,
+    "long-color": (
+        b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":'
+        + b"1" * 5000 + b"}]}"
+    ),
+}
+
+
 def labeling(g: ColoredDigraph, values) -> Labeling:
     return Labeling(labels=dict(zip(g.vertices, values)))
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalcheck import (
     CentralityError,
@@ -26,7 +29,7 @@ from crystalcheck import (
     labels_from_marking,
     marking_from_labels,
 )
-from crystalcheck.axioms import ALLOWED_PAIRS_1, ALLOWED_PAIRS_2
+from crystalcheck.axioms import ALLOWED_PAIRS_1, ALLOWED_PAIRS_2, _propagate, _unary_domains
 
 from helpers import (
     b0_graphs,
@@ -39,11 +42,43 @@ from helpers import (
 )
 
 
+# The library accepts cyclic B0 graphs too; inference must handle both.
+ACYCLIC_OR_CYCLIC_B0 = st.one_of(
+    b0_graphs(max_vertices=6), b0_graphs(max_vertices=6, require_acyclic=False)
+)
+
+
 def marking(vertices=(), edges=()) -> CentralMarking:
     return CentralMarking(
         central_vertices=frozenset(vertices),
         central_1_edges=frozenset(edges),
     )
+
+
+class TestLabelingValue:
+    def test_labeling_is_hashable(self):
+        lab = Labeling(labels={"a": "c", "b": "0"})
+        same = Labeling(labels={"b": "0", "a": "c"})
+        assert hash(lab) == hash(same)
+        assert len({lab, same, Labeling(labels={"a": "c", "b": "1"})}) == 2
+
+    def test_labeling_rejects_writes(self):
+        lab = Labeling(labels={"a": "c"})
+        with pytest.raises(TypeError):
+            lab.labels["a"] = "1"
+        assert lab.labels == {"a": "c"}
+
+    def test_labeling_copies_its_source(self):
+        source = {"a": "c"}
+        lab = Labeling(labels=source)
+        source["a"] = "1"
+        source["b"] = "0"
+        assert lab.labels == {"a": "c"}
+
+    def test_labeling_pickles_and_deep_copies(self):
+        lab = Labeling(labels={"a": "c", "b": "0"})
+        assert pickle.loads(pickle.dumps(lab)) == lab
+        assert copy.deepcopy(lab) == lab
 
 
 class TestCheckLocal:
@@ -133,6 +168,10 @@ class TestCheckGlobal:
     def test_marking_scope_errors(self):
         with pytest.raises(MarkingError):
             check_global(path5(), marking(vertices=["nope"]))
+        with pytest.raises(MarkingError, match="'nope1'"):
+            check_global(path5(), marking(vertices=["v1", "nope2", "nope1"]))
+        with pytest.raises(MarkingError, match=r"\('a', 'z'\)"):
+            check_global(path5(), marking(edges=[("v1", "v2"), ("b", "a"), ("a", "z")]))
         with pytest.raises(MarkingError):
             check_global(path5(), marking(edges=[("v2", "v3")]))  # that edge is color 2
 
@@ -290,17 +329,38 @@ class TestInference:
         assert vectors == sorted(vectors, key=lambda vec: tuple("0c1".index(x) for x in vec))
         assert vectors == [lab.vector(g) for lab in infer_labelings_exhaustive(g)]
 
+    def test_several_labelings_come_in_lexicographic_order(self):
+        # A 1-edge closed into a cycle by a 2-edge admits two labelings.
+        g = graph(["a", "b"], [("a", "b", 1), ("b", "a", 2)])
+        assert [lab.vector(g) for lab in infer_labelings(g)] == [("0", "c"), ("c", "1")]
+
     def test_degree_violation_rejected(self):
         g = graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)])
         with pytest.raises(Exception):
             infer_labelings(g)
 
-    @given(b0_graphs(max_vertices=6))
+    @given(ACYCLIC_OR_CYCLIC_B0)
     @settings(max_examples=100)
     def test_propagation_equals_exhaustive(self, g):
         fast = [lab.vector(g) for lab in infer_labelings(g)]
         slow = [lab.vector(g) for lab in infer_labelings_exhaustive(g)]
         assert fast == slow
+
+    @given(ACYCLIC_OR_CYCLIC_B0)
+    @settings(max_examples=100)
+    def test_propagation_decides_every_remaining_value(self, g):
+        # Arc consistency on max-closed relations implies a labeling, so
+        # fixing one vertex and propagating again must answer exactly
+        # whether some labeling gives it that value.
+        labelings = infer_labelings_exhaustive(g)
+        root = _unary_domains(g)
+        if not _propagate(g, root):
+            assert labelings == []
+            return
+        for v in g.vertices:
+            for value in root[v]:
+                fixed = {**root, v: {value}}
+                assert _propagate(g, fixed) == any(lab.labels[v] == value for lab in labelings)
 
     @given(b0_graphs(max_vertices=6))
     @settings(max_examples=60)

@@ -11,6 +11,8 @@ import pytest
 
 from crystalcheck import infer_labelings, parse_graph
 
+from helpers import HOSTILE_DOCUMENTS
+
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -234,3 +236,13 @@ def test_parse_errors_exit_2_with_location(name):
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"crystalcheck: error:" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "infer"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_json_exits_2_without_traceback(command, name):
+    result = run_cli(command, "-", stdin=HOSTILE_DOCUMENTS[name])
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"crystalcheck: error: malformed-syntax" in result.stderr
+    assert b"Traceback" not in result.stderr

@@ -17,7 +17,7 @@ from crystalcheck import (
 )
 from crystalcheck.axioms import CentralMarking
 
-from helpers import colored_digraphs, doc_bytes, graphs_with_labelings
+from helpers import HOSTILE_DOCUMENTS, colored_digraphs, doc_bytes, graphs_with_labelings
 
 
 def test_smallest_legal_document():
@@ -70,6 +70,7 @@ def test_parallel_edges_of_different_colors_allowed():
         b'"centers":{"edges_1":[["a","b"]]}}',
         "invalid-centers",
     ),
+    *(pytest.param(raw, "malformed-syntax", id=name) for name, raw in HOSTILE_DOCUMENTS.items()),
 ])
 def test_rejects_carry_distinct_kinds(raw, kind):
     with pytest.raises(DocumentError) as err:
