@@ -56,10 +56,12 @@ def parse_document(data: Union[bytes, str]) -> GraphDocument:
         raise DocumentError(
             "malformed-syntax", f"line {exc.lineno} column {exc.colno}", exc.msg
         ) from exc
-    except (RecursionError, ValueError) as exc:
-        # Nesting deeper than the interpreter's recursion limit, or an
-        # integer literal longer than it converts.
-        raise DocumentError("malformed-syntax", "<document>", str(exc)) from exc
+    except RecursionError as exc:
+        raise DocumentError("malformed-syntax", "<document>", "nesting too deep") from exc
+    except ValueError as exc:
+        # The only other decoder refusal: an integer literal longer than the
+        # interpreter converts.
+        raise DocumentError("malformed-syntax", "<document>", "integer literal too long") from exc
 
     if not isinstance(raw, dict):
         raise DocumentError("invalid-structure", "<document>", "top level must be a JSON object")

@@ -197,15 +197,19 @@ def _passes_filters(n: int, edges: tuple[PositionEdge, ...], stream: GraphStream
     return True
 
 
-def _position_graphs_exactly(n: int, stream: GraphStream) -> Iterator[tuple[PositionEdge, ...]]:
+def _position_graphs_exactly(
+    n: int, stream: GraphStream, check_budget: Callable[[], None] = lambda: None
+) -> Iterator[tuple[PositionEdge, ...]]:
     """Filtered (and, if requested, canonicalized) edge sets on exactly n
-    positions, in ascending encoding order."""
+    positions, in ascending encoding order.  ``check_budget`` runs before
+    each candidate is canonicalized and aborts the search by raising."""
     if stream.canonical:
         encoder = _Encoder(n)
         codes = set()
         for edges in _candidate_edge_sets(n, stream):
             if not _passes_filters(n, edges, stream):
                 continue
+            check_budget()
             codes.add(encoder.canonical_code(edges))
         for code in sorted(codes):
             yield encoder.decode(code)
@@ -349,19 +353,6 @@ def resolve_workers() -> int:
     return min(cap, os.cpu_count() or 1)
 
 
-def _census_worker(args: tuple[int, tuple[PositionEdge, ...]]) -> tuple:
-    n, edges = args
-    g = graph_from_position_edges(n, edges)
-    result = check_proposition(g)
-    return (
-        result.holds,
-        result.n_valid_markings,
-        result.n_valid_labelings,
-        tuple(lab.vector(g) for lab in result.valid_labelings),
-        result.detail,
-    )
-
-
 def census(
     max_vertices: int,
     budget_seconds: Optional[float] = None,
@@ -375,8 +366,10 @@ def census(
     correspondence is re-verified on every graph; a mismatch raises
     ``CounterexampleError``).  ``on_corollary_gap`` is invoked for every
     valid labeling on which a corollary predicate fails, since those
-    predicates are not implied by the axioms checked here.  Exceeding
-    ``budget_seconds`` raises ``BudgetError``.
+    predicates are not implied by the axioms checked here.  More than one
+    worker checks the graphs in a process pool; results are read in order.
+    Exceeding ``budget_seconds``, checked between enumeration candidates and
+    after each graph's result, raises ``BudgetError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -387,60 +380,58 @@ def census(
     start = time.monotonic()
     rows: list[CensusRow] = []
 
-    def out_of_budget() -> bool:
-        return budget_seconds is not None and time.monotonic() - start > budget_seconds
+    def check_budget() -> None:
+        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
+            raise BudgetError(budget_seconds, len(rows))
 
-    for n in range(1, max_vertices + 1):
-        stream = GraphStream(max_vertices=n)
-        edge_sets = list(_position_graphs_exactly(n, stream))
-        outcomes: Iterator[tuple]
-        if workers > 1 and len(edge_sets) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = iter(list(pool.map(
-                    _census_worker,
-                    [(n, edges) for edges in edge_sets],
-                    chunksize=max(1, len(edge_sets) // (workers * 8) or 1),
-                )))
-        else:
-            outcomes = (_census_worker((n, edges)) for edges in edge_sets)
-
-        n_graphs = 0
-        n_with_labeling = 0
-        n_labelings = 0
-        n_markings = 0
-        for edges, (holds, count_markings, count_labelings, vectors, detail) in zip(
-            edge_sets, outcomes
-        ):
-            if out_of_budget():
-                raise BudgetError(budget_seconds, len(rows))
-            g = graph_from_position_edges(n, edges)
-            if not holds:
-                raise CounterexampleError(
-                    f"marking/labeling correspondence failed on a {n}-vertex graph: {detail}",
-                    graph=g,
-                )
-            n_graphs += 1
-            n_markings += count_markings
-            n_labelings += count_labelings
-            if count_labelings:
-                n_with_labeling += 1
-            if on_corollary_gap is not None:
-                for vector in vectors:
-                    lab = Labeling(labels=dict(zip(g.vertices, vector)))
-                    for report in (check_corollary2(g, lab), check_corollary3(g, lab)):
-                        if report.status == FAILS:
-                            on_corollary_gap(g, lab, report)
-
-        if n_labelings != n_markings:
-            raise CounterexampleError(
-                f"census row {n} breaks the labeling/marking balance: "
-                f"{n_labelings} labelings vs {n_markings} markings"
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    check_all = pool.map if pool is not None else map
+    try:
+        for n in range(1, max_vertices + 1):
+            # Each checked graph carries its string skeleton; teeing the
+            # stream instead of listing it lets a serial run drop each graph
+            # once its result is read.
+            graphs, to_check = itertools.tee(
+                graph_from_position_edges(n, edges)
+                for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n), check_budget)
             )
-        rows.append(CensusRow(
-            n=n,
-            graphs=n_graphs,
-            graphs_with_labeling=n_with_labeling,
-            labelings=n_labelings,
-            markings=n_markings,
-        ))
+            n_graphs = 0
+            n_with_labeling = 0
+            n_labelings = 0
+            n_markings = 0
+            for g, result in zip(graphs, check_all(check_proposition, to_check)):
+                check_budget()
+                if not result.holds:
+                    raise CounterexampleError(
+                        f"marking/labeling correspondence failed on a {n}-vertex graph: "
+                        f"{result.detail}",
+                        graph=g,
+                    )
+                n_graphs += 1
+                n_markings += result.n_valid_markings
+                n_labelings += result.n_valid_labelings
+                if result.n_valid_labelings:
+                    n_with_labeling += 1
+                if on_corollary_gap is not None:
+                    for lab in result.valid_labelings:
+                        for report in (check_corollary2(g, lab), check_corollary3(g, lab)):
+                            if report.status == FAILS:
+                                on_corollary_gap(g, lab, report)
+
+            if n_labelings != n_markings:
+                raise CounterexampleError(
+                    f"census row {n} breaks the labeling/marking balance: "
+                    f"{n_labelings} labelings vs {n_markings} markings"
+                )
+            rows.append(CensusRow(
+                n=n,
+                graphs=n_graphs,
+                graphs_with_labeling=n_with_labeling,
+                labelings=n_labelings,
+                markings=n_markings,
+            ))
+    finally:
+        if pool is not None:
+            # Drop the graphs not yet started when the loop stops early.
+            pool.shutdown(cancel_futures=True)
     return rows

@@ -222,12 +222,53 @@ def test_census_invalid_threads_env():
     assert b"CRYSTALCHECK_THREADS" in result.stderr
 
 
+# The valid labelings of 5-vertex graphs on which corollary 2 fails; they are
+# the smallest gaps between the local axioms and the corollaries.
+CENSUS_GAP_NOTES = "".join(
+    f"note: corollary2 fails on {doc}\n" for doc in (
+        '{"vertices":["v1","v2","v3","v4","v5"],"edges":[{"from":"v4","to":"v5","color":1},'
+        '{"from":"v5","to":"v3","color":1},{"from":"v2","to":"v4","color":2},'
+        '{"from":"v3","to":"v1","color":2},{"from":"v5","to":"v3","color":2}],'
+        '"labels":{"v1":"c","v2":"c","v3":"1","v4":"0","v5":"1"}}',
+        '{"vertices":["v1","v2","v3","v4","v5"],"edges":[{"from":"v4","to":"v5","color":1},'
+        '{"from":"v5","to":"v3","color":1},{"from":"v2","to":"v4","color":2},'
+        '{"from":"v3","to":"v1","color":2},{"from":"v4","to":"v5","color":2}],'
+        '"labels":{"v1":"c","v2":"c","v3":"1","v4":"0","v5":"0"}}',
+        '{"vertices":["v1","v2","v3","v4","v5"],"edges":[{"from":"v4","to":"v3","color":1},'
+        '{"from":"v5","to":"v2","color":1},{"from":"v2","to":"v3","color":2},'
+        '{"from":"v3","to":"v1","color":2},{"from":"v4","to":"v5","color":2}],'
+        '"labels":{"v1":"c","v2":"1","v3":"1","v4":"c","v5":"0"}}',
+        '{"vertices":["v1","v2","v3","v4","v5"],"edges":[{"from":"v4","to":"v3","color":1},'
+        '{"from":"v5","to":"v2","color":1},{"from":"v1","to":"v5","color":2},'
+        '{"from":"v3","to":"v2","color":2},{"from":"v5","to":"v4","color":2}],'
+        '"labels":{"v1":"c","v2":"c","v3":"1","v4":"0","v5":"0"}}',
+    )
+).encode()
+
+
 def test_census_parallel_output_identical():
-    sequential = run_cli("census", "--max-vertices", "3")
-    parallel = run_cli("census", "--max-vertices", "3",
+    # At five vertices the gap notes come from labelings the pool sends back.
+    sequential = run_cli("census", "--max-vertices", "5")
+    parallel = run_cli("census", "--max-vertices", "5",
                        env_extra={"CRYSTALCHECK_THREADS": "2"})
     assert sequential.returncode == parallel.returncode == 0
     assert sequential.stdout == parallel.stdout
+    assert sequential.stderr == parallel.stderr == CENSUS_GAP_NOTES
+
+
+def test_census_gap_notes_name_their_witness_under_validate(tmp_path):
+    # Each note is a document whose labeling passes every axiom check, and
+    # ``validate`` names the central 1-edge on which corollary 2 fails.
+    for k, line in enumerate(CENSUS_GAP_NOTES.decode().splitlines()):
+        path = tmp_path / f"gap{k}.json"
+        path.write_text(line.removeprefix("note: corollary2 fails on "))
+        result = run_cli("validate", str(path))
+        assert result.returncode == 1
+        payload = json.loads(result.stdout)
+        assert all(not check["violations"] for check in payload["checks"])
+        corollary2 = next(p for p in payload["predicates"] if p["predicate"] == "corollary2")
+        assert corollary2["status"] == "fails"
+        assert len(corollary2["witnesses"]) == 1
 
 
 @pytest.mark.parametrize("name", ["malformed.json", "unknown_color.json", "self_loop.json"])
@@ -246,3 +287,4 @@ def test_hostile_json_exits_2_without_traceback(command, name):
     assert result.stdout == b""
     assert b"crystalcheck: error: malformed-syntax" in result.stderr
     assert b"Traceback" not in result.stderr
+    assert b"sys." not in result.stderr

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from crystalcheck import (
@@ -14,7 +16,8 @@ from crystalcheck import (
     enumerate_graphs,
     serialize_graph,
 )
-from crystalcheck.enumeration import resolve_workers
+from crystalcheck import enumeration
+from crystalcheck.enumeration import _position_graphs_exactly, resolve_workers
 
 from helpers import (
     bare_1_edge,
@@ -196,10 +199,44 @@ class TestCensus:
             "2,3,0,0,0\n"
         )
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        canonicalized = []
+        canonical_code = enumeration._Encoder.canonical_code
+
+        def counting(encoder, edges):
+            canonicalized.append(edges)
+            return canonical_code(encoder, edges)
+
+        monkeypatch.setattr(enumeration._Encoder, "canonical_code", counting)
         with pytest.raises(BudgetError) as err:
             census(4, budget_seconds=0.0)
         assert err.value.completed_rows == 0
+        # The budget is checked before the first candidate is canonicalized.
+        assert canonicalized == []
+
+    def test_budget_stops_canonical_enumeration_between_candidates(self):
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def check_budget():
+            calls.append(None)
+            if len(calls) == 10:
+                raise Stop
+
+        # Without a check between candidates this would run all 19,905.
+        with pytest.raises(Stop):
+            list(_position_graphs_exactly(6, GraphStream(max_vertices=6), check_budget))
+
+    def test_budget_stops_pool_before_row_finishes(self):
+        # Checking all 503 five-vertex graphs takes several seconds even on
+        # two workers, so an abort within a second of the budget shows the
+        # pool results are read as they arrive.
+        start = time.monotonic()
+        with pytest.raises(BudgetError):
+            census(5, workers=2, budget_seconds=1.0)
+        assert time.monotonic() - start < 2.0
 
     def test_max_vertices_bound(self):
         with pytest.raises(ValueError):
