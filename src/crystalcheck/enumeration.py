@@ -6,7 +6,11 @@ Graphs on n vertices are encoded as fixed-width bit strings: one bit per
 block in row-major order over ordered vertex pairs.  Enumeration order is
 ascending over this encoding; the canonical form of a graph is the minimal
 encoding over all vertex permutations, which deduplicates color- and
-direction-preserving isomorphs.
+direction-preserving isomorphs.  It is found by branch and bound over
+partial vertex placements, not by trying every permutation.  Streams of
+weakly connected (B0) graphs first sort their candidates into classes by a
+cheaper complete invariant, the port key, and canonicalize one candidate
+per class.
 """
 
 from __future__ import annotations
@@ -55,33 +59,131 @@ class GraphStream:
 
 
 class _Encoder:
-    """Bit layout for graphs on a fixed number of vertex positions."""
+    """Bit layout for graphs on a fixed number of vertex positions.
+
+    The slots of one color and one tail position form a *row* of n - 1 bits,
+    most significant head position first; rows are ordered by color, then
+    by tail position, so the code is the concatenation of its rows.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        slots: list[PositionEdge] = []
-        for color in (1, 2):
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        slots.append((i, j, color))
-        self.slots = slots
-        total = len(slots)
-        self.bit = {slot: 1 << (total - 1 - s) for s, slot in enumerate(slots)}
+        self.slots: list[PositionEdge] = [
+            (i, j, color) for color in (1, 2) for i in range(n) for j in range(n) if i != j
+        ]
+        total = len(self.slots)
+        # bit[(color - 1) * n * n + i * n + j] is the bit of slot (i, j, color).
+        self.bit = [0] * (2 * n * n)
+        for s, (i, j, color) in enumerate(self.slots):
+            self.bit[((color - 1) * n + i) * n + j] = 1 << (total - 1 - s)
+        # A row value of tail position p, shifted left by row_shift[color - 1][p],
+        # lands in its slots.
+        self.row_shift = [
+            [total - (block * n + p + 1) * (n - 1) for p in range(n)] for block in (0, 1)
+        ]
 
     def decode(self, code: int) -> tuple[PositionEdge, ...]:
-        return tuple(slot for slot in self.slots if code & self.bit[slot])
+        total = len(self.slots)
+        return tuple(slot for s, slot in enumerate(self.slots) if code >> (total - 1 - s) & 1)
 
-    def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
-        best: Optional[int] = None
-        bit = self.bit
-        for perm in itertools.permutations(range(self.n)):
+    def port_key(self, edges: tuple[PositionEdge, ...]) -> int:
+        """A complete isomorphism invariant of a weakly connected (B0) graph.
+
+        Under (B0) every vertex has at most one neighbor per (color,
+        direction) port, so a breadth-first numbering from a root that visits
+        the ports in a fixed order depends on the root alone.  The key is the
+        least encoding over the n renumberings; isomorphic graphs share their
+        renumberings, and equal keys encode one and the same graph.
+        """
+        n, bit = self.n, self.bit
+        ports = [[-1] * 4 for _ in range(n)]
+        for i, j, color in edges:
+            ports[i][2 * color - 2] = j
+            ports[j][2 * color - 1] = i
+        # A root without a 1-successor leaves the most significant row empty,
+        # so it beats every root with one.
+        roots = [v for v in range(n) if ports[v][0] < 0] or range(n)
+        best = -1
+        for root in roots:
+            number = [-1] * n
+            number[root] = 0
+            order = [root]
+            for v in order:
+                for w in ports[v]:
+                    if w >= 0 and number[w] < 0:
+                        number[w] = len(order)
+                        order.append(w)
             code = 0
             for i, j, color in edges:
-                code |= bit[(perm[i], perm[j], color)]
-            if best is None or code < best:
+                code |= bit[((color - 1) * n + number[i]) * n + number[j]]
+            if best < 0 or code < best:
                 best = code
-        assert best is not None
+        return best
+
+    def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
+        """The minimal encoding of ``edges`` over all vertex permutations.
+
+        Branch and bound: vertices are placed at positions 0, 1, ... in turn,
+        and a partial placement is bounded below row by row.  A placed row
+        puts its unplaced heads in its least significant free columns; the
+        rows of the unplaced positions take the smallest values their
+        vertices can reach, in ascending order (by rearrangement, no
+        assignment of them to positions is smaller).  A branch is cut once
+        its bound is no smaller than the best code found; with every vertex
+        placed the bound is the code itself.
+        """
+        n = self.n
+        heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
+        for i, j, color in set(edges):
+            heads[color - 1][i].append(j)
+        blocks = list(zip(self.row_shift, heads))
+        position = [-1] * n
+        best = -1
+
+        def bound(placed: int) -> int:
+            total = 0
+            for shift, block in blocks:
+                unplaced_rows = []
+                for v in range(n):
+                    p = position[v]
+                    row = free = 0
+                    for h in block[v]:
+                        q = position[h]
+                        if q < 0:
+                            free += 1
+                        else:
+                            row |= 1 << (n - 2 - (q if p < 0 or q < p else q - 1))
+                    row += (1 << free) - 1
+                    if p < 0:
+                        unplaced_rows.append(row)
+                    else:
+                        total += row << shift[p]
+                unplaced_rows.sort()
+                for p, row in enumerate(unplaced_rows, placed):
+                    total += row << shift[p]
+            return total
+
+        def search(placed: int) -> None:
+            nonlocal best
+            children = []
+            for v in range(n):
+                if position[v] < 0:
+                    position[v] = placed
+                    children.append((bound(placed + 1), v))
+                    position[v] = -1
+            children.sort()
+            for low, v in children:
+                if 0 <= best <= low:
+                    return
+                if placed + 2 >= n:
+                    # One vertex is left to place, so the bound is exact.
+                    best = low
+                    return
+                position[v] = placed
+                search(placed + 1)
+                position[v] = -1
+
+        search(0)
         return best
 
 
@@ -202,14 +304,24 @@ def _position_graphs_exactly(
 ) -> Iterator[tuple[PositionEdge, ...]]:
     """Filtered (and, if requested, canonicalized) edge sets on exactly n
     positions, in ascending encoding order.  ``check_budget`` runs before
-    each candidate is canonicalized and aborts the search by raising."""
+    each candidate is keyed or canonicalized and aborts the search by
+    raising."""
     if stream.canonical:
         encoder = _Encoder(n)
+        # The port key is complete only on (B0), weakly connected graphs;
+        # other streams canonicalize every candidate.
+        by_key = stream.require_degree_axiom and stream.require_connected
+        keys = set()
         codes = set()
         for edges in _candidate_edge_sets(n, stream):
             if not _passes_filters(n, edges, stream):
                 continue
             check_budget()
+            if by_key:
+                key = encoder.port_key(edges)
+                if key in keys:
+                    continue
+                keys.add(key)
             codes.add(encoder.canonical_code(edges))
         for code in sorted(codes):
             yield encoder.decode(code)

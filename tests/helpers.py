@@ -1,7 +1,8 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
-The oracles here (Kahn cycle test, permutation isomorphism test) are kept
-independent of the library's own algorithms so the two can check each other.
+The oracles here (Kahn cycle test, permutation isomorphism test, minimal
+encoding over all vertex permutations) are kept independent of the
+library's own algorithms so the two can check each other.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ HOSTILE_DOCUMENTS = {
         + b"1" * 5000 + b"}]}"
     ),
 }
+
+
+# Canonical graphs per vertex count.  Up to n = 4 they are cross-checked
+# against the permutation-based isomorphism oracle in test_enumeration.py;
+# n = 5 is the census row, and n = 6 is pinned with the enumerate output.
+CANONICAL_COUNTS = {1: 1, 2: 3, 3: 13, 4: 74, 5: 503, 6: 3986}
 
 
 def labeling(g: ColoredDigraph, values) -> Labeling:
@@ -133,6 +140,17 @@ def brute_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
         if all((mapping[e.tail], mapping[e.head], e.color) in target for e in g1.edges):
             return True
     return False
+
+
+def brute_canonical_code(encoder, edges) -> int:
+    """Least encoding of position edges over every vertex permutation, read
+    off the encoder's slot order alone."""
+    index = {slot: s for s, slot in enumerate(encoder.slots)}
+    top = len(encoder.slots) - 1
+    return min(
+        sum(1 << (top - index[(perm[i], perm[j], color)]) for i, j, color in set(edges))
+        for perm in itertools.permutations(range(encoder.n))
+    )
 
 
 # -- random generators (seeded, for the acceptance suite) ------------------

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from crystalcheck import infer_labelings, parse_graph
 
-from helpers import HOSTILE_DOCUMENTS
+from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS
 
 DOCUMENTS = Path(__file__).parent / "documents"
 
@@ -180,6 +182,17 @@ def test_enumerate_streams_documents():
     assert len(lines) == 4  # 1 graph on one vertex + 3 on two
     parsed = [json.loads(line) for line in lines]
     assert parsed[0] == {"vertices": ["v1"], "edges": []}
+
+
+def test_enumerate_six_vertices_output_is_pinned():
+    result = run_cli("enumerate", "--max-vertices", "6")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4580
+    assert Counter(len(json.loads(line)["vertices"]) for line in lines) == CANONICAL_COUNTS
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "7d403346b8728937fdf3e1b205993cd61ce8e5abd16d85e1c80c6ec938e60a5c"
+    )
 
 
 def test_enumerate_no_canonical_gives_more():

@@ -20,16 +20,15 @@ from crystalcheck import enumeration
 from crystalcheck.enumeration import _position_graphs_exactly, resolve_workers
 
 from helpers import (
+    CANONICAL_COUNTS,
     bare_1_edge,
+    brute_canonical_code,
     brute_isomorphic,
     graph,
     path5,
     single_vertex,
 )
 
-# Class counts frozen after cross-checking them against the independent
-# permutation-based isomorphism oracle (see the n<=4 tests below).
-CANONICAL_COUNTS = {1: 1, 2: 3, 3: 13, 4: 74, 5: 503}
 # Hand enumeration for n=2: one color choice for a lone edge (x2 directions)
 # plus a parallel 1+2 pair (x2 directions) plus a single edge of the other
 # color (x2) = 6 labeled graphs.
@@ -38,6 +37,15 @@ LABELED_COUNTS = {1: 1, 2: 6, 3: 78}
 
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
+
+
+def b0_edge_sets(n: int, require_connected: bool):
+    """Every (B0) edge set on n positions, cycles included."""
+    stream = GraphStream(
+        max_vertices=n, require_acyclic=False, require_connected=require_connected,
+        canonical=False,
+    )
+    return list(_position_graphs_exactly(n, stream))
 
 
 class TestStreamConfig:
@@ -137,6 +145,35 @@ class TestEnumerate:
         assert any(not check_degree_axiom(g).ok for g in enumerate_graphs(stream))
 
 
+class TestCanonicalCode:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_permutation_scan_on_every_slot_subset(self, n):
+        # Mostly not (B0): rows with several heads, heads shared by rows.
+        encoder = enumeration._Encoder(n)
+        for code in range(1 << len(encoder.slots)):
+            edges = encoder.decode(code)
+            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_permutation_scan_on_every_b0_edge_set(self, n):
+        encoder = enumeration._Encoder(n)
+        for edges in b0_edge_sets(n, require_connected=False):
+            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+
+    # Isomorphism classes of weakly connected (B0) graphs, cycles included;
+    # at n = 4 they hold 9,786 edge sets.
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 9), (3, 49), (4, 423)])
+    def test_port_key_is_complete_on_connected_b0_graphs(self, n, classes):
+        encoder = enumeration._Encoder(n)
+        code_of_key: dict[int, int] = {}
+        key_of_code: dict[int, int] = {}
+        for edges in b0_edge_sets(n, require_connected=True):
+            key, code = encoder.port_key(edges), encoder.canonical_code(edges)
+            assert code_of_key.setdefault(key, code) == code
+            assert key_of_code.setdefault(code, key) == key
+        assert len(code_of_key) == classes
+
+
 class TestProposition:
     def test_single_vertex(self):
         result = check_proposition(single_vertex())
@@ -200,19 +237,21 @@ class TestCensus:
         )
 
     def test_budget_enforced(self, monkeypatch):
-        canonicalized = []
-        canonical_code = enumeration._Encoder.canonical_code
+        calls = []
+        for name in ("port_key", "canonical_code"):
+            method = getattr(enumeration._Encoder, name)
 
-        def counting(encoder, edges):
-            canonicalized.append(edges)
-            return canonical_code(encoder, edges)
+            def counting(encoder, edges, method=method):
+                calls.append(method.__name__)
+                return method(encoder, edges)
 
-        monkeypatch.setattr(enumeration._Encoder, "canonical_code", counting)
+            monkeypatch.setattr(enumeration._Encoder, name, counting)
         with pytest.raises(BudgetError) as err:
             census(4, budget_seconds=0.0)
         assert err.value.completed_rows == 0
-        # The budget is checked before the first candidate is canonicalized.
-        assert canonicalized == []
+        # The budget is checked before the first candidate is keyed or
+        # canonicalized.
+        assert calls == []
 
     def test_budget_stops_canonical_enumeration_between_candidates(self):
         calls = []
