@@ -407,24 +407,54 @@ def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
 
 # -- label inference ------------------------------------------------------
 
-def _unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
-    """Per-vertex label domains from the endpoint clauses alone.
+@dataclass(frozen=True)
+class _LocalClauses:
+    """The local axioms of one graph, compiled over vertex positions.
 
-    No endpoint clause excludes c, so no domain starts empty.
+    ``allowed[k]`` holds the labels that the endpoint clauses (B1(ii),
+    B2(ii)) leave the k-th declared vertex, in ``LABEL_VALUES`` order; no
+    endpoint clause excludes c, so none is empty.  Each ``(t, h, pairs)`` in
+    ``edges`` is one edge clause (B1(i), B2(i)): the labels at positions t
+    and h must form one of the admissible pairs of the edge's color.
     """
-    domains = {}
-    for v in g.vertices:
-        dom = set(LABEL_VALUES)
-        if not g.in_edges(v, 1):
-            dom.discard(LABEL_RIGHT)
-        if not g.out_edges(v, 1):
-            dom.discard(LABEL_LEFT)
-        if not g.in_edges(v, 2):
-            dom.discard(LABEL_LEFT)
-        if not g.out_edges(v, 2):
-            dom.discard(LABEL_RIGHT)
-        domains[v] = dom
-    return domains
+
+    allowed: tuple[tuple[str, ...], ...]
+    edges: tuple[tuple[int, int, frozenset[tuple[str, str]]], ...]
+
+    def admits(self, vector: tuple[str, ...]) -> bool:
+        """Whether the label vector (declared vertex order) breaks no clause,
+        that is, whether ``check_local`` reports nothing for it."""
+        for value, allowed in zip(vector, self.allowed):
+            if value not in allowed:
+                return False
+        for t, h, pairs in self.edges:
+            if (vector[t], vector[h]) not in pairs:
+                return False
+        return True
+
+
+def _endpoint_labels(g: ColoredDigraph, v: str) -> tuple[str, ...]:
+    """The labels the endpoint clauses leave vertex v, in ``LABEL_VALUES``
+    order: 0 needs a leaving 1-edge and an entering 2-edge, 1 an entering
+    1-edge and a leaving 2-edge."""
+    left = (LABEL_LEFT,) if g.out_edges(v, 1) and g.in_edges(v, 2) else ()
+    right = (LABEL_RIGHT,) if g.in_edges(v, 1) and g.out_edges(v, 2) else ()
+    return left + (LABEL_CENTRAL,) + right
+
+
+def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
+    pairs = {1: ALLOWED_PAIRS_1, 2: ALLOWED_PAIRS_2}
+    return _LocalClauses(
+        allowed=tuple(_endpoint_labels(g, v) for v in g.vertices),
+        edges=tuple(
+            (g.vertex_index(e.tail), g.vertex_index(e.head), pairs[e.color]) for e in g.edges
+        ),
+    )
+
+
+def _unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
+    """Per-vertex label domains from the endpoint clauses alone."""
+    return {v: set(_endpoint_labels(g, v)) for v in g.vertices}
 
 
 def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
@@ -498,12 +528,14 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
 def infer_labelings_exhaustive(g: ColoredDigraph) -> list[Labeling]:
     """Brute-force reference for ``infer_labelings``: try all 3^|V| vectors.
 
-    Kept deliberately naive so the two routes can cross-check each other.
+    Kept deliberately naive so the two routes can cross-check each other:
+    every vector is tested against the compiled clauses, without pruning,
+    and only the vectors that pass become labelings.
     """
     _require_degree_axiom(g)
-    results = []
-    for combo in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
-        lab = Labeling(labels=dict(zip(g.vertices, combo)))
-        if not check_local(g, lab):
-            results.append(lab)
-    return results
+    clauses = _local_clauses(g)
+    return [
+        Labeling(labels=dict(zip(g.vertices, vector)))
+        for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices)
+        if clauses.admits(vector)
+    ]

@@ -15,6 +15,7 @@ per class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -25,17 +26,27 @@ from typing import Callable, Iterator, Optional
 from .axioms import (
     CentralMarking,
     Labeling,
+    _local_clauses,
     check_global,
-    infer_labelings_exhaustive,
     labels_from_marking,
     marking_from_labels,
 )
 from .errors import BudgetError, CounterexampleError, PreconditionError
-from .graph import ColoredDigraph, CycleCertificate, Edge, check_degree_axiom, find_potential
+from .graph import (
+    ColoredDigraph,
+    CycleCertificate,
+    Edge,
+    check_degree_axiom,
+    decompose_strings,
+    find_potential,
+)
 from .predicates import FAILS, check_corollary2, check_corollary3
 
 MAX_ENUMERATION_VERTICES = 8
-MAX_CENSUS_VERTICES = 6
+MAX_CENSUS_VERTICES = 7
+# Graphs per pool task: a check takes well under a millisecond, so one
+# round trip per graph would cost more than the check itself.
+POOL_CHUNK = 32
 
 PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 
@@ -284,15 +295,21 @@ def _candidate_edge_sets(n: int, stream: GraphStream) -> Iterator[tuple[Position
             yield encoder.decode(code)
         return
 
-    forward = stream.canonical and stream.require_acyclic
+    forward = _forward_only(stream)
     for edges1 in _partial_injections(n, forward):
         colored1 = tuple((i, j, 1) for i, j in edges1)
         for edges2 in _partial_injections(n, forward):
             yield colored1 + tuple((i, j, 2) for i, j in edges2)
 
 
+def _forward_only(stream: GraphStream) -> bool:
+    """Whether the stream's candidates have only edges from a lower to a
+    higher position, so that none has a cycle."""
+    return stream.require_degree_axiom and stream.canonical and stream.require_acyclic
+
+
 def _passes_filters(n: int, edges: tuple[PositionEdge, ...], stream: GraphStream) -> bool:
-    if stream.require_acyclic and not _acyclic_positions(n, edges):
+    if stream.require_acyclic and not _forward_only(stream) and not _acyclic_positions(n, edges):
         return False
     if stream.require_connected and not _connected_positions(n, edges):
         return False
@@ -344,15 +361,9 @@ def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
             yield graph_from_position_edges(n, edges)
 
 
-def _subsets(items: list) -> Iterator[tuple]:
-    """All sublists, by bitmask order over item positions."""
-    for mask in range(1 << len(items)):
-        yield tuple(item for k, item in enumerate(items) if mask >> k & 1)
-
-
 @dataclass(frozen=True)
 class PropositionResult:
-    """Outcome of the brute-force marking/labeling correspondence check."""
+    """Outcome of the exhaustive marking/labeling correspondence check."""
 
     holds: bool
     n_valid_markings: int
@@ -363,32 +374,84 @@ class PropositionResult:
     detail: str = ""
 
 
+def _b1_markings(g: ColoredDigraph) -> Iterator[CentralMarking]:
+    """Every marking with exactly one central element on each 1-string: one
+    of its L vertices or one of its L - 1 edges."""
+    options = [
+        [(True, v) for v in string] + [(False, pair) for pair in zip(string, string[1:])]
+        for string in decompose_strings(g, 1).strings
+    ]
+    for choice in itertools.product(*options):
+        yield CentralMarking(
+            central_vertices=frozenset(x for is_vertex, x in choice if is_vertex),
+            central_1_edges=frozenset(x for is_vertex, x in choice if not is_vertex),
+        )
+
+
+def _local_labelings(g: ColoredDigraph) -> list[Labeling]:
+    """Every labeling satisfying the local axioms, in lexicographic order of
+    the label vector under declared vertex order with 0 < c < 1.
+
+    Vertices are labeled one at a time in declared order, each trying the
+    values its endpoint clauses allow in ``LABEL_VALUES`` order; an edge
+    clause is tested as soon as both of its ends are labeled.
+    """
+    clauses = _local_clauses(g)
+    n = g.n_vertices
+    # The edge clauses whose later end, in declared order, is vertex k.
+    due: list[list[tuple[int, int, frozenset]]] = [[] for _ in range(n)]
+    for t, h, pairs in clauses.edges:
+        due[max(t, h)].append((t, h, pairs))
+    results = []
+    vector = [""] * n
+    # One iterator of untried values per labeled vertex, so graph size is not
+    # limited by the interpreter's recursion depth.
+    untried = [iter(clauses.allowed[0])]
+    while untried:
+        k = len(untried) - 1
+        for value in untried[k]:
+            vector[k] = value
+            if all((vector[t], vector[h]) in pairs for t, h, pairs in due[k]):
+                break
+        else:
+            untried.pop()
+            continue
+        if k + 1 < n:
+            untried.append(iter(clauses.allowed[k + 1]))
+        else:
+            results.append(Labeling(labels=dict(zip(g.vertices, vector))))
+    return results
+
+
 def check_proposition(g: ColoredDigraph) -> PropositionResult:
-    """Verify by brute force that valid markings and valid labelings are in
+    """Verify exhaustively that valid markings and valid labelings are in
     bijection under the two conversion maps.
 
-    Every subset of vertices and 1-edges is tried as a marking against the
-    global axioms, and every label vector against the local axioms; the
-    conversions must then be mutually inverse between the two valid sets.
-    Requires a degree-valid acyclic graph.
+    Each side is searched over an exact superset of its valid set, not over
+    all subsets or all label vectors:
+
+    - Markings: (B1) asks for exactly one central element on each 1-string,
+      a vertex of it or a 1-edge between two of its consecutive vertices.
+      The 1-strings partition the vertices and hold every 1-edge, so the
+      product of these 2L - 1 choices per string holds every marking that
+      can pass; ``check_global`` judges each one.
+    - Labelings: vertices are labeled in declared order with the values
+      their endpoint clauses allow, and each edge clause is tested once both
+      of its ends are labeled.  A clause broken by a partial vector stays
+      broken in every extension, so cutting there loses no labeling.  No
+      propagation is involved, so this stays independent of
+      ``infer_labelings``.
+
+    The conversions must then be mutually inverse between the two valid
+    sets.  Requires a degree-valid acyclic graph.
     """
     if check_degree_axiom(g):
         raise PreconditionError("proposition check requires the degree axiom")
     if isinstance(find_potential(g), CycleCertificate):
         raise PreconditionError("proposition check requires an acyclic graph")
 
-    one_edges = [(e.tail, e.head) for e in g.edges if e.color == 1]
-    valid_markings: list[CentralMarking] = []
-    for vertex_subset in _subsets(list(g.vertices)):
-        for edge_subset in _subsets(one_edges):
-            marking = CentralMarking(
-                central_vertices=frozenset(vertex_subset),
-                central_1_edges=frozenset(edge_subset),
-            )
-            if not check_global(g, marking):
-                valid_markings.append(marking)
-
-    valid_by_vector = {lab.vector(g): lab for lab in infer_labelings_exhaustive(g)}
+    valid_markings = [marking for marking in _b1_markings(g) if not check_global(g, marking)]
+    valid_by_vector = {lab.vector(g): lab for lab in _local_labelings(g)}
 
     labelings = tuple(valid_by_vector.values())
     n_markings = len(valid_markings)
@@ -474,14 +537,15 @@ def census(
     """Count canonical connected acyclic degree-valid graphs per vertex
     count, together with their valid labelings and markings.
 
-    The labeling/marking totals of each row must agree (the brute-force
+    The labeling/marking totals of each row must agree (the exhaustive
     correspondence is re-verified on every graph; a mismatch raises
     ``CounterexampleError``).  ``on_corollary_gap`` is invoked for every
     valid labeling on which a corollary predicate fails, since those
     predicates are not implied by the axioms checked here.  More than one
-    worker checks the graphs in a process pool; results are read in order.
-    Exceeding ``budget_seconds``, checked between enumeration candidates and
-    after each graph's result, raises ``BudgetError``.
+    worker checks the graphs in a process pool, ``POOL_CHUNK`` graphs per
+    task; results are read in order.  Exceeding ``budget_seconds``, checked
+    between enumeration candidates and after each graph's result, raises
+    ``BudgetError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -497,7 +561,7 @@ def census(
             raise BudgetError(budget_seconds, len(rows))
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    check_all = pool.map if pool is not None else map
+    check_all = functools.partial(pool.map, chunksize=POOL_CHUNK) if pool is not None else map
     try:
         for n in range(1, max_vertices + 1):
             # Each checked graph carries its string skeleton; teeing the

@@ -1,8 +1,9 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, permutation isomorphism test, minimal
-encoding over all vertex permutations) are kept independent of the
-library's own algorithms so the two can check each other.
+encoding over all vertex permutations, valid markings among all subsets)
+are kept independent of the library's own algorithms so the two can check
+each other.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 
 from hypothesis import strategies as st
 
-from crystalcheck import ColoredDigraph, Edge, Labeling
+from crystalcheck import CentralMarking, ColoredDigraph, Edge, Labeling, check_global
 from crystalcheck.axioms import LABEL_VALUES
 
 
@@ -151,6 +152,27 @@ def brute_canonical_code(encoder, edges) -> int:
         sum(1 << (top - index[(perm[i], perm[j], color)]) for i, j, color in set(edges))
         for perm in itertools.permutations(range(encoder.n))
     )
+
+
+def subsets(items: list) -> list[frozenset]:
+    """All subsets, by bitmask order over item positions."""
+    return [
+        frozenset(item for k, item in enumerate(items) if mask >> k & 1)
+        for mask in range(1 << len(items))
+    ]
+
+
+def brute_valid_markings(g: ColoredDigraph) -> list[CentralMarking]:
+    """Every subset of vertices together with every subset of 1-edges that
+    ``check_global`` accepts as a marking."""
+    one_edges = [(e.tail, e.head) for e in g.edges if e.color == 1]
+    found = []
+    for vertex_subset in subsets(list(g.vertices)):
+        for edge_subset in subsets(one_edges):
+            marking = CentralMarking(central_vertices=vertex_subset, central_1_edges=edge_subset)
+            if not check_global(g, marking):
+                found.append(marking)
+    return found
 
 
 # -- random generators (seeded, for the acceptance suite) ------------------

@@ -17,11 +17,9 @@ from pathlib import Path
 import pytest
 
 from crystalcheck import (
-    CentralMarking,
     CycleCertificate,
     GraphStream,
     Potential,
-    check_global,
     check_local,
     check_proposition,
     check_string_words,
@@ -36,6 +34,7 @@ from crystalcheck import (
 
 from helpers import (
     bare_1_edge,
+    brute_valid_markings,
     chain4,
     kahn_is_acyclic,
     path5,
@@ -209,23 +208,10 @@ def test_criterion_6_determinism_and_exit_codes():
 def test_criterion_7_round_trips(universe5, valid_labelings5):
     markings_seen = 0
     for g, labelings in zip(universe5, valid_labelings5):
-        one_edges = [(e.tail, e.head) for e in g.edges if e.color == 1]
-        for k in range(1 << g.n_vertices):
-            vertex_subset = frozenset(
-                v for i, v in enumerate(g.vertices) if k >> i & 1
-            )
-            for m in range(1 << len(one_edges)):
-                edge_subset = frozenset(
-                    pair for i, pair in enumerate(one_edges) if m >> i & 1
-                )
-                marking = CentralMarking(
-                    central_vertices=vertex_subset, central_1_edges=edge_subset,
-                )
-                if check_global(g, marking):
-                    continue
-                markings_seen += 1
-                lab = labels_from_marking(g, marking)
-                assert marking_from_labels(g, lab) == marking
+        for marking in brute_valid_markings(g):
+            markings_seen += 1
+            lab = labels_from_marking(g, marking)
+            assert marking_from_labels(g, lab) == marking
         for lab in labelings:
             marking = marking_from_labels(g, lab)
             assert labels_from_marking(g, marking).vector(g) == lab.vector(g)

@@ -29,7 +29,14 @@ from crystalcheck import (
     labels_from_marking,
     marking_from_labels,
 )
-from crystalcheck.axioms import ALLOWED_PAIRS_1, ALLOWED_PAIRS_2, _propagate, _unary_domains
+from crystalcheck.axioms import (
+    ALLOWED_PAIRS_1,
+    ALLOWED_PAIRS_2,
+    LABEL_VALUES,
+    _local_clauses,
+    _propagate,
+    _unary_domains,
+)
 
 from helpers import (
     b0_graphs,
@@ -120,6 +127,24 @@ class TestCheckLocal:
             assert pair not in ALLOWED_PAIRS_2
             report = check_local(g2, labeling(g2, pair))
             assert any(v.clause == "B2(i)" for v in report)
+
+
+class TestCompiledClauses:
+    def test_agree_with_check_local_on_every_vector_to_five_vertices(self):
+        vectors = 0
+        for g in enumerate_graphs(GraphStream(max_vertices=5)):
+            clauses = _local_clauses(g)
+            for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
+                assert clauses.admits(vector) == (not check_local(g, labeling(g, vector)))
+                vectors += 1
+        assert vectors == 1 * 3 + 3 * 9 + 13 * 27 + 74 * 81 + 503 * 243
+
+    @given(ACYCLIC_OR_CYCLIC_B0)
+    @settings(max_examples=60)
+    def test_agree_with_check_local_on_cyclic_graphs_too(self, g):
+        clauses = _local_clauses(g)
+        for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
+            assert clauses.admits(vector) == (not check_local(g, labeling(g, vector)))
 
 
 class TestCheckGlobal:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -225,7 +226,7 @@ def test_census_budget_exceeded_exits_3():
 
 
 def test_census_bad_max_vertices():
-    assert run_cli("census", "--max-vertices", "7").returncode == 2
+    assert run_cli("census", "--max-vertices", "8").returncode == 2
 
 
 def test_census_invalid_threads_env():
@@ -267,6 +268,18 @@ def test_census_parallel_output_identical():
     assert sequential.returncode == parallel.returncode == 0
     assert sequential.stdout == parallel.stdout
     assert sequential.stderr == parallel.stderr == CENSUS_GAP_NOTES
+
+
+def test_census_row_6_and_its_corollary_gaps():
+    result = run_cli("census", "--max-vertices", "6")
+    assert result.returncode == 0
+    assert result.stdout.decode().splitlines()[-2:] == ["5,503,20,20,20", "6,3986,93,94,94"]
+    notes = Counter()
+    for line in result.stderr.decode().splitlines():
+        predicate, doc = re.fullmatch(r"note: (\w+) fails on (.*)", line).groups()
+        notes[predicate, len(json.loads(doc)["vertices"])] += 1
+    # Six vertices already break corollary 3.
+    assert notes == {("corollary2", 5): 4, ("corollary2", 6): 24, ("corollary3", 6): 3}
 
 
 def test_census_gap_notes_name_their_witness_under_validate(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -12,18 +13,26 @@ from crystalcheck import (
     PreconditionError,
     census,
     census_rows_to_csv,
+    check_global,
     check_proposition,
     enumerate_graphs,
+    infer_labelings_exhaustive,
     serialize_graph,
 )
 from crystalcheck import enumeration
-from crystalcheck.enumeration import _position_graphs_exactly, resolve_workers
+from crystalcheck.enumeration import (
+    _b1_markings,
+    _position_graphs_exactly,
+    graph_from_position_edges,
+    resolve_workers,
+)
 
 from helpers import (
     CANONICAL_COUNTS,
     bare_1_edge,
     brute_canonical_code,
     brute_isomorphic,
+    brute_valid_markings,
     graph,
     path5,
     single_vertex,
@@ -204,6 +213,41 @@ class TestProposition:
             check_proposition(g)
 
 
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """The 594 graphs of the n <= 5 universe and a fixed sample of 100 of
+    the 3,986 six-vertex ones."""
+    universe = list(enumerate_graphs(GraphStream(max_vertices=5)))
+    six = list(_position_graphs_exactly(6, GraphStream(max_vertices=6)))
+    sample = random.Random(20261018).sample(six, 100)
+    return universe + [graph_from_position_edges(6, edges) for edges in sample]
+
+
+class TestPropositionOracles:
+    def test_markings_equal_the_all_subsets_search(self, oracle_graphs):
+        for g in oracle_graphs:
+            brute = brute_valid_markings(g)
+            built = [m for m in _b1_markings(g) if not check_global(g, m)]
+            assert len(built) == len(set(built)) == len(brute)
+            assert set(built) == set(brute)
+            assert check_proposition(g).n_valid_markings == len(brute)
+
+    def test_labelings_equal_the_all_vectors_search(self, oracle_graphs):
+        for g in oracle_graphs:
+            result = check_proposition(g)
+            assert result.holds
+            assert [lab.vector(g) for lab in result.valid_labelings] == [
+                lab.vector(g) for lab in infer_labelings_exhaustive(g)
+            ]
+
+
+def _slow_check(g):
+    """``check_proposition``, made to take 10 ms on each 5-vertex graph."""
+    if g.n_vertices == 5:
+        time.sleep(0.01)
+    return check_proposition(g)
+
+
 class TestCensus:
     def test_row_for_single_vertex(self):
         rows = census(1)
@@ -268,18 +312,20 @@ class TestCensus:
         with pytest.raises(Stop):
             list(_position_graphs_exactly(6, GraphStream(max_vertices=6), check_budget))
 
-    def test_budget_stops_pool_before_row_finishes(self):
-        # Checking all 503 five-vertex graphs takes several seconds even on
-        # two workers, so an abort within a second of the budget shows the
-        # pool results are read as they arrive.
+    def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
+        # Rows 1 to 5 are enumerated within a fraction of a second, but the
+        # slowed checks of the 503 five-vertex graphs take over 2.5 s on two
+        # workers, so an abort well within 2 s shows the pool results are
+        # read as they arrive.  The workers import the patched check by name.
+        monkeypatch.setattr(enumeration, "check_proposition", _slow_check)
         start = time.monotonic()
         with pytest.raises(BudgetError):
-            census(5, workers=2, budget_seconds=1.0)
+            census(5, workers=2, budget_seconds=0.5)
         assert time.monotonic() - start < 2.0
 
     def test_max_vertices_bound(self):
         with pytest.raises(ValueError):
-            census(7)
+            census(8)
 
     def test_deterministic(self):
         assert census(3) == census(3)
