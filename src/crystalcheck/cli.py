@@ -14,13 +14,7 @@ from typing import Optional
 
 from .axioms import Labeling, check_global, check_local, infer_labelings, labels_from_marking
 from .documents import GraphDocument, document_from_graph, dumps_document, parse_document
-from .enumeration import (
-    GraphStream,
-    census,
-    census_rows_to_csv,
-    enumerate_graphs,
-    resolve_workers,
-)
+from .enumeration import GraphStream, census, census_rows_to_csv, enumerate_graphs
 from .errors import BudgetError, CounterexampleError, CrystalCheckError, DocumentError
 from .graph import (
     ColoredDigraph,
@@ -255,11 +249,9 @@ def _cmd_census(args) -> int:
         print(f"note: {report.predicate} fails on {doc}", file=sys.stderr)
 
     try:
-        workers = resolve_workers()
         rows = census(
             args.max_vertices,
             budget_seconds=args.budget_seconds,
-            workers=workers,
             on_corollary_gap=report_gap,
         )
     except ValueError as exc:
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("input", help="path to a JSON graph document, or - for stdin")
     infer.set_defaults(func=_cmd_infer)
 
-    enumerate_cmd = sub.add_parser("enumerate", help="stream small graphs passing the filters")
+    enumerate_cmd = sub.add_parser("enumerate", help="stream connected acyclic (B0) graphs")
     enumerate_cmd.add_argument("--max-vertices", type=int, required=True)
     enumerate_cmd.add_argument("--no-canonical", action="store_true",
                                help="emit all labeled graphs instead of canonical forms")

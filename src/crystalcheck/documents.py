@@ -79,6 +79,13 @@ def parse_document(data: Union[bytes, str]) -> GraphDocument:
     for i, v in enumerate(vertices):
         if v in declared:
             raise DocumentError("duplicate-vertex", f"vertices[{i}]", f"vertex {v!r} declared twice")
+        # A JSON escape can spell a lone surrogate, which no output can encode.
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(
+                "malformed-syntax", f"vertices[{i}]", "vertex id is not valid UTF-8"
+            ) from exc
         declared.add(v)
 
     if not isinstance(raw["edges"], list):

@@ -7,10 +7,13 @@ block in row-major order over ordered vertex pairs.  Enumeration order is
 ascending over this encoding; the canonical form of a graph is the minimal
 encoding over all vertex permutations, which deduplicates color- and
 direction-preserving isomorphs.  It is found by branch and bound over
-partial vertex placements, not by trying every permutation.  Streams of
-weakly connected (B0) graphs first sort their candidates into classes by a
-cheaper complete invariant, the port key, and canonicalize one candidate
-per class.
+partial vertex placements, not by trying every permutation.
+
+Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
+the census: canonical forms by default, or every labeled graph.  A
+canonical stream first sorts its candidates into classes by a cheaper
+complete invariant, the port key, and canonicalizes one candidate per
+class.
 """
 
 from __future__ import annotations
@@ -47,18 +50,19 @@ MAX_CENSUS_VERTICES = 7
 # Graphs per pool task: a check takes well under a millisecond, so one
 # round trip per graph would cost more than the check itself.
 POOL_CHUNK = 32
+# Graphs per window of a census row, so memory stays bounded on every row.
+POOL_WINDOW = 8 * POOL_CHUNK
 
 PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 
 
 @dataclass(frozen=True)
 class GraphStream:
-    """Configuration for the graph enumerator."""
+    """The weakly connected acyclic (B0) graphs on 1..``max_vertices``
+    vertices: one per isomorphism class if ``canonical``, else every labeled
+    one."""
 
     max_vertices: int
-    require_degree_axiom: bool = True
-    require_acyclic: bool = True
-    require_connected: bool = True
     canonical: bool = True
 
     def __post_init__(self):
@@ -282,74 +286,51 @@ def _connected_positions(n: int, edges: tuple[PositionEdge, ...]) -> bool:
 
 
 def _candidate_edge_sets(n: int, stream: GraphStream) -> Iterator[tuple[PositionEdge, ...]]:
-    """Raw candidates on exactly n positions, ascending in the encoding.
+    """Raw (B0) candidates on exactly n positions, ascending in the encoding.
 
-    Degree-constrained candidates come from pairing per-color partial
-    injections (color-1 block is the outer loop, so the combined encoding is
-    still ascending).  Without the degree filter every slot subset is tried,
-    which is only practical for very small n.
+    They pair per-color partial injections (color-1 block is the outer loop,
+    so the combined encoding is still ascending).  A canonical stream needs
+    one representative per class, so its edges go forward only.
     """
-    if not stream.require_degree_axiom:
-        encoder = _Encoder(n)
-        for code in range(1 << len(encoder.slots)):
-            yield encoder.decode(code)
-        return
-
-    forward = _forward_only(stream)
-    for edges1 in _partial_injections(n, forward):
+    for edges1 in _partial_injections(n, stream.canonical):
         colored1 = tuple((i, j, 1) for i, j in edges1)
-        for edges2 in _partial_injections(n, forward):
+        for edges2 in _partial_injections(n, stream.canonical):
             yield colored1 + tuple((i, j, 2) for i, j in edges2)
 
 
-def _forward_only(stream: GraphStream) -> bool:
-    """Whether the stream's candidates have only edges from a lower to a
-    higher position, so that none has a cycle."""
-    return stream.require_degree_axiom and stream.canonical and stream.require_acyclic
-
-
 def _passes_filters(n: int, edges: tuple[PositionEdge, ...], stream: GraphStream) -> bool:
-    if stream.require_acyclic and not _forward_only(stream) and not _acyclic_positions(n, edges):
-        return False
-    if stream.require_connected and not _connected_positions(n, edges):
-        return False
-    return True
+    """Whether the candidate is acyclic and weakly connected.  A canonical
+    stream's candidates go forward only, so they need no cycle test."""
+    return (stream.canonical or _acyclic_positions(n, edges)) and _connected_positions(n, edges)
 
 
 def _position_graphs_exactly(
     n: int, stream: GraphStream, check_budget: Callable[[], None] = lambda: None
 ) -> Iterator[tuple[PositionEdge, ...]]:
-    """Filtered (and, if requested, canonicalized) edge sets on exactly n
-    positions, in ascending encoding order.  ``check_budget`` runs before
-    each candidate is keyed or canonicalized and aborts the search by
-    raising."""
-    if stream.canonical:
-        encoder = _Encoder(n)
-        # The port key is complete only on (B0), weakly connected graphs;
-        # other streams canonicalize every candidate.
-        by_key = stream.require_degree_axiom and stream.require_connected
-        keys = set()
-        codes = set()
-        for edges in _candidate_edge_sets(n, stream):
-            if not _passes_filters(n, edges, stream):
-                continue
-            check_budget()
-            if by_key:
-                key = encoder.port_key(edges)
-                if key in keys:
-                    continue
-                keys.add(key)
+    """The stream's edge sets on exactly n positions, in ascending encoding
+    order.  ``check_budget`` runs before each candidate is keyed or
+    canonicalized and aborts the search by raising."""
+    candidates = (
+        edges for edges in _candidate_edge_sets(n, stream) if _passes_filters(n, edges, stream)
+    )
+    if not stream.canonical:
+        yield from candidates
+        return
+    encoder = _Encoder(n)
+    keys = set()
+    codes = set()
+    for edges in candidates:
+        check_budget()
+        key = encoder.port_key(edges)
+        if key not in keys:
+            keys.add(key)
             codes.add(encoder.canonical_code(edges))
-        for code in sorted(codes):
-            yield encoder.decode(code)
-    else:
-        for edges in _candidate_edge_sets(n, stream):
-            if _passes_filters(n, edges, stream):
-                yield edges
+    for code in sorted(codes):
+        yield encoder.decode(code)
 
 
 def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
-    """Enumerate graphs on 1..max_vertices vertices passing the filters.
+    """Enumerate the stream's graphs on 1..max_vertices vertices.
 
     Graphs come out by increasing vertex count and, within one count, in
     ascending encoding order; two runs yield identical streams.  With
@@ -528,6 +509,12 @@ def resolve_workers() -> int:
     return min(cap, os.cpu_count() or 1)
 
 
+def _windows(items: Iterator, size: int) -> Iterator[list]:
+    """Consecutive lists of ``size`` items, the last one possibly shorter."""
+    while window := list(itertools.islice(items, size)):
+        yield window
+
+
 def census(
     max_vertices: int,
     budget_seconds: Optional[float] = None,
@@ -543,9 +530,9 @@ def census(
     valid labeling on which a corollary predicate fails, since those
     predicates are not implied by the axioms checked here.  More than one
     worker checks the graphs in a process pool, ``POOL_CHUNK`` graphs per
-    task; results are read in order.  Exceeding ``budget_seconds``, checked
-    between enumeration candidates and after each graph's result, raises
-    ``BudgetError``.
+    task and ``POOL_WINDOW`` graphs at a time; results are read in order.
+    Exceeding ``budget_seconds``, checked between enumeration candidates and
+    after each graph's result, raises ``BudgetError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -562,12 +549,11 @@ def census(
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     check_all = functools.partial(pool.map, chunksize=POOL_CHUNK) if pool is not None else map
+    # A serial run checks each graph as soon as it is built.
+    window = POOL_WINDOW if pool is not None else 1
     try:
         for n in range(1, max_vertices + 1):
-            # Each checked graph carries its string skeleton; teeing the
-            # stream instead of listing it lets a serial run drop each graph
-            # once its result is read.
-            graphs, to_check = itertools.tee(
+            graphs = (
                 graph_from_position_edges(n, edges)
                 for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n), check_budget)
             )
@@ -575,7 +561,14 @@ def census(
             n_with_labeling = 0
             n_labelings = 0
             n_markings = 0
-            for g, result in zip(graphs, check_all(check_proposition, to_check)):
+            # Each checked graph carries its string skeleton, and a pool
+            # takes in all of its input at once, so the row is checked in
+            # windows: only one window of graphs is held at a time.
+            checked = (
+                pair for batch in _windows(graphs, window)
+                for pair in zip(batch, check_all(check_proposition, batch))
+            )
+            for g, result in checked:
                 check_budget()
                 if not result.holds:
                     raise CounterexampleError(

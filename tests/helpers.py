@@ -1,9 +1,9 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, permutation isomorphism test, minimal
-encoding over all vertex permutations, valid markings among all subsets)
-are kept independent of the library's own algorithms so the two can check
-each other.
+encoding over all vertex permutations, every (B0) edge set, valid markings
+among all subsets) are kept independent of the library's own algorithms so
+the two can check each other.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ HOSTILE_DOCUMENTS = {
         b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":'
         + b"1" * 5000 + b"}]}"
     ),
+    # A lone surrogate: valid JSON, but no text output can encode the id.
+    "surrogate-vertex": b'{"vertices":["\\ud800"],"edges":[]}',
 }
 
 
@@ -152,6 +154,42 @@ def brute_canonical_code(encoder, edges) -> int:
         sum(1 << (top - index[(perm[i], perm[j], color)]) for i, j, color in set(edges))
         for perm in itertools.permutations(range(encoder.n))
     )
+
+
+def _weakly_connected(n: int, edges) -> bool:
+    """Union-find over position edges, colors and directions ignored."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j, _color in edges:
+        parent[root(i)] = root(j)
+    return len({root(v) for v in range(n)}) == 1
+
+
+def b0_edge_sets(n: int, connected: bool = False) -> list[tuple[tuple[int, int, int], ...]]:
+    """Every (B0) edge set on positions 0..n-1 as (tail, head, color)
+    triples, cycles included: per color, every set of off-diagonal slots
+    with in- and out-degree at most 1, then the product over both colors.
+    With ``connected``, only the weakly connected ones."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    per_color = [
+        chosen
+        for size in range(n + 1)
+        for chosen in itertools.combinations(pairs, size)
+        if len({i for i, _ in chosen}) == size == len({j for _, j in chosen})
+    ]
+    edge_sets = [
+        tuple((i, j, 1) for i, j in edges1) + tuple((i, j, 2) for i, j in edges2)
+        for edges1 in per_color
+        for edges2 in per_color
+    ]
+    if connected:
+        return [edges for edges in edge_sets if _weakly_connected(n, edges)]
+    return edge_sets
 
 
 def subsets(items: list) -> list[frozenset]:

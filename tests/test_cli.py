@@ -305,10 +305,10 @@ def test_parse_errors_exit_2_with_location(name):
     assert b"crystalcheck: error:" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["validate", "infer"])
+@pytest.mark.parametrize("command", ["validate", "infer", "validate --format text"])
 @pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
 def test_hostile_json_exits_2_without_traceback(command, name):
-    result = run_cli(command, "-", stdin=HOSTILE_DOCUMENTS[name])
+    result = run_cli(*command.split(), "-", stdin=HOSTILE_DOCUMENTS[name])
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"crystalcheck: error: malformed-syntax" in result.stderr

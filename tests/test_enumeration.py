@@ -29,6 +29,7 @@ from crystalcheck.enumeration import (
 
 from helpers import (
     CANONICAL_COUNTS,
+    b0_edge_sets,
     bare_1_edge,
     brute_canonical_code,
     brute_isomorphic,
@@ -46,15 +47,6 @@ LABELED_COUNTS = {1: 1, 2: 6, 3: 78}
 
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
-
-
-def b0_edge_sets(n: int, require_connected: bool):
-    """Every (B0) edge set on n positions, cycles included."""
-    stream = GraphStream(
-        max_vertices=n, require_acyclic=False, require_connected=require_connected,
-        canonical=False,
-    )
-    return list(_position_graphs_exactly(n, stream))
 
 
 class TestStreamConfig:
@@ -113,10 +105,11 @@ class TestEnumerate:
         second = [serialize_graph(g) for g in enumerate_graphs(stream)]
         assert first == second
 
-    def test_emitted_graphs_pass_the_filters(self):
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_emitted_graphs_pass_the_filters(self, canonical):
         from crystalcheck import check_degree_axiom, find_potential, weak_components
         from crystalcheck.graph import Potential
-        for g in enumerate_graphs(GraphStream(max_vertices=3)):
+        for g in enumerate_graphs(GraphStream(max_vertices=3, canonical=canonical)):
             assert check_degree_axiom(g).ok
             assert isinstance(find_potential(g), Potential)
             assert len(weak_components(g)) == 1
@@ -131,28 +124,6 @@ class TestEnumerate:
                 assert sorted(flat) == sorted(g.vertices)
                 assert len(flat) == g.n_vertices
 
-    def test_filters_can_be_disabled(self):
-        disconnected = enumerate_graphs(
-            GraphStream(max_vertices=2, require_connected=False)
-        )
-        assert any(len(g.edges) == 0 and g.n_vertices == 2 for g in disconnected)
-        cyclic = enumerate_graphs(
-            GraphStream(max_vertices=2, require_acyclic=False, require_connected=False)
-        )
-        from helpers import kahn_is_acyclic
-        assert any(not kahn_is_acyclic(g) for g in cyclic)
-
-    def test_degree_filter_can_be_disabled(self):
-        from crystalcheck import check_degree_axiom
-        stream = GraphStream(
-            max_vertices=3,
-            require_degree_axiom=False,
-            require_acyclic=True,
-            require_connected=True,
-            canonical=False,
-        )
-        assert any(not check_degree_axiom(g).ok for g in enumerate_graphs(stream))
-
 
 class TestCanonicalCode:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -163,20 +134,27 @@ class TestCanonicalCode:
             edges = encoder.decode(code)
             assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_permutation_scan_on_every_b0_edge_set(self, n):
+    # (B0) edge sets, cycles and disconnected ones included.
+    @pytest.mark.parametrize("n, edge_sets", [(1, 1), (2, 16), (3, 324), (4, 11_664)])
+    def test_matches_permutation_scan_on_every_b0_edge_set(self, n, edge_sets):
         encoder = enumeration._Encoder(n)
-        for edges in b0_edge_sets(n, require_connected=False):
+        all_edge_sets = b0_edge_sets(n)
+        assert len(all_edge_sets) == edge_sets
+        for edges in all_edge_sets:
             assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
 
-    # Isomorphism classes of weakly connected (B0) graphs, cycles included;
-    # at n = 4 they hold 9,786 edge sets.
-    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 9), (3, 49), (4, 423)])
-    def test_port_key_is_complete_on_connected_b0_graphs(self, n, classes):
+    # Weakly connected (B0) edge sets, cycles included, and their
+    # isomorphism classes.
+    @pytest.mark.parametrize(
+        "n, edge_sets, classes", [(1, 1, 1), (2, 15, 9), (3, 278, 49), (4, 9_786, 423)]
+    )
+    def test_port_key_is_complete_on_connected_b0_graphs(self, n, edge_sets, classes):
         encoder = enumeration._Encoder(n)
+        connected = b0_edge_sets(n, connected=True)
+        assert len(connected) == edge_sets
         code_of_key: dict[int, int] = {}
         key_of_code: dict[int, int] = {}
-        for edges in b0_edge_sets(n, require_connected=True):
+        for edges in connected:
             key, code = encoder.port_key(edges), encoder.canonical_code(edges)
             assert code_of_key.setdefault(key, code) == code
             assert key_of_code.setdefault(code, key) == key
