@@ -62,8 +62,23 @@ EDGE_CLASS_2 = {
     ("1", "c"): "right",
 }
 _EDGE_CLASS = {1: EDGE_CLASS_1, 2: EDGE_CLASS_2}
+_EDGE_CLAUSE = {1: CLAUSE_B1_I, 2: CLAUSE_B2_I}
 ALLOWED_PAIRS_1 = frozenset(EDGE_CLASS_1)
 ALLOWED_PAIRS_2 = frozenset(EDGE_CLASS_2)
+
+# The endpoint clauses, per label: the edges a vertex needs to take it, each
+# as (clause, color, incident-edge reader, direction).  c needs none.
+_ENDPOINT_NEEDS = {
+    LABEL_LEFT: (
+        (CLAUSE_B1_II, 1, ColoredDigraph.out_edges, "leaving"),
+        (CLAUSE_B2_II, 2, ColoredDigraph.in_edges, "entering"),
+    ),
+    LABEL_CENTRAL: (),
+    LABEL_RIGHT: (
+        (CLAUSE_B1_II, 1, ColoredDigraph.in_edges, "entering"),
+        (CLAUSE_B2_II, 2, ColoredDigraph.out_edges, "leaving"),
+    ),
+}
 
 LEFT, CENTRAL, RIGHT = "left", "central", "right"
 
@@ -72,13 +87,20 @@ LEFT, CENTRAL, RIGHT = "left", "central", "right"
 class Labeling:
     """A total map from vertices to the label alphabet {0, c, 1}.
 
-    ``labels`` is a read-only copy of the mapping it was built from.
+    ``labels`` is a read-only copy of the mapping it was built from; a value
+    outside the alphabet raises ``LabelingError``.
     """
 
     labels: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        labels = dict(self.labels)
+        for v, value in labels.items():
+            if value not in LABEL_VALUES:
+                raise LabelingError(
+                    f"label of vertex {v!r} is {value!r}, not one of {list(LABEL_VALUES)}"
+                )
+        object.__setattr__(self, "labels", MappingProxyType(labels))
 
     def __hash__(self) -> int:
         return hash(frozenset(self.labels.items()))
@@ -267,26 +289,18 @@ def _check_global(
             ))
             continue
         k = central_offsets[0]
-        for j in range(k):
-            cls = classes.get(string[j])
-            if cls is not None and cls != RIGHT:
+        for j, v in enumerate(string):
+            if j == k:
+                continue
+            side, expected = ("before", RIGHT) if j < k else ("after", LEFT)
+            cls = classes.get(v)
+            if cls is not None and cls != expected:
                 violations.append(Violation(
                     clause=CLAUSE_B2,
-                    at=string[j],
+                    at=v,
                     detail=(
-                        f"vertex {string[j]!r} lies before the central vertex "
-                        f"{string[k]!r} on its 2-string but is {cls}, not right"
-                    ),
-                ))
-        for j in range(k + 1, len(string)):
-            cls = classes.get(string[j])
-            if cls is not None and cls != LEFT:
-                violations.append(Violation(
-                    clause=CLAUSE_B2,
-                    at=string[j],
-                    detail=(
-                        f"vertex {string[j]!r} lies after the central vertex "
-                        f"{string[k]!r} on its 2-string but is {cls}, not left"
+                        f"vertex {v!r} lies {side} the central vertex "
+                        f"{string[k]!r} on its 2-string but is {cls}, not {expected}"
                     ),
                 ))
 
@@ -308,48 +322,24 @@ def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
 
     for e in g.edges:
         pair = (labels[e.tail], labels[e.head])
-        if e.color == 1:
-            if pair not in ALLOWED_PAIRS_1:
-                violations.append(Violation(
-                    clause=CLAUSE_B1_I,
-                    at=e.triple(),
-                    detail=f"1-edge {e.triple()} has label pair {pair}, not an admissible pair",
-                ))
-        else:
-            if pair not in ALLOWED_PAIRS_2:
-                violations.append(Violation(
-                    clause=CLAUSE_B2_I,
-                    at=e.triple(),
-                    detail=f"2-edge {e.triple()} has label pair {pair}, not an admissible pair",
-                ))
+        if pair not in _EDGE_CLASS[e.color]:
+            violations.append(Violation(
+                clause=_EDGE_CLAUSE[e.color],
+                at=e.triple(),
+                detail=f"{e.color}-edge {e.triple()} has label pair {pair}, not an admissible pair",
+            ))
 
     for v in g.vertices:
         value = labels[v]
-        if value == LABEL_RIGHT:
-            if not g.in_edges(v, 1):
+        for clause, color, incident, direction in _ENDPOINT_NEEDS[value]:
+            if not incident(g, v, color):
                 violations.append(Violation(
-                    clause=CLAUSE_B1_II,
+                    clause=clause,
                     at=v,
-                    detail=f"vertex {v!r} has no entering 1-edge, so its label must not be 1",
-                ))
-            if not g.out_edges(v, 2):
-                violations.append(Violation(
-                    clause=CLAUSE_B2_II,
-                    at=v,
-                    detail=f"vertex {v!r} has no leaving 2-edge, so its label must not be 1",
-                ))
-        elif value == LABEL_LEFT:
-            if not g.out_edges(v, 1):
-                violations.append(Violation(
-                    clause=CLAUSE_B1_II,
-                    at=v,
-                    detail=f"vertex {v!r} has no leaving 1-edge, so its label must not be 0",
-                ))
-            if not g.in_edges(v, 2):
-                violations.append(Violation(
-                    clause=CLAUSE_B2_II,
-                    at=v,
-                    detail=f"vertex {v!r} has no entering 2-edge, so its label must not be 0",
+                    detail=(
+                        f"vertex {v!r} has no {direction} {color}-edge, "
+                        f"so its label must not be {value}"
+                    ),
                 ))
 
     return ViolationReport.build(g, violations)
@@ -419,7 +409,7 @@ class _LocalClauses:
     """
 
     allowed: tuple[tuple[str, ...], ...]
-    edges: tuple[tuple[int, int, frozenset[tuple[str, str]]], ...]
+    edges: tuple[tuple[int, int, Mapping[tuple[str, str], str]], ...]
 
     def admits(self, vector: tuple[str, ...]) -> bool:
         """Whether the label vector (declared vertex order) breaks no clause,
@@ -435,19 +425,23 @@ class _LocalClauses:
 
 def _endpoint_labels(g: ColoredDigraph, v: str) -> tuple[str, ...]:
     """The labels the endpoint clauses leave vertex v, in ``LABEL_VALUES``
-    order: 0 needs a leaving 1-edge and an entering 2-edge, 1 an entering
-    1-edge and a leaving 2-edge."""
-    left = (LABEL_LEFT,) if g.out_edges(v, 1) and g.in_edges(v, 2) else ()
-    right = (LABEL_RIGHT,) if g.in_edges(v, 1) and g.out_edges(v, 2) else ()
-    return left + (LABEL_CENTRAL,) + right
+    order."""
+    labels = []
+    for value, needs in _ENDPOINT_NEEDS.items():
+        for _clause, color, incident, _direction in needs:
+            if not incident(g, v, color):
+                break
+        else:
+            labels.append(value)
+    return tuple(labels)
 
 
 def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
-    pairs = {1: ALLOWED_PAIRS_1, 2: ALLOWED_PAIRS_2}
     return _LocalClauses(
         allowed=tuple(_endpoint_labels(g, v) for v in g.vertices),
         edges=tuple(
-            (g.vertex_index(e.tail), g.vertex_index(e.head), pairs[e.color]) for e in g.edges
+            (g.vertex_index(e.tail), g.vertex_index(e.head), _EDGE_CLASS[e.color])
+            for e in g.edges
         ),
     )
 

@@ -29,17 +29,16 @@ from typing import Callable, Iterator, Optional
 from .axioms import (
     CentralMarking,
     Labeling,
-    _local_clauses,
     check_global,
+    infer_labelings,
     labels_from_marking,
     marking_from_labels,
 )
-from .errors import BudgetError, CounterexampleError, PreconditionError
+from .errors import BudgetError, CounterexampleError, DegreeAxiomError, PreconditionError
 from .graph import (
     ColoredDigraph,
     CycleCertificate,
     Edge,
-    check_degree_axiom,
     decompose_strings,
     find_potential,
 )
@@ -369,74 +368,33 @@ def _b1_markings(g: ColoredDigraph) -> Iterator[CentralMarking]:
         )
 
 
-def _local_labelings(g: ColoredDigraph) -> list[Labeling]:
-    """Every labeling satisfying the local axioms, in lexicographic order of
-    the label vector under declared vertex order with 0 < c < 1.
-
-    Vertices are labeled one at a time in declared order, each trying the
-    values its endpoint clauses allow in ``LABEL_VALUES`` order; an edge
-    clause is tested as soon as both of its ends are labeled.
-    """
-    clauses = _local_clauses(g)
-    n = g.n_vertices
-    # The edge clauses whose later end, in declared order, is vertex k.
-    due: list[list[tuple[int, int, frozenset]]] = [[] for _ in range(n)]
-    for t, h, pairs in clauses.edges:
-        due[max(t, h)].append((t, h, pairs))
-    results = []
-    vector = [""] * n
-    # One iterator of untried values per labeled vertex, so graph size is not
-    # limited by the interpreter's recursion depth.
-    untried = [iter(clauses.allowed[0])]
-    while untried:
-        k = len(untried) - 1
-        for value in untried[k]:
-            vector[k] = value
-            if all((vector[t], vector[h]) in pairs for t, h, pairs in due[k]):
-                break
-        else:
-            untried.pop()
-            continue
-        if k + 1 < n:
-            untried.append(iter(clauses.allowed[k + 1]))
-        else:
-            results.append(Labeling(labels=dict(zip(g.vertices, vector))))
-    return results
-
-
 def check_proposition(g: ColoredDigraph) -> PropositionResult:
     """Verify exhaustively that valid markings and valid labelings are in
     bijection under the two conversion maps.
 
-    Each side is searched over an exact superset of its valid set, not over
-    all subsets or all label vectors:
-
-    - Markings: (B1) asks for exactly one central element on each 1-string,
-      a vertex of it or a 1-edge between two of its consecutive vertices.
-      The 1-strings partition the vertices and hold every 1-edge, so the
-      product of these 2L - 1 choices per string holds every marking that
-      can pass; ``check_global`` judges each one.
-    - Labelings: vertices are labeled in declared order with the values
-      their endpoint clauses allow, and each edge clause is tested once both
-      of its ends are labeled.  A clause broken by a partial vector stays
-      broken in every extension, so cutting there loses no labeling.  No
-      propagation is involved, so this stays independent of
-      ``infer_labelings``.
+    Markings are searched over an exact superset of the valid ones, not
+    over all subsets: (B1) asks for exactly one central element on each
+    1-string, a vertex of it or a 1-edge between two of its consecutive
+    vertices.  The 1-strings partition the vertices and hold every 1-edge,
+    so the product of these 2L - 1 choices per string holds every marking
+    that can pass; ``check_global`` judges each one.  Labelings come from
+    ``infer_labelings``, which the tests compare with all 3^n label vectors.
 
     The conversions must then be mutually inverse between the two valid
     sets.  Requires a degree-valid acyclic graph.
     """
-    if check_degree_axiom(g):
-        raise PreconditionError("proposition check requires the degree axiom")
+    try:
+        labelings = tuple(infer_labelings(g))
+    except DegreeAxiomError:
+        raise PreconditionError("proposition check requires the degree axiom") from None
     if isinstance(find_potential(g), CycleCertificate):
         raise PreconditionError("proposition check requires an acyclic graph")
 
     valid_markings = [marking for marking in _b1_markings(g) if not check_global(g, marking)]
-    valid_by_vector = {lab.vector(g): lab for lab in _local_labelings(g)}
+    valid_by_vector = {lab.vector(g): lab for lab in labelings}
 
-    labelings = tuple(valid_by_vector.values())
     n_markings = len(valid_markings)
-    n_labelings = len(valid_by_vector)
+    n_labelings = len(labelings)
 
     def failure(detail: str, marking=None, labeling=None) -> PropositionResult:
         return PropositionResult(

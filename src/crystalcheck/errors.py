@@ -41,7 +41,8 @@ class MarkingError(CrystalCheckError):
 
 
 class LabelingError(CrystalCheckError):
-    """A labeling is not a total map on the graph's vertex set."""
+    """A labeling gives a vertex a value outside {0, c, 1}, or is not a
+    total map on the graph's vertex set."""
 
 
 class CentralityError(CrystalCheckError):

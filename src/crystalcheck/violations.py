@@ -70,10 +70,6 @@ class ViolationReport:
         return [entry.as_jsonable() for entry in self.entries]
 
     @classmethod
-    def empty(cls) -> "ViolationReport":
-        return cls(entries=())
-
-    @classmethod
     def build(cls, graph: "ColoredDigraph", violations: list[Violation]) -> "ViolationReport":
         """Sort violations into the canonical report order.
 

@@ -200,15 +200,22 @@ def subsets(items: list) -> list[frozenset]:
     ]
 
 
-def brute_valid_markings(g: ColoredDigraph) -> list[CentralMarking]:
+def brute_valid_markings(g: ColoredDigraph, reports=None) -> list[CentralMarking]:
     """Every subset of vertices together with every subset of 1-edges that
-    ``check_global`` accepts as a marking."""
+    ``check_global`` accepts as a marking.
+
+    ``reports``, a hashlib object if given, takes in the JSON text of every
+    report, valid or not, in search order.
+    """
     one_edges = [(e.tail, e.head) for e in g.edges if e.color == 1]
     found = []
     for vertex_subset in subsets(list(g.vertices)):
         for edge_subset in subsets(one_edges):
             marking = CentralMarking(central_vertices=vertex_subset, central_1_edges=edge_subset)
-            if not check_global(g, marking):
+            report = check_global(g, marking)
+            if reports is not None:
+                reports.update(json.dumps(report.as_jsonable()).encode())
+            if not report:
                 found.append(marking)
     return found
 

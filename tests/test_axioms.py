@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
+import json
 import pickle
 
 import pytest
@@ -87,6 +89,11 @@ class TestLabelingValue:
         assert pickle.loads(pickle.dumps(lab)) == lab
         assert copy.deepcopy(lab) == lab
 
+    @pytest.mark.parametrize("value", ["x", "C", 0, None])
+    def test_labeling_rejects_values_outside_the_alphabet(self, value):
+        with pytest.raises(LabelingError, match="not one of"):
+            Labeling(labels={"a": "c", "b": value})
+
 
 class TestCheckLocal:
     def test_cc_pair_on_1_edge_violates(self):
@@ -129,15 +136,26 @@ class TestCheckLocal:
             assert any(v.clause == "B2(i)" for v in report)
 
 
+# SHA-256 of every check_local report on every label vector of the n <= 5
+# universe, in enumeration order.
+LOCAL_REPORTS_SHA256 = "8cb4ec6e4beb319109fd4ddfbcf3fcaba9add030dca4aa99634e26d24ea841fb"
+
+
 class TestCompiledClauses:
     def test_agree_with_check_local_on_every_vector_to_five_vertices(self):
         vectors = 0
+        # Pins the full text of every report, so a rewrite of check_local
+        # that changes a clause, location or detail is caught.
+        reports = hashlib.sha256()
         for g in enumerate_graphs(GraphStream(max_vertices=5)):
             clauses = _local_clauses(g)
             for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices):
-                assert clauses.admits(vector) == (not check_local(g, labeling(g, vector)))
+                report = check_local(g, labeling(g, vector))
+                assert clauses.admits(vector) == (not report)
+                reports.update(json.dumps(report.as_jsonable()).encode())
                 vectors += 1
         assert vectors == 1 * 3 + 3 * 9 + 13 * 27 + 74 * 81 + 503 * 243
+        assert reports.hexdigest() == LOCAL_REPORTS_SHA256
 
     @given(ACYCLIC_OR_CYCLIC_B0)
     @settings(max_examples=60)

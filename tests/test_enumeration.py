@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -201,14 +202,23 @@ def oracle_graphs():
     return universe + [graph_from_position_edges(6, edges) for edges in sample]
 
 
+# SHA-256 of every check_global report on every marking (all subsets of the
+# vertices and of the 1-edges) of the n <= 5 universe, in search order.
+GLOBAL_REPORTS_SHA256 = "e87c5e841867eb12e976204d641ce82bd5250e10c6014d60cdc2ad07ee113b7c"
+
+
 class TestPropositionOracles:
     def test_markings_equal_the_all_subsets_search(self, oracle_graphs):
+        # Pins the full text of every report, so a rewrite of check_global
+        # that changes a clause, location or detail is caught.
+        reports = hashlib.sha256()
         for g in oracle_graphs:
-            brute = brute_valid_markings(g)
+            brute = brute_valid_markings(g, reports if g.n_vertices <= 5 else None)
             built = [m for m in _b1_markings(g) if not check_global(g, m)]
             assert len(built) == len(set(built)) == len(brute)
             assert set(built) == set(brute)
             assert check_proposition(g).n_valid_markings == len(brute)
+        assert reports.hexdigest() == GLOBAL_REPORTS_SHA256
 
     def test_labelings_equal_the_all_vectors_search(self, oracle_graphs):
         for g in oracle_graphs:
