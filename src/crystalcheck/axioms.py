@@ -119,10 +119,18 @@ class Labeling:
 
 @dataclass(frozen=True)
 class CentralMarking:
-    """Distinguished central vertices and central 1-edges."""
+    """Distinguished central vertices and central 1-edges.
+
+    Both fields are frozenset copies of the collections the marking was
+    built from, with each edge as a (tail, head) tuple.
+    """
 
     central_vertices: frozenset[str]
     central_1_edges: frozenset[tuple[str, str]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "central_vertices", frozenset(self.central_vertices))
+        object.__setattr__(self, "central_1_edges", frozenset(map(tuple, self.central_1_edges)))
 
     def as_jsonable(self, g: ColoredDigraph) -> dict:
         return {

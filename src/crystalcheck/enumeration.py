@@ -10,10 +10,12 @@ direction-preserving isomorphs.  It is found by branch and bound over
 partial vertex placements, not by trying every permutation.
 
 Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
-the census: canonical forms by default, or every labeled graph.  A
-canonical stream first sorts its candidates into classes by a cheaper
-complete invariant, the port key, and canonicalizes one candidate per
-class.
+the census, from one pipeline.  A row's candidates pair forward partial
+injections, one per color, so each is acyclic and (B0).  The port key, a
+cheaper complete invariant, drops the disconnected ones and sorts the rest
+into isomorphism classes, and one candidate per class is canonicalized.  A
+canonical stream emits these minimal encodings; a labeled stream emits all
+their relabelings, which are exactly the row's labeled graphs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 class GraphStream:
     """The weakly connected acyclic (B0) graphs on 1..``max_vertices``
     vertices: one per isomorphism class if ``canonical``, else every labeled
-    one."""
+    one, built as the relabelings of those classes."""
 
     max_vertices: int
     canonical: bool = True
@@ -101,13 +103,16 @@ class _Encoder:
         return tuple(slot for s, slot in enumerate(self.slots) if code >> (total - 1 - s) & 1)
 
     def port_key(self, edges: tuple[PositionEdge, ...]) -> int:
-        """A complete isomorphism invariant of a weakly connected (B0) graph.
+        """A complete isomorphism invariant of a weakly connected (B0) graph,
+        and -1 for a graph that is not weakly connected.
 
         Under (B0) every vertex has at most one neighbor per (color,
         direction) port, so a breadth-first numbering from a root that visits
         the ports in a fixed order depends on the root alone.  The key is the
         least encoding over the n renumberings; isomorphic graphs share their
-        renumberings, and equal keys encode one and the same graph.
+        renumberings, and equal keys encode one and the same graph.  The
+        search follows all four ports, so it numbers exactly the root's weak
+        component.
         """
         n, bit = self.n, self.bit
         ports = [[-1] * 4 for _ in range(n)]
@@ -127,12 +132,23 @@ class _Encoder:
                     if w >= 0 and number[w] < 0:
                         number[w] = len(order)
                         order.append(w)
+            if len(order) < n:
+                return -1
             code = 0
             for i, j, color in edges:
                 code |= bit[((color - 1) * n + number[i]) * n + number[j]]
             if best < 0 or code < best:
                 best = code
         return best
+
+    def relabelings(self, code: int) -> set[int]:
+        """The encodings of the graph ``code`` under all n! permutations."""
+        n, bit = self.n, self.bit
+        edges = self.decode(code)
+        return {
+            sum(bit[((color - 1) * n + perm[i]) * n + perm[j]] for i, j, color in edges)
+            for perm in itertools.permutations(range(n))
+        }
 
     def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
         """The minimal encoding of ``edges`` over all vertex permutations.
@@ -214,15 +230,14 @@ def graph_from_position_edges(n: int, edges: tuple[PositionEdge, ...]) -> Colore
     )
 
 
-def _partial_injections(n: int, forward_only: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All out-degree-/in-degree-at-most-1 edge sets on n positions, in
-    ascending order of the row-major bit encoding.
+def _partial_injections(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All forward edge sets with out- and in-degree at most 1 on n
+    positions, in ascending order of the row-major bit encoding.
 
-    With ``forward_only`` every edge goes from a lower to a higher position,
-    which makes the result acyclic; every acyclic isomorphism class has at
-    least one such representative.
+    Every edge goes from a lower to a higher position, so each set is
+    acyclic, and every acyclic isomorphism class has such a representative.
     """
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out_free = [True] * n
     in_free = [True] * n
     acc: list[tuple[int, int]] = []
@@ -233,74 +248,22 @@ def _partial_injections(n: int, forward_only: bool) -> Iterator[tuple[tuple[int,
             return
         i, j = pairs[idx]
         yield from rec(idx + 1)
-        if out_free[i] and in_free[j] and (not forward_only or j > i):
+        if out_free[i] and in_free[j]:
             out_free[i] = in_free[j] = False
             acc.append((i, j))
             yield from rec(idx + 1)
             acc.pop()
             out_free[i] = in_free[j] = True
 
-    return rec(0)
+    return list(rec(0))
 
 
-def _acyclic_positions(n: int, edges: tuple[PositionEdge, ...]) -> bool:
-    """Kahn-style cycle test on raw position edges (colors ignored)."""
-    indegree = [0] * n
-    successors: list[list[int]] = [[] for _ in range(n)]
-    seen = set()
-    for i, j, _color in edges:
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        successors[i].append(j)
-        indegree[j] += 1
-    queue = [i for i in range(n) if indegree[i] == 0]
-    processed = 0
-    while queue:
-        v = queue.pop()
-        processed += 1
-        for w in successors[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    return processed == n
-
-
-def _connected_positions(n: int, edges: tuple[PositionEdge, ...]) -> bool:
-    if n == 1:
-        return True
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i, j, _color in edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
-def _candidate_edge_sets(n: int, stream: GraphStream) -> Iterator[tuple[PositionEdge, ...]]:
-    """Raw (B0) candidates on exactly n positions, ascending in the encoding.
-
-    They pair per-color partial injections (color-1 block is the outer loop,
-    so the combined encoding is still ascending).  A canonical stream needs
-    one representative per class, so its edges go forward only.
-    """
-    for edges1 in _partial_injections(n, stream.canonical):
-        colored1 = tuple((i, j, 1) for i, j in edges1)
-        for edges2 in _partial_injections(n, stream.canonical):
-            yield colored1 + tuple((i, j, 2) for i, j in edges2)
-
-
-def _passes_filters(n: int, edges: tuple[PositionEdge, ...], stream: GraphStream) -> bool:
-    """Whether the candidate is acyclic and weakly connected.  A canonical
-    stream's candidates go forward only, so they need no cycle test."""
-    return (stream.canonical or _acyclic_positions(n, edges)) and _connected_positions(n, edges)
+def _candidate_edge_sets(n: int) -> Iterator[tuple[PositionEdge, ...]]:
+    """Acyclic (B0) candidates on exactly n positions, ascending in the
+    encoding: a pair of forward partial injections, one per color, with the
+    color-1 block as the outer loop."""
+    for edges1, edges2 in itertools.product(_partial_injections(n), repeat=2):
+        yield tuple((i, j, 1) for i, j in edges1) + tuple((i, j, 2) for i, j in edges2)
 
 
 def _position_graphs_exactly(
@@ -308,22 +271,20 @@ def _position_graphs_exactly(
 ) -> Iterator[tuple[PositionEdge, ...]]:
     """The stream's edge sets on exactly n positions, in ascending encoding
     order.  ``check_budget`` runs before each candidate is keyed or
-    canonicalized and aborts the search by raising."""
-    candidates = (
-        edges for edges in _candidate_edge_sets(n, stream) if _passes_filters(n, edges, stream)
-    )
-    if not stream.canonical:
-        yield from candidates
-        return
+    canonicalized and aborts the search by raising.  A labeled stream is
+    the relabelings of the row's canonical codes, so the whole row is held
+    before it is sorted."""
     encoder = _Encoder(n)
     keys = set()
     codes = set()
-    for edges in candidates:
+    for edges in _candidate_edge_sets(n):
         check_budget()
         key = encoder.port_key(edges)
-        if key not in keys:
+        if key >= 0 and key not in keys:
             keys.add(key)
             codes.add(encoder.canonical_code(edges))
+    if not stream.canonical:
+        codes = {relabeled for code in codes for relabeled in encoder.relabelings(code)}
     for code in sorted(codes):
         yield encoder.decode(code)
 
@@ -490,12 +451,15 @@ def census(
     worker checks the graphs in a process pool, ``POOL_CHUNK`` graphs per
     task and ``POOL_WINDOW`` graphs at a time; results are read in order.
     Exceeding ``budget_seconds``, checked between enumeration candidates and
-    after each graph's result, raises ``BudgetError``.
+    after each graph's result, raises ``BudgetError``; a NaN or negative
+    budget raises ``ValueError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
             f"census max_vertices must be in [1, {MAX_CENSUS_VERTICES}], got {max_vertices}"
         )
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"census budget_seconds must be a number >= 0, got {budget_seconds}")
     if workers is None:
         workers = resolve_workers()
     start = time.monotonic()

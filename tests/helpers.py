@@ -47,6 +47,11 @@ HOSTILE_DOCUMENTS = {
 # n = 5 is the census row, and n = 6 is pinned with the enumerate output.
 CANONICAL_COUNTS = {1: 1, 2: 3, 3: 13, 4: 74, 5: 503, 6: 3986}
 
+# Labeled graphs per vertex count, by hand for n = 2: a lone edge of either
+# color (x2 directions) plus a parallel 1+2 pair (x2 directions) = 6.  Up to
+# n = 4 they are cross-checked against every (B0) edge set.
+LABELED_COUNTS = {1: 1, 2: 6, 3: 78, 4: 1764}
+
 
 def labeling(g: ColoredDigraph, values) -> Labeling:
     return Labeling(labels=dict(zip(g.vertices, values)))

@@ -95,6 +95,20 @@ class TestLabelingValue:
             Labeling(labels={"a": "c", "b": value})
 
 
+class TestCentralMarkingValue:
+    def test_marking_copies_its_sources(self):
+        vertices = {"a"}
+        edges = [["u", "v"]]
+        mark = CentralMarking(central_vertices=vertices, central_1_edges=edges)
+        vertices.add("b")
+        edges[0][1] = "w"
+        edges.append(["x", "y"])
+        assert mark == marking(["a"], [("u", "v")])
+        assert hash(mark) == hash(marking(["a"], [("u", "v")]))
+        assert pickle.loads(pickle.dumps(mark)) == mark
+        assert copy.deepcopy(mark) == mark
+
+
 class TestCheckLocal:
     def test_cc_pair_on_1_edge_violates(self):
         g = bare_1_edge()

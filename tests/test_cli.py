@@ -14,7 +14,7 @@ import pytest
 
 from crystalcheck import infer_labelings, parse_graph
 
-from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS
+from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS, LABELED_COUNTS
 
 DOCUMENTS = Path(__file__).parent / "documents"
 
@@ -201,6 +201,14 @@ def test_enumerate_no_canonical_gives_more():
     labeled = run_cli("enumerate", "--max-vertices", "2", "--no-canonical")
     assert len(labeled.stdout.splitlines()) >= len(canonical.stdout.splitlines())
     assert len(labeled.stdout.splitlines()) == 7  # 1 + 6
+    labeled = run_cli("enumerate", "--max-vertices", "4", "--no-canonical")
+    assert labeled.returncode == 0
+    lines = labeled.stdout.splitlines()
+    assert len(lines) == 1849
+    assert Counter(len(json.loads(line)["vertices"]) for line in lines) == LABELED_COUNTS
+    assert hashlib.sha256(labeled.stdout).hexdigest() == (
+        "1d81deeef82e571e0057267d8f4e973f59bbf23e9093858ccc78208675d94310"
+    )
 
 
 def test_enumerate_bounds_checked():
@@ -223,6 +231,21 @@ def test_census_budget_exceeded_exits_3():
     result = run_cli("census", "--max-vertices", "4", "--budget-seconds", "0")
     assert result.returncode == 3
     assert b"budget" in result.stderr
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
+def test_census_refuses_nan_and_negative_budgets(budget):
+    result = run_cli("census", "--max-vertices", "2", f"--budget-seconds={budget}")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"budget" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+
+def test_census_infinite_budget_is_unbounded():
+    result = run_cli("census", "--max-vertices", "2", "--budget-seconds=inf")
+    assert result.returncode == 0
+    assert result.stdout.decode().splitlines()[-1] == "2,3,0,0,0"
 
 
 def test_census_bad_max_vertices():

@@ -30,20 +30,18 @@ from crystalcheck.enumeration import (
 
 from helpers import (
     CANONICAL_COUNTS,
+    LABELED_COUNTS,
+    _weakly_connected,
     b0_edge_sets,
     bare_1_edge,
     brute_canonical_code,
     brute_isomorphic,
     brute_valid_markings,
     graph,
+    kahn_is_acyclic,
     path5,
     single_vertex,
 )
-
-# Hand enumeration for n=2: one color choice for a lone edge (x2 directions)
-# plus a parallel 1+2 pair (x2 directions) plus a single edge of the other
-# color (x2) = 6 labeled graphs.
-LABELED_COUNTS = {1: 1, 2: 6, 3: 78}
 
 
 def exactly_n(stream: GraphStream, n: int):
@@ -100,6 +98,25 @@ class TestEnumerate:
             matches = [c for c in canonical if brute_isomorphic(g, c)]
             assert len(matches) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_labeled_stream_is_every_connected_acyclic_b0_edge_set(self, n):
+        slots = enumeration._Encoder(n).slots
+        top = len(slots) - 1
+
+        def encoding(edges) -> int:
+            return sum(1 << (top - slots.index(slot)) for slot in edges)
+
+        expected = sorted(
+            (
+                edges for edges in b0_edge_sets(n, connected=True)
+                if kahn_is_acyclic(graph_from_position_edges(n, edges))
+            ),
+            key=encoding,
+        )
+        assert len(expected) == LABELED_COUNTS[n]
+        labeled = GraphStream(max_vertices=n, canonical=False)
+        assert list(_position_graphs_exactly(n, labeled)) == expected
+
     def test_stream_is_reproducible(self):
         stream = GraphStream(max_vertices=3)
         first = [serialize_graph(g) for g in enumerate_graphs(stream)]
@@ -151,14 +168,20 @@ class TestCanonicalCode:
     )
     def test_port_key_is_complete_on_connected_b0_graphs(self, n, edge_sets, classes):
         encoder = enumeration._Encoder(n)
-        connected = b0_edge_sets(n, connected=True)
-        assert len(connected) == edge_sets
         code_of_key: dict[int, int] = {}
         key_of_code: dict[int, int] = {}
-        for edges in connected:
-            key, code = encoder.port_key(edges), encoder.canonical_code(edges)
+        connected = 0
+        for edges in b0_edge_sets(n):
+            key = encoder.port_key(edges)
+            # The key is negative exactly on the disconnected edge sets.
+            assert (key < 0) == (not _weakly_connected(n, edges))
+            if key < 0:
+                continue
+            connected += 1
+            code = encoder.canonical_code(edges)
             assert code_of_key.setdefault(key, code) == code
             assert key_of_code.setdefault(code, key) == key
+        assert connected == edge_sets
         assert len(code_of_key) == classes
 
 
@@ -296,7 +319,7 @@ class TestCensus:
             if len(calls) == 10:
                 raise Stop
 
-        # Without a check between candidates this would run all 19,905.
+        # Without a check between candidates this would run all 41,209.
         with pytest.raises(Stop):
             list(_position_graphs_exactly(6, GraphStream(max_vertices=6), check_budget))
 
@@ -314,6 +337,11 @@ class TestCensus:
     def test_max_vertices_bound(self):
         with pytest.raises(ValueError):
             census(8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
+    def test_nan_and_negative_budgets_refused(self, bad):
+        with pytest.raises(ValueError, match="budget"):
+            census(1, budget_seconds=bad)
 
     def test_deterministic(self):
         assert census(3) == census(3)
