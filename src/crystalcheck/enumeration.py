@@ -113,15 +113,28 @@ class _Encoder:
         renumberings, and equal keys encode one and the same graph.  The
         search follows all four ports, so it numbers exactly the root's weak
         component.
+
+        Only roots that can give the least encoding are tried.  A root
+        without a 1-successor leaves its own 1-row, the most significant
+        row, empty, so it beats every root with one.  On a connected graph
+        with n >= 2, a root without any 1-edge also beats one with a
+        1-predecessor u: that root numbers u first (the 1-successor port is
+        visited first, then the 1-predecessor one), and u's only 1-head, at
+        position 0, makes row 1 of color 1 equal 2^(n-2).  A root without a
+        1-predecessor numbers a 2-neighbor first, whose 1-head, if any, is
+        not the root and so sits at position 2 or later: that row is at most
+        2^(n-3).
         """
         n, bit = self.n, self.bit
         ports = [[-1] * 4 for _ in range(n)]
         for i, j, color in edges:
             ports[i][2 * color - 2] = j
             ports[j][2 * color - 1] = i
-        # A root without a 1-successor leaves the most significant row empty,
-        # so it beats every root with one.
-        roots = [v for v in range(n) if ports[v][0] < 0] or range(n)
+        roots = (
+            [v for v in range(n) if ports[v][0] < 0 and ports[v][1] < 0]
+            or [v for v in range(n) if ports[v][0] < 0]
+            or range(n)
+        )
         best = -1
         for root in roots:
             number = [-1] * n
@@ -161,23 +174,40 @@ class _Encoder:
         assignment of them to positions is smaller).  A branch is cut once
         its bound is no smaller than the best code found; with every vertex
         placed the bound is the code itself.
+
+        The s vertices without a 1-head, the 1-ends, form the first cell.
+        A 1-end has an all-zero 1-row wherever it goes and every other
+        vertex has a nonzero one, and the 1-rows are the most significant
+        rows in position order.  So a placement with the 1-ends at positions
+        0..s-1 beats any other, and every minimal code puts them there:
+        positions below s try only 1-ends, the others only the rest.
+
+        The bound reads only the rows with heads.  The unplaced rows without
+        heads are zero and sort first, so they take the first unplaced
+        positions, and the sorted nonzero rows take the last ones.
         """
         n = self.n
         heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
         for i, j, color in set(edges):
             heads[color - 1][i].append(j)
-        blocks = list(zip(self.row_shift, heads))
+        # Per color: the row shifts and the (vertex, heads) pairs of its
+        # nonzero rows.
+        blocks = [
+            (shift, [(v, block[v]) for v in range(n) if block[v]])
+            for shift, block in zip(self.row_shift, heads)
+        ]
+        one_ends = n - len(blocks[0][1])
         position = [-1] * n
         best = -1
 
-        def bound(placed: int) -> int:
+        def bound() -> int:
             total = 0
-            for shift, block in blocks:
+            for shift, rows in blocks:
                 unplaced_rows = []
-                for v in range(n):
+                for v, row_heads in rows:
                     p = position[v]
                     row = free = 0
-                    for h in block[v]:
+                    for h in row_heads:
                         q = position[h]
                         if q < 0:
                             free += 1
@@ -189,17 +219,18 @@ class _Encoder:
                     else:
                         total += row << shift[p]
                 unplaced_rows.sort()
-                for p, row in enumerate(unplaced_rows, placed):
+                for p, row in enumerate(unplaced_rows, n - len(unplaced_rows)):
                     total += row << shift[p]
             return total
 
         def search(placed: int) -> None:
             nonlocal best
+            needs_head = placed >= one_ends
             children = []
             for v in range(n):
-                if position[v] < 0:
+                if position[v] < 0 and bool(heads[0][v]) == needs_head:
                     position[v] = placed
-                    children.append((bound(placed + 1), v))
+                    children.append((bound(), v))
                     position[v] = -1
             children.sort()
             for low, v in children:
@@ -452,7 +483,7 @@ def census(
     task and ``POOL_WINDOW`` graphs at a time; results are read in order.
     Exceeding ``budget_seconds``, checked between enumeration candidates and
     after each graph's result, raises ``BudgetError``; a NaN or negative
-    budget raises ``ValueError``.
+    budget, or fewer than one worker, raises ``ValueError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -462,6 +493,8 @@ def census(
         raise ValueError(f"census budget_seconds must be a number >= 0, got {budget_seconds}")
     if workers is None:
         workers = resolve_workers()
+    elif workers < 1:
+        raise ValueError(f"census workers must be at least 1, got {workers}")
     start = time.monotonic()
     rows: list[CensusRow] = []
 

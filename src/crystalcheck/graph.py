@@ -51,10 +51,10 @@ class ColoredDigraph:
     _strings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.vertices, list):
-            object.__setattr__(self, "vertices", tuple(self.vertices))
-        if isinstance(self.edges, list):
-            object.__setattr__(self, "edges", tuple(self.edges))
+        # Any iterable is copied, so a generator or a set becomes an
+        # immutable tuple in the order given.
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
 
         vertex_index: dict[str, int] = {}
         for pos, v in enumerate(self.vertices):
@@ -68,17 +68,18 @@ class ColoredDigraph:
         out: dict[tuple[int, str], list[Edge]] = {}
         inc: dict[tuple[int, str], list[Edge]] = {}
         for pos, e in enumerate(self.edges):
-            if e.color not in COLORS:
-                raise ValueError(f"edge {e.triple()} has color outside {COLORS}")
-            if e.tail not in vertex_index or e.head not in vertex_index:
-                raise ValueError(f"edge {e.triple()} has an undeclared endpoint")
-            if e.tail == e.head:
-                raise ValueError(f"self-loop at {e.tail!r}")
-            if e.triple() in edge_index:
-                raise ValueError(f"duplicate edge {e.triple()}")
-            edge_index[e.triple()] = pos
-            out.setdefault((e.color, e.tail), []).append(e)
-            inc.setdefault((e.color, e.head), []).append(e)
+            triple = tail, head, color = e.tail, e.head, e.color
+            if color not in COLORS:
+                raise ValueError(f"edge {triple} has color outside {COLORS}")
+            if tail not in vertex_index or head not in vertex_index:
+                raise ValueError(f"edge {triple} has an undeclared endpoint")
+            if tail == head:
+                raise ValueError(f"self-loop at {tail!r}")
+            if triple in edge_index:
+                raise ValueError(f"duplicate edge {triple}")
+            edge_index[triple] = pos
+            out.setdefault((color, tail), []).append(e)
+            inc.setdefault((color, head), []).append(e)
 
         object.__setattr__(self, "_vertex_index", vertex_index)
         object.__setattr__(self, "_edge_index", edge_index)

@@ -1,9 +1,10 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, permutation isomorphism test, minimal
-encoding over all vertex permutations, every (B0) edge set, valid markings
-among all subsets) are kept independent of the library's own algorithms so
-the two can check each other.
+encoding over all vertex permutations, least breadth-first renumbering
+over all roots, every (B0) edge set, valid markings among all subsets) are
+kept independent of the library's own algorithms so the two can check each
+other.
 """
 
 from __future__ import annotations
@@ -161,6 +162,32 @@ def brute_canonical_code(encoder, edges) -> int:
     )
 
 
+def brute_port_key(encoder, edges) -> int:
+    """Least encoding over the breadth-first renumberings from every root of
+    a (B0) edge set, ports visited 1-successor, 1-predecessor, 2-successor,
+    2-predecessor; -1 when a numbering misses a vertex."""
+    index = {slot: s for s, slot in enumerate(encoder.slots)}
+    top = len(encoder.slots) - 1
+    port = {}
+    for i, j, color in edges:
+        port[(i, color, "out")] = j
+        port[(j, color, "in")] = i
+    codes = []
+    for root in range(encoder.n):
+        order = [root]
+        for v in order:
+            for color in (1, 2):
+                for direction in ("out", "in"):
+                    w = port.get((v, color, direction))
+                    if w is not None and w not in order:
+                        order.append(w)
+        if len(order) < encoder.n:
+            return -1
+        number = {v: k for k, v in enumerate(order)}
+        codes.append(sum(1 << (top - index[(number[i], number[j], c)]) for i, j, c in edges))
+    return min(codes)
+
+
 def _weakly_connected(n: int, edges) -> bool:
     """Union-find over position edges, colors and directions ignored."""
     parent = list(range(n))
@@ -226,6 +253,20 @@ def brute_valid_markings(g: ColoredDigraph, reports=None) -> list[CentralMarking
 
 
 # -- random generators (seeded, for the acceptance suite) ------------------
+
+def random_b0_edge_set(rng: random.Random, n: int) -> tuple[tuple[int, int, int], ...]:
+    """A seeded (B0) edge set on positions 0..n-1, cycles and disconnected
+    ones included: per color, a random partial injection of a random size."""
+    edges = []
+    for color in (1, 2):
+        heads = list(range(n))
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            free = [j for j in heads if j != i]
+            if free:
+                heads.remove(j := rng.choice(free))
+                edges.append((i, j, color))
+    return tuple(edges)
+
 
 def random_b0_dag(rng: random.Random, n: int) -> ColoredDigraph:
     """A degree-valid acyclic graph on n vertices with a hidden random

@@ -35,11 +35,13 @@ from helpers import (
     b0_edge_sets,
     bare_1_edge,
     brute_canonical_code,
+    brute_port_key,
     brute_isomorphic,
     brute_valid_markings,
     graph,
     kahn_is_acyclic,
     path5,
+    random_b0_edge_set,
     single_vertex,
 )
 
@@ -160,6 +162,47 @@ class TestCanonicalCode:
         assert len(all_edge_sets) == edge_sets
         for edges in all_edge_sets:
             assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+
+    # Seeded (B0) edge sets, cycles and disconnected ones included.
+    @pytest.mark.parametrize("n, samples", [(5, 500), (6, 200)])
+    def test_matches_permutation_scan_on_random_b0_edge_sets(self, n, samples):
+        rng = random.Random(n)
+        encoder = enumeration._Encoder(n)
+        for _ in range(samples):
+            edges = random_b0_edge_set(rng, n)
+            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+
+    def test_matches_permutation_scan_on_random_non_b0_slot_subsets(self):
+        rng = random.Random(4)
+        encoder = enumeration._Encoder(4)
+        checked = 0
+        while checked < 200:
+            density = rng.random()
+            edges = tuple(slot for slot in encoder.slots if rng.random() < density)
+            out_ports = [(i, color) for i, _, color in edges]
+            in_ports = [(j, color) for _, j, color in edges]
+            if len(set(out_ports)) == len(edges) == len(set(in_ports)):
+                continue  # (B0)
+            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+            checked += 1
+
+    def test_one_ends_come_first(self):
+        # The search's first cell: no canonical code has a 1-edge whose tail
+        # sits below s, the number of vertices without a 1-head.
+        checked = 0
+        for n in range(1, 7):
+            for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n)):
+                tails = {i for i, _, color in edges if color == 1}
+                s = n - len(tails)
+                assert all(i >= s for i in tails)
+                checked += 1
+        assert checked == sum(CANONICAL_COUNTS.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_port_key_is_the_least_over_every_root(self, n):
+        encoder = enumeration._Encoder(n)
+        for edges in b0_edge_sets(n):
+            assert encoder.port_key(edges) == brute_port_key(encoder, edges)
 
     # Weakly connected (B0) edge sets, cycles included, and their
     # isomorphism classes.
@@ -342,6 +385,11 @@ class TestCensus:
     def test_nan_and_negative_budgets_refused(self, bad):
         with pytest.raises(ValueError, match="budget"):
             census(1, budget_seconds=bad)
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_fewer_than_one_worker_refused(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            census(1, workers=bad)
 
     def test_deterministic(self):
         assert census(3) == census(3)

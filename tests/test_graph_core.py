@@ -9,6 +9,7 @@ from crystalcheck import (
     ColoredDigraph,
     CycleCertificate,
     DegreeAxiomError,
+    Edge,
     GraphStream,
     MonochromaticCycleError,
     Potential,
@@ -236,3 +237,19 @@ class TestGraphInvariants:
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(ValueError):
             graph([], [])
+
+    def test_fields_are_copied_into_tuples(self):
+        vertices = ("a", "b", "c")
+        edges = (Edge("a", "b", 1), Edge("b", "c", 2), Edge("a", "c", 2))
+        g = ColoredDigraph(vertices=(v for v in vertices), edges=(e for e in edges))
+        assert type(g.vertices) is tuple and g.vertices == vertices
+        assert type(g.edges) is tuple and g.edges == edges
+        assert [e for v in g.vertices for c in (1, 2) for e in g.out_edges(v, c)] == [
+            edges[0], edges[2], edges[1]
+        ]
+        assert hash(g) == hash(ColoredDigraph(vertices=vertices, edges=edges))
+
+    def test_vertex_set_becomes_a_tuple(self):
+        g = ColoredDigraph(vertices={"a", "b"}, edges=())
+        assert type(g.vertices) is tuple and sorted(g.vertices) == ["a", "b"]
+        hash(g)
