@@ -51,8 +51,8 @@ class ColoredDigraph:
     _strings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Any iterable is copied, so a generator or a set becomes an
-        # immutable tuple in the order given.
+        # Copied from any iterable, so a generator is read exactly once and
+        # a list or set given by the caller cannot change under the graph.
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
 

@@ -35,8 +35,8 @@ from helpers import (
     b0_edge_sets,
     bare_1_edge,
     brute_canonical_code,
-    brute_port_key,
     brute_isomorphic,
+    brute_port_key,
     brute_valid_markings,
     graph,
     kahn_is_acyclic,
@@ -182,7 +182,7 @@ class TestCanonicalCode:
             out_ports = [(i, color) for i, _, color in edges]
             in_ports = [(j, color) for _, j, color in edges]
             if len(set(out_ports)) == len(edges) == len(set(in_ports)):
-                continue  # (B0)
+                continue  # (B0) sets are covered above
             assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
             checked += 1
 
