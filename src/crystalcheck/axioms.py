@@ -19,7 +19,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     CentralityError,
@@ -179,55 +179,72 @@ def _require_degree_axiom(g: ColoredDigraph) -> None:
         )
 
 
-def _check_marking_scope(g: ColoredDigraph, marking: CentralMarking) -> None:
-    """Reject a marking naming anything outside the graph; the error names
-    the first offender in sorted order."""
-    stray_vertices = [v for v in marking.central_vertices if not g.has_vertex(v)]
+def _check_marking_scope(decomp1: StringDecomposition, marking: CentralMarking) -> None:
+    """Reject a marking naming anything off the 1-string skeleton; the error
+    names the first offender in sorted order.  The 1-strings cover exactly
+    the graph's vertices, and their consecutive pairs are exactly its
+    1-edges."""
+    stray_vertices = [v for v in marking.central_vertices if not decomp1.covers(v)]
     if stray_vertices:
         raise MarkingError(f"central vertex {min(stray_vertices)!r} is not in the graph")
-    stray_edges = [pair for pair in marking.central_1_edges if not g.has_edge(*pair, 1)]
+    stray_edges = [pair for pair in marking.central_1_edges if not decomp1.consecutive(*pair)]
     if stray_edges:
         tail, head = min(stray_edges)
         raise MarkingError(f"central edge ({tail!r}, {head!r}) is not a 1-edge of the graph")
-
-
-def _central_elements_on_string(
-    string: tuple[str, ...], marking: CentralMarking
-) -> list[tuple[str, int]]:
-    """Find central elements along one 1-string.
-
-    Returns ("vertex", k) for a central vertex at offset k and ("edge", k)
-    for a central edge whose tail sits at offset k, in string order.
-    """
-    elements = []
-    for k, v in enumerate(string):
-        if v in marking.central_vertices:
-            elements.append(("vertex", k))
-        if k + 1 < len(string) and (string[k], string[k + 1]) in marking.central_1_edges:
-            elements.append(("edge", k))
-    return elements
 
 
 def _classify(
     decomp1: StringDecomposition, marking: CentralMarking
 ) -> tuple[dict[str, str], list[tuple[tuple[str, ...], int]]]:
     """Classify the vertices of every 1-string carrying exactly one central
-    element; return the classes and each other 1-string with its count."""
+    element; return the classes and each other 1-string with its count.
+
+    A 1-string of L vertices has 2L - 1 *slots* for its central element:
+    slot 2k is its k-th vertex and slot 2k + 1 the 1-edge leaving that
+    vertex.  With the element at slot s, vertex k is left, central or right
+    as 2k is below, equal to or above s; so a central edge's tail is left
+    and its head is right.  The marking must be in scope, so each element's
+    slot is read off the skeleton.
+    """
+    position = decomp1.position
+    marked: list[list[int]] = [[] for _ in decomp1.strings]
+    for v in marking.central_vertices:
+        string_idx, k = position(v)
+        marked[string_idx].append(2 * k)
+    for tail, _head in marking.central_1_edges:
+        string_idx, k = position(tail)
+        marked[string_idx].append(2 * k + 1)
+
     classes: dict[str, str] = {}
     unmarked = []
-    for string in decomp1.strings:
-        elements = _central_elements_on_string(string, marking)
-        if len(elements) != 1:
-            unmarked.append((string, len(elements)))
+    for string, slots in zip(decomp1.strings, marked):
+        if len(slots) != 1:
+            unmarked.append((string, len(slots)))
             continue
-        # A central edge's tail is left, like everything before it.
-        kind, k = elements[0]
-        for v in string[:k]:
-            classes[v] = LEFT
-        classes[string[k]] = CENTRAL if kind == "vertex" else LEFT
-        for v in string[k + 1:]:
-            classes[v] = RIGHT
+        slot = slots[0]
+        for k, v in enumerate(string):
+            classes[v] = LEFT if 2 * k < slot else CENTRAL if 2 * k == slot else RIGHT
     return classes, unmarked
+
+
+def _b1_markings(decomp1: StringDecomposition) -> Iterator[CentralMarking]:
+    """Every marking with exactly one central element on each 1-string.
+
+    The element is one of the string's 2L - 1 slots (see ``_classify``), so
+    these markings are the product of ``range(2L - 1)`` over the 1-strings.
+    The 1-strings partition the vertices and hold every 1-edge, so they are
+    exactly the markings of the graph that (B1) accepts.
+    """
+    strings = decomp1.strings
+    for slots in itertools.product(*(range(2 * len(string) - 1) for string in strings)):
+        vertices, edges = [], []
+        for string, slot in zip(strings, slots):
+            k, is_edge = divmod(slot, 2)
+            if is_edge:
+                edges.append(string[k:k + 2])
+            else:
+                vertices.append(string[k])
+        yield CentralMarking(central_vertices=frozenset(vertices), central_1_edges=frozenset(edges))
 
 
 def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> VertexClass:
@@ -240,16 +257,7 @@ def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> 
     """
     if decomp1.color != 1:
         raise ValueError("classification is defined over the color-1 decomposition")
-    consecutive = {
-        (s[k], s[k + 1]) for s in decomp1.strings for k in range(len(s) - 1)
-    }
-    for v in sorted(marking.central_vertices):
-        if not decomp1.covers(v):
-            raise MarkingError(f"central vertex {v!r} is not covered by the decomposition")
-    for pair in sorted(marking.central_1_edges):
-        if pair not in consecutive:
-            raise MarkingError(f"central edge {pair} is not an edge of any 1-string")
-
+    _check_marking_scope(decomp1, marking)
     classes, unmarked = _classify(decomp1, marking)
     if unmarked:
         raise CentralityError(*unmarked[0])
@@ -264,23 +272,15 @@ def check_global(g: ColoredDigraph, marking: CentralMarking) -> ViolationReport:
     vertices before it must be right and all after it left, where left/right
     comes from the 1-string classification.  Positions on 1-strings that
     themselves violate (B1) have no classification, so only (B1) is reported
-    for them.
+    for them.  The 1-strings are found before the marking's scope is
+    checked, so a graph breaking (B0) in color 1 raises ``DegreeAxiomError``
+    first.
     """
-    return _check_global(g, marking)[0]
-
-
-def _check_global(
-    g: ColoredDigraph, marking: CentralMarking
-) -> tuple[ViolationReport, dict[str, str]]:
-    """``check_global`` plus the vertex classes it was read from."""
-    _check_marking_scope(g, marking)
-    classes, unmarked = _classify(decompose_strings(g, 1), marking)
+    decomp1 = decompose_strings(g, 1)
+    _check_marking_scope(decomp1, marking)
+    classes, unmarked = _classify(decomp1, marking)
     violations = [
-        Violation(
-            clause=CLAUSE_B1,
-            at=string[0],
-            detail=f"1-string {list(string)} carries {count} central elements, expected exactly 1",
-        )
+        Violation(clause=CLAUSE_B1, at=string[0], detail=str(CentralityError(string, count)))
         for string, count in unmarked
     ]
 
@@ -312,7 +312,7 @@ def _check_global(
                     ),
                 ))
 
-    return ViolationReport.build(g, violations), classes
+    return ViolationReport.build(g, violations)
 
 
 def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
@@ -377,8 +377,8 @@ def labels_from_marking(g: ColoredDigraph, marking: CentralMarking) -> Labeling:
 
     Left vertices map to 0, central vertices to c, right vertices to 1.
     """
-    report, classes = _check_global(g, marking)
-    _require_no_violations(report, "marking violates the global axioms")
+    _require_no_violations(check_global(g, marking), "marking violates the global axioms")
+    classes = classify_vertices(decompose_strings(g, 1), marking).classes
     to_label = {LEFT: LABEL_LEFT, CENTRAL: LABEL_CENTRAL, RIGHT: LABEL_RIGHT}
     return Labeling(labels={v: to_label[classes[v]] for v in g.vertices})
 

@@ -24,7 +24,13 @@ from .graph import (
     find_potential,
     weak_components,
 )
-from .predicates import FAILS, HOLDS, check_corollary2, check_corollary3, check_string_words
+from .predicates import (
+    FAILS,
+    _status_report,
+    check_corollary2,
+    check_corollary3,
+    check_string_words,
+)
 from .violations import CLAUSE_ACYCLICITY, CLAUSE_CONNECTIVITY, CLAUSE_INFERENCE, Violation
 
 EXIT_OK = 0
@@ -61,17 +67,27 @@ def _cycle_violation(cycle: CycleCertificate) -> dict:
 def _predicate_dicts(g: ColoredDigraph, lab: Labeling) -> list[dict]:
     """The three predicate reports for one labeling, with the per-color
     string-word checks merged into a single report."""
-    reports = [check_corollary2(g, lab).as_jsonable(), check_corollary3(g, lab).as_jsonable()]
-    words1 = check_string_words(decompose_strings(g, 1), lab)
-    words2 = check_string_words(decompose_strings(g, 2), lab)
-    if FAILS in (words1.status, words2.status):
-        status = FAILS
-        witnesses = [w for r in (words1, words2) if r.status == FAILS for w in r.witnesses]
-    else:
-        status = HOLDS
-        witnesses = list(words1.witnesses) + list(words2.witnesses)
-    reports.append({"predicate": "string-words", "status": status, "witnesses": witnesses})
-    return reports
+    reports = [check_corollary2(g, lab), check_corollary3(g, lab)]
+    words = [check_string_words(decompose_strings(g, color), lab) for color in (1, 2)]
+    # A holding report's witnesses are all its instances, so these are all
+    # the instances whenever none fails.
+    reports.append(_status_report(
+        "string-words",
+        [w for report in words for w in report.witnesses],
+        [w for report in words if report.status == FAILS for w in report.witnesses],
+    ))
+    return [report.as_jsonable() for report in reports]
+
+
+def _structural_checks(g: ColoredDigraph) -> list[dict]:
+    """The degree check and, once (B0) holds, the acyclicity check."""
+    degree = check_degree_axiom(g)
+    checks = [{"check": "degree", "violations": degree.as_jsonable()}]
+    if not degree:
+        potential = find_potential(g)
+        cycle = [_cycle_violation(potential)] if isinstance(potential, CycleCertificate) else []
+        checks.append({"check": "acyclicity", "violations": cycle})
+    return checks
 
 
 def _render_text(result: dict) -> str:
@@ -141,27 +157,20 @@ def _cmd_validate(args) -> int:
     }
     checks = result["checks"]
 
-    structural_ok = False
-    degree = check_degree_axiom(g)
-    checks.append({"check": "degree", "violations": degree.as_jsonable()})
-    if not degree:
-        potential = find_potential(g)
-        if isinstance(potential, CycleCertificate):
-            checks.append({"check": "acyclicity", "violations": [_cycle_violation(potential)]})
-        else:
-            checks.append({"check": "acyclicity", "violations": []})
-            connectivity: list[dict] = []
-            if args.require_connected and len(components) > 1:
-                detail = f"graph has {len(components)} weakly-connected components"
-                connectivity = [
-                    Violation(CLAUSE_CONNECTIVITY, components[1][0], detail).as_jsonable()
-                ]
-            checks.append({
-                "check": "connectivity",
-                "violations": connectivity,
-                "enforced": args.require_connected,
-            })
-            structural_ok = True
+    checks.extend(_structural_checks(g))
+    structural_ok = not any(check["violations"] for check in checks)
+    if structural_ok:
+        connectivity: list[dict] = []
+        if args.require_connected and len(components) > 1:
+            detail = f"graph has {len(components)} weakly-connected components"
+            connectivity = [
+                Violation(CLAUSE_CONNECTIVITY, components[1][0], detail).as_jsonable()
+            ]
+        checks.append({
+            "check": "connectivity",
+            "violations": connectivity,
+            "enforced": args.require_connected,
+        })
 
     predicate_fail = False
     if structural_ok:
@@ -217,15 +226,10 @@ def _cmd_infer(args) -> int:
         return EXIT_INPUT
 
     g = doc.graph
-    degree = check_degree_axiom(g)
-    if degree:
-        print(json.dumps({"command": "infer", "violations": degree.as_jsonable()}, indent=2))
-        return EXIT_VIOLATIONS
-    potential = find_potential(g)
-    if isinstance(potential, CycleCertificate):
-        violations = [_cycle_violation(potential)]
-        print(json.dumps({"command": "infer", "violations": violations}, indent=2))
-        return EXIT_VIOLATIONS
+    for check in _structural_checks(g):
+        if check["violations"]:
+            print(json.dumps({"command": "infer", "violations": check["violations"]}, indent=2))
+            return EXIT_VIOLATIONS
 
     for lab in infer_labelings(g):
         print(json.dumps(lab.as_jsonable(g), separators=(",", ":")))

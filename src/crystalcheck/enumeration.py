@@ -31,6 +31,7 @@ from typing import Callable, Iterator, Optional
 from .axioms import (
     CentralMarking,
     Labeling,
+    _b1_markings,
     check_global,
     infer_labelings,
     labels_from_marking,
@@ -47,6 +48,9 @@ from .graph import (
 from .predicates import FAILS, check_corollary2, check_corollary3
 
 MAX_ENUMERATION_VERTICES = 8
+# A labeled stream holds a whole row before sorting it: 2,866,200 codes at
+# n = 6, and about 60 times as many at n = 7.
+MAX_LABELED_VERTICES = 6
 MAX_CENSUS_VERTICES = 7
 # Graphs per pool task: a check takes well under a millisecond, so one
 # round trip per graph would cost more than the check itself.
@@ -61,7 +65,8 @@ PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 class GraphStream:
     """The weakly connected acyclic (B0) graphs on 1..``max_vertices``
     vertices: one per isomorphism class if ``canonical``, else every labeled
-    one, built as the relabelings of those classes."""
+    one, built as the relabelings of those classes (at most
+    ``MAX_LABELED_VERTICES`` vertices)."""
 
     max_vertices: int
     canonical: bool = True
@@ -71,6 +76,11 @@ class GraphStream:
             raise ValueError(
                 f"max_vertices must be in [1, {MAX_ENUMERATION_VERTICES}], "
                 f"got {self.max_vertices}"
+            )
+        if not self.canonical and self.max_vertices > MAX_LABELED_VERTICES:
+            raise ValueError(
+                f"max_vertices of a labeled (non-canonical) stream must be at most "
+                f"{MAX_LABELED_VERTICES}, got {self.max_vertices}"
             )
 
 
@@ -346,31 +356,15 @@ class PropositionResult:
     detail: str = ""
 
 
-def _b1_markings(g: ColoredDigraph) -> Iterator[CentralMarking]:
-    """Every marking with exactly one central element on each 1-string: one
-    of its L vertices or one of its L - 1 edges."""
-    options = [
-        [(True, v) for v in string] + [(False, pair) for pair in zip(string, string[1:])]
-        for string in decompose_strings(g, 1).strings
-    ]
-    for choice in itertools.product(*options):
-        yield CentralMarking(
-            central_vertices=frozenset(x for is_vertex, x in choice if is_vertex),
-            central_1_edges=frozenset(x for is_vertex, x in choice if not is_vertex),
-        )
-
-
 def check_proposition(g: ColoredDigraph) -> PropositionResult:
     """Verify exhaustively that valid markings and valid labelings are in
     bijection under the two conversion maps.
 
     Markings are searched over an exact superset of the valid ones, not
-    over all subsets: (B1) asks for exactly one central element on each
-    1-string, a vertex of it or a 1-edge between two of its consecutive
-    vertices.  The 1-strings partition the vertices and hold every 1-edge,
-    so the product of these 2L - 1 choices per string holds every marking
-    that can pass; ``check_global`` judges each one.  Labelings come from
-    ``infer_labelings``, which the tests compare with all 3^n label vectors.
+    over all subsets: the markings that (B1) accepts, one central element
+    per 1-string, built slot by slot by ``_b1_markings``.  ``check_global``
+    judges each one.  Labelings come from ``infer_labelings``, which the
+    tests compare with all 3^n label vectors.
 
     The conversions must then be mutually inverse between the two valid
     sets.  Requires a degree-valid acyclic graph.
@@ -382,7 +376,10 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     if isinstance(find_potential(g), CycleCertificate):
         raise PreconditionError("proposition check requires an acyclic graph")
 
-    valid_markings = [marking for marking in _b1_markings(g) if not check_global(g, marking)]
+    valid_markings = [
+        marking for marking in _b1_markings(decompose_strings(g, 1))
+        if not check_global(g, marking)
+    ]
     valid_by_vector = {lab.vector(g): lab for lab in labelings}
 
     n_markings = len(valid_markings)

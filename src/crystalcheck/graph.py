@@ -69,7 +69,8 @@ class ColoredDigraph:
         inc: dict[tuple[int, str], list[Edge]] = {}
         for pos, e in enumerate(self.edges):
             triple = tail, head, color = e.tail, e.head, e.color
-            if color not in COLORS:
+            # An int only: True and 1.0 compare equal to 1 but serialize otherwise.
+            if type(color) is not int or color not in COLORS:
                 raise ValueError(f"edge {triple} has color outside {COLORS}")
             if tail not in vertex_index or head not in vertex_index:
                 raise ValueError(f"edge {triple} has an undeclared endpoint")
@@ -143,6 +144,11 @@ class StringDecomposition:
 
     def covers(self, v: str) -> bool:
         return v in self._position
+
+    def consecutive(self, tail: str, head: str) -> bool:
+        """Whether ``head`` directly follows ``tail`` on one string."""
+        string_idx, pos = self._position.get(tail, (-1, -1))
+        return self._position.get(head) == (string_idx, pos + 1)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,17 @@ class PredicateReport:
         }
 
 
+def _status_report(predicate: str, instances: list, failing: list) -> PredicateReport:
+    """The report on a predicate's hypothesis instances and the failing ones
+    among them: vacuous without instances, fails with the failing ones as
+    witnesses, else holds with every instance as a witness."""
+    if not instances:
+        return PredicateReport(predicate=predicate, status=VACUOUS, witnesses=())
+    if failing:
+        return PredicateReport(predicate=predicate, status=FAILS, witnesses=tuple(failing))
+    return PredicateReport(predicate=predicate, status=HOLDS, witnesses=tuple(instances))
+
+
 def check_corollary2(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     """For every central 1-edge (u, v): a 2-edge must enter u from a
     central vertex and a 2-edge must leave v toward a central vertex.
@@ -56,26 +67,19 @@ def check_corollary2(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     Witnesses are [u, v] pairs.  Vacuous when no central 1-edge exists.
     """
     _require_local_validity(g, lab)
-    central_edges = _central_1_edges(g, lab)
-    if not central_edges:
-        return PredicateReport(predicate="corollary2", status=VACUOUS, witnesses=())
-
-    failing = []
-    for e in central_edges:
+    instances, failing = [], []
+    for e in _central_1_edges(g, lab):
         has_central_in = any(
             lab.labels[prev.tail] == LABEL_CENTRAL for prev in g.in_edges(e.tail, 2)
         )
         has_central_out = any(
             lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(e.head, 2)
         )
+        witness = [e.tail, e.head]
+        instances.append(witness)
         if not (has_central_in and has_central_out):
-            failing.append(e)
-
-    if failing:
-        witnesses = tuple([e.tail, e.head] for e in failing)
-        return PredicateReport(predicate="corollary2", status=FAILS, witnesses=witnesses)
-    witnesses = tuple([e.tail, e.head] for e in central_edges)
-    return PredicateReport(predicate="corollary2", status=HOLDS, witnesses=witnesses)
+            failing.append(witness)
+    return _status_report("corollary2", instances, failing)
 
 
 def check_corollary3(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
@@ -86,24 +90,14 @@ def check_corollary3(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     leaving 2-edge at its tail.
     """
     _require_local_validity(g, lab)
-    instances = []
+    instances, failing = [], []
     for e in _central_1_edges(g, lab):
         for via in g.out_edges(e.tail, 2):
-            instances.append((e, via.head))
-    if not instances:
-        return PredicateReport(predicate="corollary3", status=VACUOUS, witnesses=())
-
-    failing = []
-    for e, w in instances:
-        ok = any(lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(w, 1))
-        if not ok:
-            failing.append((e, w))
-
-    if failing:
-        witnesses = tuple([e.tail, e.head, w] for e, w in failing)
-        return PredicateReport(predicate="corollary3", status=FAILS, witnesses=witnesses)
-    witnesses = tuple([e.tail, e.head, w] for e, w in instances)
-    return PredicateReport(predicate="corollary3", status=HOLDS, witnesses=witnesses)
+            witness = [e.tail, e.head, via.head]
+            instances.append(witness)
+            if not any(lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(via.head, 1)):
+                failing.append(witness)
+    return _status_report("corollary3", instances, failing)
 
 
 def string_word(string: tuple[str, ...], lab: Labeling) -> str:
@@ -124,14 +118,10 @@ def check_string_words(decomp: StringDecomposition, lab: Labeling) -> PredicateR
             if v not in lab.labels:
                 raise LabelingError(f"labeling does not cover vertex {v!r}")
     pattern = WORD_PATTERN_1 if decomp.color == 1 else WORD_PATTERN_2
-
-    failing = []
+    instances, failing = [], []
     for string in decomp.strings:
+        witness = {"color": decomp.color, "string": list(string)}
+        instances.append(witness)
         if not pattern.fullmatch(string_word(string, lab)):
-            failing.append(string)
-
-    if failing:
-        witnesses = tuple({"color": decomp.color, "string": list(s)} for s in failing)
-        return PredicateReport(predicate="string-words", status=FAILS, witnesses=witnesses)
-    witnesses = tuple({"color": decomp.color, "string": list(s)} for s in decomp.strings)
-    return PredicateReport(predicate="string-words", status=HOLDS, witnesses=witnesses)
+            failing.append(witness)
+    return _status_report("string-words", instances, failing)

@@ -232,12 +232,13 @@ def subsets(items: list) -> list[frozenset]:
     ]
 
 
-def brute_valid_markings(g: ColoredDigraph, reports=None) -> list[CentralMarking]:
+def brute_valid_markings(g: ColoredDigraph, reports=None, b1_passing=None) -> list[CentralMarking]:
     """Every subset of vertices together with every subset of 1-edges that
     ``check_global`` accepts as a marking.
 
     ``reports``, a hashlib object if given, takes in the JSON text of every
-    report, valid or not, in search order.
+    report, valid or not, in search order.  ``b1_passing``, a list if given,
+    takes in every marking whose report has no (B1) entry.
     """
     one_edges = [(e.tail, e.head) for e in g.edges if e.color == 1]
     found = []
@@ -247,6 +248,8 @@ def brute_valid_markings(g: ColoredDigraph, reports=None) -> list[CentralMarking
             report = check_global(g, marking)
             if reports is not None:
                 reports.update(json.dumps(report.as_jsonable()).encode())
+            if b1_passing is not None and all(v.clause != "B1" for v in report):
+                b1_passing.append(marking)
             if not report:
                 found.append(marking)
     return found

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from crystalcheck import (
     CentralityError,
     CentralMarking,
+    DegreeAxiomError,
     GraphStream,
     Labeling,
     LabelingError,
@@ -188,6 +189,9 @@ class TestCheckGlobal:
         b1 = [v for v in report if v.clause == "B1"]
         assert [v.at for v in b1] == ["v1", "v4"]
         assert all("0 central elements" in v.detail for v in b1)
+        assert [v.detail for v in b1] == [
+            str(CentralityError(("v1", "v2"), 0)), str(CentralityError(("v4", "v5"), 0))
+        ]
 
     def test_single_vertex_centered_is_valid(self):
         assert check_global(single_vertex(), marking(vertices=["a"])).ok
@@ -231,6 +235,23 @@ class TestCheckGlobal:
             check_global(path5(), marking(edges=[("v1", "v2"), ("b", "a"), ("a", "z")]))
         with pytest.raises(MarkingError):
             check_global(path5(), marking(edges=[("v2", "v3")]))  # that edge is color 2
+
+    def test_scope_errors_are_worded_once(self):
+        # check_global and classify_vertices share one scope check.
+        decomp = decompose_strings(path5(), 1)
+        for bad in (marking(vertices=["v1", "nope2", "nope1"]),
+                    marking(edges=[("v1", "v2"), ("v2", "v3"), ("v1", "v3")])):
+            with pytest.raises(MarkingError) as from_global:
+                check_global(path5(), bad)
+            with pytest.raises(MarkingError) as from_classes:
+                classify_vertices(decomp, bad)
+            assert str(from_global.value) == str(from_classes.value)
+        assert str(from_global.value) == "central edge ('v1', 'v3') is not a 1-edge of the graph"
+
+    def test_b0_in_color_1_is_reported_before_scope(self):
+        g = graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)])
+        with pytest.raises(DegreeAxiomError):
+            check_global(g, marking(vertices=["nope"]))
 
 
 class TestClassification:

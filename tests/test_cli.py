@@ -213,6 +213,14 @@ def test_enumerate_no_canonical_gives_more():
 
 def test_enumerate_bounds_checked():
     assert run_cli("enumerate", "--max-vertices", "9").returncode == 2
+
+
+def test_enumerate_no_canonical_refuses_seven_vertices():
+    # Refused before any row is enumerated or held in memory.
+    result = run_cli("enumerate", "--max-vertices", "7", "--no-canonical")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"at most 6" in result.stderr
     assert run_cli("enumerate", "--max-vertices", "0").returncode == 2
 
 

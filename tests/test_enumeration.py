@@ -16,13 +16,14 @@ from crystalcheck import (
     census_rows_to_csv,
     check_global,
     check_proposition,
+    decompose_strings,
     enumerate_graphs,
     infer_labelings_exhaustive,
     serialize_graph,
 )
 from crystalcheck import enumeration
+from crystalcheck.axioms import _b1_markings
 from crystalcheck.enumeration import (
-    _b1_markings,
     _position_graphs_exactly,
     graph_from_position_edges,
     resolve_workers,
@@ -55,6 +56,14 @@ class TestStreamConfig:
     def test_max_vertices_bounds(self, bad):
         with pytest.raises(ValueError):
             GraphStream(max_vertices=bad)
+
+    def test_labeled_stream_bound(self):
+        # Checked when the stream is made, before any row is enumerated.
+        GraphStream(max_vertices=6, canonical=False)
+        GraphStream(max_vertices=8)
+        for bad in (7, 8):
+            with pytest.raises(ValueError, match="at most 6"):
+                GraphStream(max_vertices=bad, canonical=False)
 
 
 class TestEnumerate:
@@ -278,9 +287,15 @@ class TestPropositionOracles:
         # Pins the full text of every report, so a rewrite of check_global
         # that changes a clause, location or detail is caught.
         reports = hashlib.sha256()
+        # The same pass checks that the (B1) writer builds exactly the
+        # subsets with no (B1) entry in their report.
         for g in oracle_graphs:
-            brute = brute_valid_markings(g, reports if g.n_vertices <= 5 else None)
-            built = [m for m in _b1_markings(g) if not check_global(g, m)]
+            b1_passing = []
+            brute = brute_valid_markings(g, reports if g.n_vertices <= 5 else None, b1_passing)
+            b1 = list(_b1_markings(decompose_strings(g, 1)))
+            assert len(b1) == len(set(b1)) == len(b1_passing)
+            assert set(b1) == set(b1_passing)
+            built = [m for m in b1 if not check_global(g, m)]
             assert len(built) == len(set(built)) == len(brute)
             assert set(built) == set(brute)
             assert check_proposition(g).n_valid_markings == len(brute)

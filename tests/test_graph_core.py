@@ -238,6 +238,12 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             graph([], [])
 
+    @pytest.mark.parametrize("color", [True, 1.0])
+    def test_color_must_be_an_int(self, color):
+        # Both compare equal to 1, but would serialize as true and 1.0.
+        with pytest.raises(ValueError, match="color outside"):
+            ColoredDigraph(vertices=("a", "b"), edges=(Edge("a", "b", color),))
+
     def test_fields_are_copied_into_tuples(self):
         vertices = ("a", "b", "c")
         edges = (Edge("a", "b", 1), Edge("b", "c", 2), Edge("a", "c", 2))
