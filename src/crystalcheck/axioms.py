@@ -19,7 +19,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 from .errors import (
     CentralityError,
@@ -122,15 +122,20 @@ class CentralMarking:
     """Distinguished central vertices and central 1-edges.
 
     Both fields are frozenset copies of the collections the marking was
-    built from, with each edge as a (tail, head) tuple.
+    built from, with each edge as a (tail, head) tuple; an edge that is not
+    a pair raises ``MarkingError``.
     """
 
     central_vertices: frozenset[str]
     central_1_edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        edges = [tuple(edge) for edge in self.central_1_edges]
+        for edge in edges:
+            if len(edge) != 2:
+                raise MarkingError(f"central edge {edge!r} is not a (tail, head) pair")
         object.__setattr__(self, "central_vertices", frozenset(self.central_vertices))
-        object.__setattr__(self, "central_1_edges", frozenset(map(tuple, self.central_1_edges)))
+        object.__setattr__(self, "central_1_edges", frozenset(edges))
 
     def as_jsonable(self, g: ColoredDigraph) -> dict:
         return {
@@ -179,6 +184,15 @@ def _require_degree_axiom(g: ColoredDigraph) -> None:
         )
 
 
+def _least(strays: list):
+    """The least of the strays; when they do not all compare, as with ids of
+    mixed types, the least by type name and then by repr."""
+    try:
+        return min(strays)
+    except TypeError:
+        return min(strays, key=lambda stray: (type(stray).__qualname__, repr(stray)))
+
+
 def _check_marking_scope(decomp1: StringDecomposition, marking: CentralMarking) -> None:
     """Reject a marking naming anything off the 1-string skeleton; the error
     names the first offender in sorted order.  The 1-strings cover exactly
@@ -186,10 +200,10 @@ def _check_marking_scope(decomp1: StringDecomposition, marking: CentralMarking) 
     1-edges."""
     stray_vertices = [v for v in marking.central_vertices if not decomp1.covers(v)]
     if stray_vertices:
-        raise MarkingError(f"central vertex {min(stray_vertices)!r} is not in the graph")
+        raise MarkingError(f"central vertex {_least(stray_vertices)!r} is not in the graph")
     stray_edges = [pair for pair in marking.central_1_edges if not decomp1.consecutive(*pair)]
     if stray_edges:
-        tail, head = min(stray_edges)
+        tail, head = _least(stray_edges)
         raise MarkingError(f"central edge ({tail!r}, {head!r}) is not a 1-edge of the graph")
 
 
@@ -227,24 +241,95 @@ def _classify(
     return classes, unmarked
 
 
-def _b1_markings(decomp1: StringDecomposition) -> Iterator[CentralMarking]:
-    """Every marking with exactly one central element on each 1-string.
+def _b2_markings(
+    decomp1: StringDecomposition, decomp2: StringDecomposition
+) -> Iterator[CentralMarking]:
+    """The markings with one central element on each 1-string whose
+    2-strings all read R* C L*, by depth-first search over the slots.
 
-    The element is one of the string's 2L - 1 slots (see ``_classify``), so
-    these markings are the product of ``range(2L - 1)`` over the 1-strings.
-    The 1-strings partition the vertices and hold every 1-edge, so they are
-    exactly the markings of the graph that (B1) accepts.
+    The 1-strings get their element in turn, each at one of its 2L - 1
+    slots (see ``_classify``), smallest slot first, so the markings come in
+    the order of the product of the slot ranges.  Choosing a 1-string's
+    slot fixes the class of each of its vertices; the search drops a
+    partial choice once the known classes along some 2-string are out of
+    the order right < central < left or hold two centrals, and drops a
+    full choice that leaves some 2-string without a central vertex.
+
+    *Nothing valid is dropped.*  A vertex's class depends only on the slot
+    of its own 1-string, so every extension of a partial choice keeps the
+    classes it has fixed.  With one element on every 1-string, (B2) holds
+    exactly when each 2-string's class word is in R* C L*: its central
+    vertices are its vertices of class C, and the ones before and after
+    that vertex must be R and L.  The known classes along a 2-string are a
+    subsequence of its final word, and every subsequence of a word in
+    R* C L* is non-decreasing in R < C < L with at most one C; so a choice
+    whose known classes break that has no extension that (B2) accepts.
+    A full choice fixes every class, and a word that keeps that order and
+    holds exactly one C is in R* C L*, so the leaf check completes the
+    test.  The product of the slot ranges is every marking that (B1)
+    accepts, so the search yields exactly the markings that (B1) and (B2)
+    accept.
+    ``check_global`` still judges each one.
     """
     strings = decomp1.strings
-    for slots in itertools.product(*(range(2 * len(string) - 1) for string in strings)):
-        vertices, edges = [], []
-        for string, slot in zip(strings, slots):
-            k, is_edge = divmod(slot, 2)
-            if is_edge:
-                edges.append(string[k:k + 2])
-            else:
-                vertices.append(string[k])
-        yield CentralMarking(central_vertices=frozenset(vertices), central_1_edges=frozenset(edges))
+    # Where each vertex of each 1-string sits: (2-string index, offset).
+    spots = [tuple(decomp2.position(v) for v in string) for string in strings]
+    # An explicit stack, so graph size is not limited by the interpreter's
+    # recursion depth.
+    stack = [((), tuple((-1, len(string), False) for string in decomp2.strings))]
+    while stack:
+        slots, known = stack.pop()
+        depth = len(slots)
+        if depth == len(strings):
+            if all(has_c for _lo, _hi, has_c in known):
+                yield _marking_at(strings, slots)
+            continue
+        # Reversed, so the smallest slot is popped first.
+        for slot in reversed(range(2 * len(strings[depth]) - 1)):
+            extended = _place(known, spots[depth], slot)
+            if extended is not None:
+                stack.append((slots + (slot,), extended))
+
+
+def _place(known: tuple, spots: tuple, slot: int) -> Optional[tuple]:
+    """The 2-strings' known classes once a 1-string, its vertices at
+    ``spots``, has its central element at ``slot``; or None once some
+    2-string no longer reads R* C L*.
+
+    Each 2-string's known classes are kept as (lo, hi, has_c): a right
+    vertex must lie before offset hi (the first known C or L), a left one
+    after offset lo (the last known R or C), and a central one strictly
+    between, with no C known yet.  These pairwise conditions are exactly
+    the order R < C < L with at most one C.
+    """
+    known = list(known)
+    for k, (string_idx, pos) in enumerate(spots):
+        lo, hi, has_c = known[string_idx]
+        if 2 * k > slot:  # right
+            if pos > hi:
+                return None
+            known[string_idx] = (max(lo, pos), hi, has_c)
+        elif 2 * k < slot:  # left
+            if pos < lo:
+                return None
+            known[string_idx] = (lo, min(hi, pos), has_c)
+        else:  # central
+            if has_c or not lo < pos < hi:
+                return None
+            known[string_idx] = (pos, pos, True)
+    return tuple(known)
+
+
+def _marking_at(strings: tuple[tuple[str, ...], ...], slots: tuple[int, ...]) -> CentralMarking:
+    """The marking with its element at the given slot of each 1-string."""
+    vertices, edges = [], []
+    for string, slot in zip(strings, slots):
+        k, is_edge = divmod(slot, 2)
+        if is_edge:
+            edges.append(string[k:k + 2])
+        else:
+            vertices.append(string[k])
+    return CentralMarking(central_vertices=frozenset(vertices), central_1_edges=frozenset(edges))
 
 
 def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> VertexClass:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional
 from .axioms import (
     CentralMarking,
     Labeling,
-    _b1_markings,
+    _b2_markings,
     check_global,
     infer_labelings,
     labels_from_marking,
@@ -360,11 +360,13 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     """Verify exhaustively that valid markings and valid labelings are in
     bijection under the two conversion maps.
 
-    Markings are searched over an exact superset of the valid ones, not
-    over all subsets: the markings that (B1) accepts, one central element
-    per 1-string, built slot by slot by ``_b1_markings``.  ``check_global``
-    judges each one.  Labelings come from ``infer_labelings``, which the
-    tests compare with all 3^n label vectors.
+    Markings are not searched over all subsets.  ``_b2_markings`` builds
+    them slot by slot, one central element per 1-string as (B1) states, and
+    drops every choice under which some 2-string cannot read R* C L* as
+    (B2) states; its docstring shows that no valid marking is dropped.
+    ``check_global`` judges each marking it builds, and only those it
+    accepts are counted.  Labelings come from ``infer_labelings``, which
+    the tests compare with all 3^n label vectors.
 
     The conversions must then be mutually inverse between the two valid
     sets.  Requires a degree-valid acyclic graph.
@@ -377,7 +379,7 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
         raise PreconditionError("proposition check requires an acyclic graph")
 
     valid_markings = [
-        marking for marking in _b1_markings(decompose_strings(g, 1))
+        marking for marking in _b2_markings(decompose_strings(g, 1), decompose_strings(g, 2))
         if not check_global(g, marking)
     ]
     valid_by_vector = {lab.vector(g): lab for lab in labelings}

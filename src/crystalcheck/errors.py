@@ -37,7 +37,8 @@ class MonochromaticCycleError(CrystalCheckError):
 
 
 class MarkingError(CrystalCheckError):
-    """A central marking references a vertex or edge that is not in the graph."""
+    """A central marking names an edge that is not a pair, or references a
+    vertex or edge that is not in the graph."""
 
 
 class LabelingError(CrystalCheckError):

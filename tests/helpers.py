@@ -2,9 +2,9 @@
 
 The oracles here (Kahn cycle test, permutation isomorphism test, minimal
 encoding over all vertex permutations, least breadth-first renumbering
-over all roots, every (B0) edge set, valid markings among all subsets) are
-kept independent of the library's own algorithms so the two can check each
-other.
+over all roots, every (B0) edge set, the (B1) slot product, valid markings
+among all subsets) are kept independent of the library's own algorithms
+so the two can check each other.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from crystalcheck import CentralMarking, ColoredDigraph, Edge, Labeling, check_global
 from crystalcheck.axioms import LABEL_VALUES
+from crystalcheck.graph import StringDecomposition
 
 
 def graph(vertices, edges) -> ColoredDigraph:
@@ -230,6 +231,25 @@ def subsets(items: list) -> list[frozenset]:
         frozenset(item for k, item in enumerate(items) if mask >> k & 1)
         for mask in range(1 << len(items))
     ]
+
+
+def b1_markings(decomp1: StringDecomposition) -> list[CentralMarking]:
+    """Every marking with exactly one central element on each 1-string, in
+    product order: the product of the 2L - 1 slots of each string, slot 2k
+    its k-th vertex and slot 2k + 1 the 1-edge leaving it.  No pruning, so
+    it is the (B1) oracle for the library's pruned marking search."""
+    markings = []
+    strings = decomp1.strings
+    for slots in itertools.product(*(range(2 * len(string) - 1) for string in strings)):
+        vertices, edges = [], []
+        for string, slot in zip(strings, slots):
+            k, is_edge = divmod(slot, 2)
+            if is_edge:
+                edges.append(string[k:k + 2])
+            else:
+                vertices.append(string[k])
+        markings.append(CentralMarking(central_vertices=vertices, central_1_edges=edges))
+    return markings
 
 
 def brute_valid_markings(g: ColoredDigraph, reports=None, b1_passing=None) -> list[CentralMarking]:

@@ -52,6 +52,15 @@ from helpers import (
 )
 
 
+# Ids a marking may name: the graph's own, strays, and strays of other types.
+MARKING_IDS = st.one_of(
+    st.sampled_from(["v1", "v2", "v3", "v4", "v5"]),
+    st.text(max_size=2),
+    st.integers(-2, 2),
+    st.none(),
+    st.tuples(st.integers(0, 1), st.text(max_size=1)),
+)
+
 # The library accepts cyclic B0 graphs too; inference must handle both.
 ACYCLIC_OR_CYCLIC_B0 = st.one_of(
     b0_graphs(max_vertices=6), b0_graphs(max_vertices=6, require_acyclic=False)
@@ -252,6 +261,47 @@ class TestCheckGlobal:
         g = graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)])
         with pytest.raises(DegreeAxiomError):
             check_global(g, marking(vertices=["nope"]))
+
+    def test_an_edge_that_is_not_a_pair_is_refused(self):
+        message = r"^central edge \('u', 'v', 'w'\) is not a \(tail, head\) pair$"
+        with pytest.raises(MarkingError, match=message):
+            marking(edges=[("u", "v", "w")])
+        with pytest.raises(MarkingError):
+            marking(edges=[("u",)])
+
+    def test_strays_of_mixed_types_are_marking_errors(self):
+        # Strays that do not compare with each other are still reported by
+        # one fixed order, by both entry points.
+        g = bare_1_edge()
+        decomp = decompose_strings(g, 1)
+        for bad, message in (
+            (marking(vertices=["zz", 3]), "central vertex 3 is not in the graph"),
+            (marking(edges=[("u", 1), ("u", "w")]),
+             "central edge ('u', 'w') is not a 1-edge of the graph"),
+        ):
+            with pytest.raises(MarkingError) as from_global:
+                check_global(g, bad)
+            with pytest.raises(MarkingError) as from_classes:
+                classify_vertices(decomp, bad)
+            assert str(from_global.value) == str(from_classes.value) == message
+
+    @given(
+        st.sets(MARKING_IDS, max_size=4),
+        st.sets(st.tuples(MARKING_IDS, MARKING_IDS), max_size=4),
+    )
+    @settings(max_examples=100)
+    def test_any_accepted_marking_gets_a_report_or_a_marking_error(self, vertices, edges):
+        # Any other exception, a TypeError above all, fails the test.
+        m = marking(vertices=vertices, edges=edges)
+        g = path5()
+        try:
+            check_global(g, m)
+        except MarkingError:
+            pass
+        try:
+            classify_vertices(decompose_strings(g, 1), m)
+        except (MarkingError, CentralityError):
+            pass
 
 
 class TestClassification:

@@ -301,10 +301,18 @@ def test_census_parallel_output_identical():
     assert sequential.stderr == parallel.stderr == CENSUS_GAP_NOTES
 
 
+# SHA-256 of `census --max-vertices 6` stdout (the table) and stderr (its 31
+# gap notes, in order).
+CENSUS_6_STDOUT_SHA256 = "bb3443609ef9a4c1c33e15f46b200f11d55a9134b1642953023d9e8d713619e2"
+CENSUS_6_STDERR_SHA256 = "e3a43db87c51cadb86b72e1432ec5c4ef0c852aca1bd8aca84b50d00d5d9ed25"
+
+
 def test_census_row_6_and_its_corollary_gaps():
     result = run_cli("census", "--max-vertices", "6")
     assert result.returncode == 0
     assert result.stdout.decode().splitlines()[-2:] == ["5,503,20,20,20", "6,3986,93,94,94"]
+    assert hashlib.sha256(result.stdout).hexdigest() == CENSUS_6_STDOUT_SHA256
+    assert hashlib.sha256(result.stderr).hexdigest() == CENSUS_6_STDERR_SHA256
     notes = Counter()
     for line in result.stderr.decode().splitlines():
         predicate, doc = re.fullmatch(r"note: (\w+) fails on (.*)", line).groups()

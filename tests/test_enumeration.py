@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from crystalcheck import (
     BudgetError,
@@ -22,7 +23,7 @@ from crystalcheck import (
     serialize_graph,
 )
 from crystalcheck import enumeration
-from crystalcheck.axioms import _b1_markings
+from crystalcheck.axioms import _b2_markings
 from crystalcheck.enumeration import (
     _position_graphs_exactly,
     graph_from_position_edges,
@@ -34,6 +35,8 @@ from helpers import (
     LABELED_COUNTS,
     _weakly_connected,
     b0_edge_sets,
+    b0_graphs,
+    b1_markings,
     bare_1_edge,
     brute_canonical_code,
     brute_isomorphic,
@@ -282,24 +285,52 @@ def oracle_graphs():
 GLOBAL_REPORTS_SHA256 = "e87c5e841867eb12e976204d641ce82bd5250e10c6014d60cdc2ad07ee113b7c"
 
 
+def pruned_markings(g):
+    return list(_b2_markings(decompose_strings(g, 1), decompose_strings(g, 2)))
+
+
+def oracle_markings(g):
+    return b1_markings(decompose_strings(g, 1))
+
+
+def accepted(g, markings):
+    return [m for m in markings if not check_global(g, m)]
+
+
 class TestPropositionOracles:
     def test_markings_equal_the_all_subsets_search(self, oracle_graphs):
         # Pins the full text of every report, so a rewrite of check_global
         # that changes a clause, location or detail is caught.
         reports = hashlib.sha256()
-        # The same pass checks that the (B1) writer builds exactly the
-        # subsets with no (B1) entry in their report.
+        # The same pass checks that the (B1) slot product builds exactly the
+        # subsets with no (B1) entry in their report, that the pruned search
+        # keeps some of those, and that check_global accepts among the
+        # survivors exactly the markings it accepts among all subsets.
         for g in oracle_graphs:
             b1_passing = []
             brute = brute_valid_markings(g, reports if g.n_vertices <= 5 else None, b1_passing)
-            b1 = list(_b1_markings(decompose_strings(g, 1)))
+            b1 = oracle_markings(g)
             assert len(b1) == len(set(b1)) == len(b1_passing)
             assert set(b1) == set(b1_passing)
-            built = [m for m in b1 if not check_global(g, m)]
+            survivors = pruned_markings(g)
+            assert len(survivors) == len(set(survivors))
+            assert set(survivors) <= set(b1_passing)
+            built = accepted(g, survivors)
             assert len(built) == len(set(built)) == len(brute)
             assert set(built) == set(brute)
             assert check_proposition(g).n_valid_markings == len(brute)
         assert reports.hexdigest() == GLOBAL_REPORTS_SHA256
+
+    def test_pruned_search_keeps_every_valid_marking_to_six_vertices(self):
+        for g in enumerate_graphs(GraphStream(max_vertices=6)):
+            assert accepted(g, pruned_markings(g)) == accepted(g, oracle_markings(g))
+
+    @given(b0_graphs(max_vertices=8))
+    @settings(max_examples=200)
+    def test_pruned_search_keeps_every_valid_marking(self, g):
+        # Disconnected graphs and graphs of up to 8 vertices: shapes outside
+        # the census.
+        assert accepted(g, pruned_markings(g)) == accepted(g, oracle_markings(g))
 
     def test_labelings_equal_the_all_vectors_search(self, oracle_graphs):
         for g in oracle_graphs:
