@@ -13,15 +13,18 @@ Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
 the census, from one pipeline.  A row's candidates pair forward partial
 injections, one per color, so each is acyclic and (B0).  The port key, a
 cheaper complete invariant, drops the disconnected ones and sorts the rest
-into isomorphism classes, and one candidate per class is canonicalized.  A
-canonical stream emits these minimal encodings; a labeled stream emits all
-their relabelings, which are exactly the row's labeled graphs.
+into isomorphism classes, and one candidate per class is canonicalized.
+This runs in shards, one per pair of 1-edge and 2-edge counts, which a
+census may hand to a process pool.  A canonical stream emits these minimal
+encodings; a labeled stream emits all their relabelings, which are exactly
+the row's labeled graphs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,11 +55,6 @@ MAX_ENUMERATION_VERTICES = 8
 # n = 6, and about 60 times as many at n = 7.
 MAX_LABELED_VERTICES = 6
 MAX_CENSUS_VERTICES = 7
-# Graphs per pool task: a check takes well under a millisecond, so one
-# round trip per graph would cost more than the check itself.
-POOL_CHUNK = 32
-# Graphs per window of a census row, so memory stays bounded on every row.
-POOL_WINDOW = 8 * POOL_CHUNK
 
 PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 
@@ -271,9 +269,11 @@ def graph_from_position_edges(n: int, edges: tuple[PositionEdge, ...]) -> Colore
     )
 
 
-def _partial_injections(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All forward edge sets with out- and in-degree at most 1 on n
-    positions, in ascending order of the row-major bit encoding.
+@functools.cache
+def _partial_injections(n: int, color: int) -> tuple[tuple[tuple[PositionEdge, ...], ...], ...]:
+    """All forward edge sets of one color with out- and in-degree at most 1
+    on n positions, grouped by size: entry k holds the sets with k edges.
+    Each process builds them once per n and color.
 
     Every edge goes from a lower to a higher position, so each set is
     acyclic, and every acyclic isomorphism class has such a representative.
@@ -281,52 +281,78 @@ def _partial_injections(n: int) -> list[tuple[tuple[int, int], ...]]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out_free = [True] * n
     in_free = [True] * n
-    acc: list[tuple[int, int]] = []
+    acc: list[PositionEdge] = []
+    by_size: list[list[tuple[PositionEdge, ...]]] = [[] for _ in range(n)]
 
-    def rec(idx: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def rec(idx: int) -> None:
         if idx == len(pairs):
-            yield tuple(acc)
+            by_size[len(acc)].append(tuple(acc))
             return
         i, j = pairs[idx]
-        yield from rec(idx + 1)
+        rec(idx + 1)
         if out_free[i] and in_free[j]:
             out_free[i] = in_free[j] = False
-            acc.append((i, j))
-            yield from rec(idx + 1)
+            acc.append((i, j, color))
+            rec(idx + 1)
             acc.pop()
             out_free[i] = in_free[j] = True
 
-    return list(rec(0))
+    rec(0)
+    return tuple(map(tuple, by_size))
 
 
-def _candidate_edge_sets(n: int) -> Iterator[tuple[PositionEdge, ...]]:
-    """Acyclic (B0) candidates on exactly n positions, ascending in the
-    encoding: a pair of forward partial injections, one per color, with the
-    color-1 block as the outer loop."""
-    for edges1, edges2 in itertools.product(_partial_injections(n), repeat=2):
-        yield tuple((i, j, 1) for i, j in edges1) + tuple((i, j, 2) for i, j in edges2)
+def _shard_codes(n: int, deadline: float, edges_1: int, edges_2: int) -> Optional[set[int]]:
+    """The canonical codes of one shard of row n: the candidates, pairs of
+    forward partial injections, with ``edges_1`` 1-edges and ``edges_2``
+    2-edges.  Returns None once ``time.monotonic()``, read before each
+    candidate, passes ``deadline``.
 
-
-def _position_graphs_exactly(
-    n: int, stream: GraphStream, check_budget: Callable[[], None] = lambda: None
-) -> Iterator[tuple[PositionEdge, ...]]:
-    """The stream's edge sets on exactly n positions, in ascending encoding
-    order.  ``check_budget`` runs before each candidate is keyed or
-    canonicalized and aborts the search by raising.  A labeled stream is
-    the relabelings of the row's canonical codes, so the whole row is held
-    before it is sorted."""
+    Both edge counts are isomorphism invariants, so no class spans two
+    shards, and one candidate per port key is canonicalized.
+    """
     encoder = _Encoder(n)
     keys = set()
     codes = set()
-    for edges in _candidate_edge_sets(n):
-        check_budget()
-        key = encoder.port_key(edges)
-        if key >= 0 and key not in keys:
-            keys.add(key)
-            codes.add(encoder.canonical_code(edges))
+    for first in _partial_injections(n, 1)[edges_1]:
+        for second in _partial_injections(n, 2)[edges_2]:
+            if time.monotonic() > deadline:
+                return None
+            edges = first + second
+            key = encoder.port_key(edges)
+            if key >= 0 and key not in keys:
+                keys.add(key)
+                codes.add(encoder.canonical_code(edges))
+    return codes
+
+
+def _row_codes(
+    n: int, deadline: float = math.inf, map_shards: Callable = map
+) -> Optional[list[int]]:
+    """The sorted canonical codes of the weakly connected acyclic (B0)
+    graphs on n vertices, or None if a shard passed ``deadline``.
+
+    ``map_shards`` runs ``_shard_codes`` over the shards: ``map`` in this
+    process, or a process pool's ``map``.  A connected graph on n vertices
+    has at least n - 1 edges, so the shards with fewer are skipped.
+    """
+    shards = [(k1, k2) for k1 in range(n) for k2 in range(n) if k1 + k2 >= n - 1]
+    codes: set[int] = set()
+    for shard in map_shards(functools.partial(_shard_codes, n, deadline), *zip(*shards)):
+        if shard is None:
+            return None
+        codes |= shard
+    return sorted(codes)
+
+
+def _position_graphs_exactly(n: int, stream: GraphStream) -> Iterator[tuple[PositionEdge, ...]]:
+    """The stream's edge sets on exactly n positions, in ascending encoding
+    order.  A labeled stream is the relabelings of the row's canonical
+    codes, so the whole row is held before it is sorted."""
+    encoder = _Encoder(n)
+    codes = _row_codes(n)
     if not stream.canonical:
-        codes = {relabeled for code in codes for relabeled in encoder.relabelings(code)}
-    for code in sorted(codes):
+        codes = sorted({relabeled for code in codes for relabeled in encoder.relabelings(code)})
+    for code in codes:
         yield encoder.decode(code)
 
 
@@ -369,7 +395,13 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     the tests compare with all 3^n label vectors.
 
     The conversions must then be mutually inverse between the two valid
-    sets.  Requires a degree-valid acyclic graph.
+    sets, and one pass over the markings shows it.  It maps each valid
+    marking m to a labeling L(m), which must be valid, and back, where
+    M(L(m)) must be m; so L is injective on the valid markings.  Then L is
+    a bijection with inverse M exactly when every valid labeling is hit:
+    a hit labeling l = L(m) has M(l) = m valid and L(M(l)) = l.  A labeling
+    that no valid marking hits is the witness of a failure.  Requires a
+    degree-valid acyclic graph.
     """
     try:
         labelings = tuple(infer_labelings(g))
@@ -384,41 +416,30 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     ]
     valid_by_vector = {lab.vector(g): lab for lab in labelings}
 
-    n_markings = len(valid_markings)
-    n_labelings = len(labelings)
-
-    def failure(detail: str, marking=None, labeling=None) -> PropositionResult:
+    def result(detail: str = "", marking=None, labeling=None) -> PropositionResult:
         return PropositionResult(
-            holds=False,
-            n_valid_markings=n_markings,
-            n_valid_labelings=n_labelings,
+            holds=not detail,
+            n_valid_markings=len(valid_markings),
+            n_valid_labelings=len(labelings),
             valid_labelings=labelings,
             witness_marking=marking,
             witness_labeling=labeling,
             detail=detail,
         )
 
-    marking_set = set(valid_markings)
+    hit = set()
     for marking in valid_markings:
         lab = labels_from_marking(g, marking)
         vector = lab.vector(g)
         if vector not in valid_by_vector:
-            return failure("marking maps to a labeling failing the local axioms", marking=marking)
+            return result("marking maps to a labeling failing the local axioms", marking=marking)
         if marking_from_labels(g, lab) != marking:
-            return failure("marking does not survive the round trip", marking=marking)
+            return result("marking does not survive the round trip", marking=marking)
+        hit.add(vector)
     for vector, lab in valid_by_vector.items():
-        marking = marking_from_labels(g, lab)
-        if marking not in marking_set:
-            return failure("labeling maps to a marking failing the global axioms", labeling=lab)
-        if labels_from_marking(g, marking).vector(g) != vector:
-            return failure("labeling does not survive the round trip", labeling=lab)
-
-    return PropositionResult(
-        holds=True,
-        n_valid_markings=n_markings,
-        n_valid_labelings=n_labelings,
-        valid_labelings=labelings,
-    )
+        if vector not in hit:
+            return result("no valid marking maps to this labeling", labeling=lab)
+    return result()
 
 
 @dataclass(frozen=True)
@@ -445,7 +466,8 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
 
 
 def resolve_workers() -> int:
-    """Worker count for parallel checking; CRYSTALCHECK_THREADS caps it."""
+    """Worker count for a census's enumeration shards; CRYSTALCHECK_THREADS
+    caps it."""
     raw = os.environ.get("CRYSTALCHECK_THREADS")
     if raw is None:
         return 1
@@ -456,12 +478,6 @@ def resolve_workers() -> int:
     if cap < 1:
         raise ValueError(f"CRYSTALCHECK_THREADS must be a positive integer, got {raw!r}")
     return min(cap, os.cpu_count() or 1)
-
-
-def _windows(items: Iterator, size: int) -> Iterator[list]:
-    """Consecutive lists of ``size`` items, the last one possibly shorter."""
-    while window := list(itertools.islice(items, size)):
-        yield window
 
 
 def census(
@@ -478,11 +494,12 @@ def census(
     ``CounterexampleError``).  ``on_corollary_gap`` is invoked for every
     valid labeling on which a corollary predicate fails, since those
     predicates are not implied by the axioms checked here.  More than one
-    worker checks the graphs in a process pool, ``POOL_CHUNK`` graphs per
-    task and ``POOL_WINDOW`` graphs at a time; results are read in order.
-    Exceeding ``budget_seconds``, checked between enumeration candidates and
-    after each graph's result, raises ``BudgetError``; a NaN or negative
-    budget, or fewer than one worker, raises ``ValueError``.
+    worker runs each row's enumeration shards in a process pool; the main
+    process then checks the row's graphs in order, so the output is the
+    same for any worker count.  The budget is one deadline, read before
+    each enumeration candidate and after each graph is checked; passing it
+    raises ``BudgetError``.  A NaN or negative budget, or fewer than one
+    worker, raises ``ValueError``.
     """
     if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -494,43 +511,27 @@ def census(
         workers = resolve_workers()
     elif workers < 1:
         raise ValueError(f"census workers must be at least 1, got {workers}")
-    start = time.monotonic()
+    deadline = math.inf if budget_seconds is None else time.monotonic() + budget_seconds
     rows: list[CensusRow] = []
-
-    def check_budget() -> None:
-        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            raise BudgetError(budget_seconds, len(rows))
-
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    check_all = functools.partial(pool.map, chunksize=POOL_CHUNK) if pool is not None else map
-    # A serial run checks each graph as soon as it is built.
-    window = POOL_WINDOW if pool is not None else 1
     try:
         for n in range(1, max_vertices + 1):
-            graphs = (
-                graph_from_position_edges(n, edges)
-                for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n), check_budget)
-            )
-            n_graphs = 0
-            n_with_labeling = 0
-            n_labelings = 0
-            n_markings = 0
-            # Each checked graph carries its string skeleton, and a pool
-            # takes in all of its input at once, so the row is checked in
-            # windows: only one window of graphs is held at a time.
-            checked = (
-                pair for batch in _windows(graphs, window)
-                for pair in zip(batch, check_all(check_proposition, batch))
-            )
-            for g, result in checked:
-                check_budget()
+            codes = _row_codes(n, deadline, pool.map if pool is not None else map)
+            if codes is None:
+                raise BudgetError(budget_seconds, len(rows))
+            encoder = _Encoder(n)
+            n_with_labeling = n_labelings = n_markings = 0
+            for code in codes:
+                g = graph_from_position_edges(n, encoder.decode(code))
+                result = check_proposition(g)
+                if time.monotonic() > deadline:
+                    raise BudgetError(budget_seconds, len(rows))
                 if not result.holds:
                     raise CounterexampleError(
                         f"marking/labeling correspondence failed on a {n}-vertex graph: "
                         f"{result.detail}",
                         graph=g,
                     )
-                n_graphs += 1
                 n_markings += result.n_valid_markings
                 n_labelings += result.n_valid_labelings
                 if result.n_valid_labelings:
@@ -546,15 +547,9 @@ def census(
                     f"census row {n} breaks the labeling/marking balance: "
                     f"{n_labelings} labelings vs {n_markings} markings"
                 )
-            rows.append(CensusRow(
-                n=n,
-                graphs=n_graphs,
-                graphs_with_labeling=n_with_labeling,
-                labelings=n_labelings,
-                markings=n_markings,
-            ))
+            rows.append(CensusRow(n, len(codes), n_with_labeling, n_labelings, n_markings))
     finally:
         if pool is not None:
-            # Drop the graphs not yet started when the loop stops early.
+            # Drop the shards not yet started when a row stops early.
             pool.shutdown(cancel_futures=True)
     return rows

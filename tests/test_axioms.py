@@ -322,6 +322,8 @@ class TestClassification:
         decomp = decompose_strings(single_vertex(), 1)
         classes = classify_vertices(decomp, marking(vertices=["a"]))
         assert classes.classes == {"a": "central"}
+        with pytest.raises(ValueError, match="color-1 decomposition"):
+            classify_vertices(decompose_strings(single_vertex(), 2), marking(vertices=["a"]))
 
     def test_unbalanced_string_raises_with_string(self):
         decomp = decompose_strings(path5(), 1)

@@ -307,8 +307,10 @@ CENSUS_6_STDOUT_SHA256 = "bb3443609ef9a4c1c33e15f46b200f11d55a9134b1642953023d9e
 CENSUS_6_STDERR_SHA256 = "e3a43db87c51cadb86b72e1432ec5c4ef0c852aca1bd8aca84b50d00d5d9ed25"
 
 
-def test_census_row_6_and_its_corollary_gaps():
-    result = run_cli("census", "--max-vertices", "6")
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads-2"])
+def test_census_row_6_and_its_corollary_gaps(threads):
+    env_extra = {"CRYSTALCHECK_THREADS": threads} if threads else None
+    result = run_cli("census", "--max-vertices", "6", env_extra=env_extra)
     assert result.returncode == 0
     assert result.stdout.decode().splitlines()[-2:] == ["5,503,20,20,20", "6,3986,93,94,94"]
     assert hashlib.sha256(result.stdout).hexdigest() == CENSUS_6_STDOUT_SHA256

@@ -60,14 +60,30 @@ def test_parallel_edges_of_different_colors_allowed():
         "duplicate-edge",
     ),
     (b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b"}]}', "invalid-structure"),
+    (b'{"vertices":["a"],"edges":[1]}', "invalid-structure"),
+    (b'{"vertices":["a","b"],"edges":[{"from":1,"to":"b","color":1}]}', "invalid-structure"),
     (b'{"vertices":["a"],"edges":[],"labels":{"a":"x"}}', "invalid-labels"),
     (b'{"vertices":["a"],"edges":[],"labels":{"b":"c"}}', "invalid-labels"),
     (b'{"vertices":["a","b"],"edges":[],"labels":{"a":"c"}}', "invalid-labels"),
+    (b'{"vertices":["a"],"edges":[],"labels":["a"]}', "invalid-labels"),
+    (b'{"vertices":["a"],"edges":[],"centers":["a"]}', "invalid-centers"),
+    (b'{"vertices":["a"],"edges":[],"centers":{"vertices":["a","a"]}}', "invalid-centers"),
+    (b'{"vertices":["a"],"edges":[],"centers":{"edges_1":{}}}', "invalid-centers"),
     (b'{"vertices":["a"],"edges":[],"centers":{"vertices":["b"]}}', "invalid-centers"),
     (b'{"vertices":["a"],"edges":[],"centers":{"nope":[]}}', "invalid-centers"),
     (
         b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":2}],'
         b'"centers":{"edges_1":[["a","b"]]}}',
+        "invalid-centers",
+    ),
+    (
+        b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":1}],'
+        b'"centers":{"edges_1":[["a"]]}}',
+        "invalid-centers",
+    ),
+    (
+        b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":1}],'
+        b'"centers":{"edges_1":[["a","b"],["a","b"]]}}',
         "invalid-centers",
     ),
     *(pytest.param(raw, "malformed-syntax", id=name) for name, raw in HOSTILE_DOCUMENTS.items()),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from crystalcheck import (
     BudgetError,
+    CounterexampleError,
     GraphStream,
     PreconditionError,
     census,
@@ -23,9 +24,12 @@ from crystalcheck import (
     serialize_graph,
 )
 from crystalcheck import enumeration
-from crystalcheck.axioms import _b2_markings
+from crystalcheck.axioms import CentralMarking, Labeling, _b2_markings
 from crystalcheck.enumeration import (
+    PropositionResult,
     _position_graphs_exactly,
+    _row_codes,
+    _shard_codes,
     graph_from_position_edges,
     resolve_workers,
 )
@@ -270,6 +274,39 @@ class TestProposition:
             check_proposition(g)
 
 
+class TestPropositionFailures:
+    """Each failure of the correspondence names its detail and witness.
+    path5 has one valid marking and one valid labeling."""
+
+    def test_marking_mapped_to_an_invalid_labeling(self, monkeypatch):
+        (marking,) = accepted(path5(), pruned_markings(path5()))
+        monkeypatch.setattr(enumeration, "labels_from_marking",
+                            lambda g, m: Labeling(labels={v: "c" for v in g.vertices}))
+        result = check_proposition(path5())
+        assert not result.holds
+        assert result.detail == "marking maps to a labeling failing the local axioms"
+        assert (result.witness_marking, result.witness_labeling) == (marking, None)
+        assert (result.n_valid_markings, result.n_valid_labelings) == (1, 1)
+
+    def test_marking_that_does_not_survive_the_round_trip(self, monkeypatch):
+        (marking,) = accepted(path5(), pruned_markings(path5()))
+        monkeypatch.setattr(enumeration, "marking_from_labels",
+                            lambda g, lab: CentralMarking(frozenset(), frozenset()))
+        result = check_proposition(path5())
+        assert not result.holds
+        assert result.detail == "marking does not survive the round trip"
+        assert (result.witness_marking, result.witness_labeling) == (marking, None)
+
+    def test_labeling_that_no_marking_hits(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_b2_markings", lambda decomp1, decomp2: iter(()))
+        result = check_proposition(path5())
+        assert not result.holds
+        assert result.detail == "no valid marking maps to this labeling"
+        assert result.witness_marking is None
+        assert result.witness_labeling.vector(path5()) == ("c", "1", "c", "0", "c")
+        assert (result.n_valid_markings, result.n_valid_labelings) == (0, 1)
+
+
 @pytest.fixture(scope="module")
 def oracle_graphs():
     """The 594 graphs of the n <= 5 universe and a fixed sample of 100 of
@@ -397,31 +434,71 @@ class TestCensus:
         # canonicalized.
         assert calls == []
 
-    def test_budget_stops_canonical_enumeration_between_candidates(self):
+    def test_budget_stops_canonical_enumeration_between_candidates(self, monkeypatch):
         calls = []
+        port_key = enumeration._Encoder.port_key
 
-        class Stop(Exception):
-            pass
-
-        def check_budget():
-            calls.append(None)
+        def slow_tenth_key(encoder, edges):
+            calls.append(edges)
             if len(calls) == 10:
-                raise Stop
+                time.sleep(0.1)
+            return port_key(encoder, edges)
 
-        # Without a check between candidates this would run all 41,209.
-        with pytest.raises(Stop):
-            list(_position_graphs_exactly(6, GraphStream(max_vertices=6), check_budget))
+        monkeypatch.setattr(enumeration._Encoder, "port_key", slow_tenth_key)
+        # A deadline already passed stops a shard and its row before any
+        # port key is computed.
+        passed = time.monotonic() - 1.0
+        assert _shard_codes(6, passed, 3, 3) is None
+        assert _row_codes(6, passed) is None
+        assert calls == []
+        # The deadline is read before each candidate: the largest shard of
+        # row 6 holds 90 * 90 = 8,100 candidates, and it stops after the
+        # tenth, which ends past the deadline.
+        assert _shard_codes(6, time.monotonic() + 0.05, 3, 3) is None
+        assert len(calls) == 10
 
     def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
         # Rows 1 to 5 are enumerated within a fraction of a second, but the
-        # slowed checks of the 503 five-vertex graphs take over 2.5 s on two
-        # workers, so an abort well within 2 s shows the pool results are
-        # read as they arrive.  The workers import the patched check by name.
+        # slowed checks of the 503 five-vertex graphs, which run in this
+        # process, take over 5 s, so an abort well within 2 s shows the
+        # deadline is read after each graph.
         monkeypatch.setattr(enumeration, "check_proposition", _slow_check)
         start = time.monotonic()
         with pytest.raises(BudgetError):
             census(5, workers=2, budget_seconds=0.5)
         assert time.monotonic() - start < 2.0
+
+    def test_budget_stops_pool_shards_mid_row(self):
+        # The census to n = 7 takes over 20 s on two workers.  The deadline
+        # is read before each enumeration candidate and after each graph,
+        # so the run stops soon after it, whichever stage it is in.
+        start = time.monotonic()
+        with pytest.raises(BudgetError):
+            census(7, workers=2, budget_seconds=1.0)
+        assert time.monotonic() - start < 3.0
+
+    def test_a_failing_graph_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "check_proposition", lambda g: PropositionResult(
+            holds=False, n_valid_markings=0, n_valid_labelings=0, valid_labelings=(),
+            detail="forced failure",
+        ))
+        with pytest.raises(CounterexampleError) as err:
+            census(2)
+        assert str(err.value) == (
+            "marking/labeling correspondence failed on a 1-vertex graph: forced failure"
+        )
+        assert err.value.graph == graph(["v1"], [])
+
+    def test_an_unbalanced_row_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "check_proposition", lambda g: PropositionResult(
+            holds=True, n_valid_markings=1, n_valid_labelings=0, valid_labelings=(),
+        ))
+        with pytest.raises(CounterexampleError) as err:
+            census(2)
+        assert str(err.value) == (
+            "census row 1 breaks the labeling/marking balance: 0 labelings vs 1 markings"
+        )
+        assert err.value.graph is None
 
     def test_max_vertices_bound(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,8 @@ class TestStringDecomposition:
         g = graph(["a", "b", "c"], [])
         for color in (1, 2):
             assert decompose_strings(g, color).strings == (("a",), ("b",), ("c",))
+        with pytest.raises(ValueError, match="color must be one of"):
+            decompose_strings(g, 3)
 
     def test_degree_violation_is_an_error(self):
         g = graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)])
