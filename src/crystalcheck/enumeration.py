@@ -6,8 +6,9 @@ Graphs on n vertices are encoded as fixed-width bit strings: one bit per
 block in row-major order over ordered vertex pairs.  Enumeration order is
 ascending over this encoding; the canonical form of a graph is the minimal
 encoding over all vertex permutations, which deduplicates color- and
-direction-preserving isomorphs.  It is found by branch and bound over
-partial vertex placements, not by trying every permutation.
+direction-preserving isomorphs.  Its most significant block, the 1-rows,
+follows from the 1-string lengths alone, so branch and bound only decides
+which 1-strings of equal length trade places, reading only the 2-rows.
 
 Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
 the census, from one pipeline.  A row's candidates pair forward partial
@@ -174,38 +175,82 @@ class _Encoder:
     def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
         """The minimal encoding of ``edges`` over all vertex permutations.
 
-        Branch and bound: vertices are placed at positions 0, 1, ... in turn,
-        and a partial placement is bounded below row by row.  A placed row
-        puts its unplaced heads in its least significant free columns; the
-        rows of the unplaced positions take the smallest values their
-        vertices can reach, in ascending order (by rearrangement, no
-        assignment of them to positions is smaller).  A branch is cut once
-        its bound is no smaller than the best code found; with every vertex
-        placed the bound is the code itself.
+        The 1-rows are the most significant rows, and they encode exactly
+        the 1-edges.  So every minimal code's 1-block is ``c1``, the minimal
+        code of the 1-edges alone, and a permutation reaches ``c1`` exactly
+        when it maps the 1-edges onto those of ``c1``.  When the 1-edges are
+        disjoint directed paths, the 1-strings, those maps send each
+        1-string onto a string of ``c1`` with the same length, offset by
+        offset, and ``c1`` depends only on the multiset of string lengths
+        (``_one_block``).  The search fills the positions in order.  A
+        position on a string of ``c1`` that already has a 1-string is
+        forced; the first position reached on another string tries each
+        unused 1-string of its length.  Only the 2-block is left to
+        minimize, so the bound reads only the 2-rows.
 
-        The s vertices without a 1-head, the 1-ends, form the first cell.
-        A 1-end has an all-zero 1-row wherever it goes and every other
-        vertex has a nonzero one, and the 1-rows are the most significant
-        rows in position order.  So a placement with the 1-ends at positions
-        0..s-1 beats any other, and every minimal code puts them there:
-        positions below s try only 1-ends, the others only the rest.
+        A set without 2-edges is its own ``c1``.  A set whose 1-edges are
+        not disjoint paths (a 1-cycle, or a 1-degree above one) is searched
+        vertex by vertex, with the 1-end cell of ``_one_end_cell``.
+        """
+        n = self.n
+        heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
+        for i, j, color in set(edges):
+            heads[color - 1][i].append(j)
+        strings = _one_strings(heads[0])
+        if strings is None:
+            return self._least_code(heads, _one_end_cell(heads[0]))
+        c1, slots = _one_block(n, tuple(sorted(map(len, strings))))
+        if not any(heads[1]):
+            return c1
+        string_of: list[list[int]] = [[]] * n
+        by_length: dict[int, list[list[int]]] = {}
+        for string in strings:
+            by_length.setdefault(len(string), []).append(string)
+            for v in string:
+                string_of[v] = string
+
+        # A string of ``c1`` is first reached at its end, since ``c1`` puts
+        # the 1-ends first, so a 1-string is unused while its end is unplaced.
+        def cell(order: list[int], position: list[int]) -> list[int]:
+            first, offset, length = slots[len(order)]
+            if first < len(order):
+                return [string_of[order[first]][offset]]
+            return [string[offset] for string in by_length[length] if position[string[-1]] < 0]
+
+        return c1 | self._least_code([[[]] * n, heads[1]], cell)
+
+    def _least_code(self, heads: list[list[list[int]]], cell: Callable) -> int:
+        """The least encoding of the rows ``heads`` (per color, per vertex,
+        its heads) over the vertex placements that ``cell`` admits.
+
+        Branch and bound: vertices are placed at positions 0, 1, ... in
+        turn, and ``cell(order, position)`` gives the vertices that may take
+        the next position, given the vertices ``order`` already placed and
+        the ``position`` of each (-1 if unplaced).  A partial placement is
+        bounded below row by row.  A placed row puts its unplaced heads in
+        its least significant free columns; the rows of the unplaced
+        positions take the smallest values their vertices can reach, in
+        ascending order (by rearrangement, no assignment of them to
+        positions is smaller).  Any restriction of the completions only
+        raises their least code, so the bound holds for every cell.  A
+        branch is cut once its bound is no smaller than the best code found;
+        with every vertex placed the bound is the code itself.  A position
+        with one candidate is forced and gets no bound.
 
         The bound reads only the rows with heads.  The unplaced rows without
         heads are zero and sort first, so they take the first unplaced
         positions, and the sorted nonzero rows take the last ones.
         """
         n = self.n
-        heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
-        for i, j, color in set(edges):
-            heads[color - 1][i].append(j)
         # Per color: the row shifts and the (vertex, heads) pairs of its
         # nonzero rows.
         blocks = [
             (shift, [(v, block[v]) for v in range(n) if block[v]])
             for shift, block in zip(self.row_shift, heads)
         ]
-        one_ends = n - len(blocks[0][1])
+        blocks = [block for block in blocks if block[1]]
         position = [-1] * n
+        order: list[int] = []
         best = -1
 
         def bound() -> int:
@@ -231,29 +276,97 @@ class _Encoder:
                     total += row << shift[p]
             return total
 
-        def search(placed: int) -> None:
+        def search() -> None:
             nonlocal best
-            needs_head = placed >= one_ends
-            children = []
-            for v in range(n):
-                if position[v] < 0 and bool(heads[0][v]) == needs_head:
+            placed = len(order)
+            if placed == n:
+                code = bound()
+                if best < 0 or code < best:
+                    best = code
+                return
+            candidates = cell(order, position)
+            if len(candidates) == 1:
+                children = [(-1, candidates[0])]  # forced: never cut
+            else:
+                children = []
+                for v in candidates:
                     position[v] = placed
                     children.append((bound(), v))
                     position[v] = -1
-            children.sort()
+                children.sort()
             for low, v in children:
                 if 0 <= best <= low:
                     return
-                if placed + 2 >= n:
-                    # One vertex is left to place, so the bound is exact.
-                    best = low
-                    return
                 position[v] = placed
-                search(placed + 1)
+                order.append(v)
+                search()
+                order.pop()
                 position[v] = -1
 
-        search(0)
+        search()
         return best
+
+
+def _one_strings(successors: list[list[int]]) -> Optional[list[list[int]]]:
+    """The 1-strings, each from its start, when the 1-edges (``successors``
+    per vertex) are disjoint directed paths; None otherwise."""
+    heads = [h for row in successors for h in row]
+    if len(set(heads)) < len(heads) or any(len(row) > 1 for row in successors):
+        return None
+    strings = []
+    for v in sorted(set(range(len(successors))).difference(heads)):
+        string = [v]
+        while successors[string[-1]]:
+            string.append(successors[string[-1]][0])
+        strings.append(string)
+    # The vertices left over lie on 1-cycles.
+    return strings if sum(map(len, strings)) == len(successors) else None
+
+
+def _one_end_cell(successors: list[list[int]]) -> Callable:
+    """The cell of a vertex-by-vertex search for a least code: positions
+    below s take the s vertices without a 1-head, the 1-ends, and the
+    others take the rest.
+
+    A 1-end has an all-zero 1-row wherever it goes and every other vertex
+    has a nonzero one, and the 1-rows are the most significant rows in
+    position order.  So a placement with the 1-ends at positions 0..s-1
+    beats any other, and every minimal code puts them there.
+    """
+    one_ends = sum(not heads for heads in successors)
+
+    def cell(order: list[int], position: list[int]) -> list[int]:
+        needs_head = len(order) >= one_ends
+        return [
+            v for v, heads in enumerate(successors)
+            if position[v] < 0 and bool(heads) == needs_head
+        ]
+
+    return cell
+
+
+@functools.cache
+def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """``c1``, the least code of 1-strings with these ``lengths`` on n
+    positions and no 2-edges, and per position p the slot (first position
+    of p's string in ``c1``, p's offset on it, the string's length).
+
+    The vertex-by-vertex search finds ``c1`` on a forest with these
+    lengths; each process does so once per n and length multiset.
+    """
+    successors = [[v + 1] for v in range(n)]
+    for end in itertools.accumulate(lengths):
+        successors[end - 1] = []
+    encoder = _Encoder(n)
+    c1 = encoder._least_code([successors, [[]] * n], _one_end_cell(successors))
+    successors = [[] for _ in range(n)]
+    for i, j, _ in encoder.decode(c1):
+        successors[i].append(j)
+    slots = [(0, 0, 0)] * n
+    for string in _one_strings(successors):
+        for offset, p in enumerate(string):
+            slots[p] = (min(string), offset, len(string))
+    return c1, tuple(slots)
 
 
 def _vertex_names(n: int) -> tuple[str, ...]:

@@ -168,25 +168,19 @@ class CycleCertificate:
 def check_degree_axiom(g: ColoredDigraph) -> ViolationReport:
     """Check axiom (B0): per color, in- and out-degree at most 1 everywhere.
 
-    Returns one violation per (vertex, color, direction) excess.
+    Returns one violation per (vertex, color, direction) excess.  Only the
+    ports holding more than one edge are visited; the report sorts them.
     """
-    violations = []
-    for v in g.vertices:
-        for color in COLORS:
-            n_out = len(g.out_edges(v, color))
-            if n_out > 1:
-                violations.append(Violation(
-                    clause=CLAUSE_B0,
-                    at=v,
-                    detail=f"vertex {v!r} has {n_out} leaving {color}-edges (at most 1 allowed)",
-                ))
-            n_in = len(g.in_edges(v, color))
-            if n_in > 1:
-                violations.append(Violation(
-                    clause=CLAUSE_B0,
-                    at=v,
-                    detail=f"vertex {v!r} has {n_in} entering {color}-edges (at most 1 allowed)",
-                ))
+    violations = [
+        Violation(
+            clause=CLAUSE_B0,
+            at=v,
+            detail=f"vertex {v!r} has {len(edges)} {word} {color}-edges (at most 1 allowed)",
+        )
+        for ports, word in ((g._out, "leaving"), (g._in, "entering"))
+        for (color, v), edges in ports.items()
+        if len(edges) > 1
+    ]
     return ViolationReport.build(g, violations)
 
 
@@ -202,11 +196,15 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
         return memo
     if color not in COLORS:
         raise ValueError(f"color must be one of {COLORS}, got {color!r}")
-    for v in g.vertices:
-        if len(g.out_edges(v, color)) > 1 or len(g.in_edges(v, color)) > 1:
-            raise DegreeAxiomError(
-                f"vertex {v!r} violates (B0) in color {color}; strings are undefined"
-            )
+    offenders = [
+        v for ports in (g._out, g._in) for (c, v), edges in ports.items()
+        if c == color and len(edges) > 1
+    ]
+    if offenders:
+        v = min(offenders, key=g.vertex_index)
+        raise DegreeAxiomError(
+            f"vertex {v!r} violates (B0) in color {color}; strings are undefined"
+        )
 
     strings = []
     covered = set()

@@ -196,6 +196,19 @@ def test_enumerate_six_vertices_output_is_pinned():
     )
 
 
+def test_enumerate_seven_vertices_output_is_pinned():
+    result = run_cli("enumerate", "--max-vertices", "7")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 40_007
+    assert Counter(len(json.loads(line)["vertices"]) for line in lines) == {
+        **CANONICAL_COUNTS, 7: 35_427
+    }
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "68eec5c5fc906afa12e967c4b7892694d6f32ad52dee8e6a0edee764d157371a"
+    )
+
+
 def test_enumerate_no_canonical_gives_more():
     canonical = run_cli("enumerate", "--max-vertices", "2")
     labeled = run_cli("enumerate", "--max-vertices", "2", "--no-canonical")

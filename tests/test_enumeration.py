@@ -54,6 +54,33 @@ from helpers import (
 )
 
 
+def _partitions(n: int, largest: int | None = None):
+    """The multisets of positive integers summing to n, as ascending tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield rest + (part,)
+
+
+def _forest(lengths) -> tuple[tuple[int, int, int], ...]:
+    """1-strings with these lengths on consecutive positions, no 2-edges."""
+    edges, start = [], 0
+    for length in lengths:
+        edges += [(v, v + 1, 1) for v in range(start, start + length - 1)]
+        start += length
+    return tuple(edges)
+
+
+def _vertex_search(encoder, edges) -> int:
+    """The least code by the vertex-by-vertex search with the 1-end cell."""
+    heads = [[[] for _ in range(encoder.n)] for _ in (1, 2)]
+    for i, j, color in set(edges):
+        heads[color - 1][i].append(j)
+    return encoder._least_code(heads, enumeration._one_end_cell(heads[0]))
+
+
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
 
@@ -202,9 +229,75 @@ class TestCanonicalCode:
             assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
             checked += 1
 
+    def test_one_block_matches_permutation_scan_on_every_forest(self):
+        # c1 depends only on the 1-string lengths: one forest per multiset.
+        forests = 0
+        for n in range(1, 8):
+            encoder = enumeration._Encoder(n)
+            for lengths in _partitions(n):
+                c1, _ = enumeration._one_block(n, lengths)
+                assert c1 == brute_canonical_code(encoder, _forest(lengths))
+                forests += 1
+        assert forests == 44
+
+    def test_string_search_matches_vertex_search_on_row_classes(self):
+        # Every class of rows 1 to 6 and 500 seeded classes of row 7, each
+        # as its canonical form (or sampled candidate) and under three
+        # random relabelings.
+        rng = random.Random(20261018)
+        classes = [
+            (n, enumeration._Encoder(n).decode(code))
+            for n in range(1, 7) for code in _row_codes(n)
+        ]
+        encoder = enumeration._Encoder(7)
+        injections = [
+            [edges for size in enumeration._partial_injections(7, color) for edges in size]
+            for color in (1, 2)
+        ]
+        keys = set()
+        while len(keys) < 500:
+            edges = rng.choice(injections[0]) + rng.choice(injections[1])
+            key = encoder.port_key(edges)
+            if key >= 0 and key not in keys:
+                keys.add(key)
+                classes.append((7, edges))
+        assert len(classes) == sum(CANONICAL_COUNTS.values()) + 500
+        for n, edges in classes:
+            encoder = enumeration._Encoder(n)
+            expected = _vertex_search(encoder, edges)
+            assert encoder.canonical_code(edges) == expected
+            for _ in range(3):
+                perm = rng.sample(range(n), n)
+                relabeled = tuple((perm[i], perm[j], color) for i, j, color in edges)
+                assert encoder.canonical_code(relabeled) == expected
+
+    def test_row_six_reaches_the_vertex_search_only_for_one_blocks(self, monkeypatch):
+        # The vertex-by-vertex search runs only inside ``_one_block``, once
+        # per 1-string length multiset, on its forest without 2-edges.
+        forests = []
+        one_end_cell = enumeration._one_end_cell
+
+        def counting(successors):
+            forests.append(successors)
+            return one_end_cell(successors)
+
+        monkeypatch.setattr(enumeration, "_one_end_cell", counting)
+        enumeration._one_block.cache_clear()
+        assert len(_row_codes(6)) == CANONICAL_COUNTS[6]
+        assert 1 <= len(forests) <= 11
+        multisets = set()
+        for successors in forests:
+            lengths = tuple(sorted(map(len, enumeration._one_strings(successors))))
+            edges = tuple((v, w, 1) for v, heads in enumerate(successors) for w in heads)
+            assert edges == _forest(lengths)
+            multisets.add(lengths)
+        assert len(multisets) == len(forests)
+
     def test_one_ends_come_first(self):
-        # The search's first cell: no canonical code has a 1-edge whose tail
-        # sits below s, the number of vertices without a 1-head.
+        # Both searches put the 1-ends first: the vertex search in its first
+        # cell, the string search because ``c1`` does.  So no canonical code
+        # has a 1-edge whose tail sits below s, the number of vertices
+        # without a 1-head.
         checked = 0
         for n in range(1, 7):
             for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n)):

@@ -80,6 +80,19 @@ class TestStringDecomposition:
         with pytest.raises(DegreeAxiomError):
             decompose_strings(g, 1)
 
+    def test_degree_violation_names_the_first_offender_in_declared_order(self):
+        # "c" leaves two 1-edges and "d", declared first, enters two; a
+        # 2-edge offender does not count for color 1.
+        g = graph(
+            ["d", "a", "b", "c"],
+            [("c", "a", 1), ("c", "b", 1), ("a", "d", 1), ("b", "d", 1),
+             ("b", "a", 2), ("b", "c", 2)],
+        )
+        with pytest.raises(DegreeAxiomError, match="vertex 'd' violates"):
+            decompose_strings(g, 1)
+        with pytest.raises(DegreeAxiomError, match="vertex 'b' violates .* color 2"):
+            decompose_strings(g, 2)
+
     def test_monochromatic_cycle_is_an_error(self):
         g = graph(["a", "b"], [("a", "b", 1), ("b", "a", 1)])
         with pytest.raises(MonochromaticCycleError) as err:
