@@ -41,6 +41,7 @@ from .errors import (
     CrystalCheckError,
     DegreeAxiomError,
     DocumentError,
+    GraphError,
     LabelingError,
     MarkingError,
     MonochromaticCycleError,

@@ -8,13 +8,21 @@ Output is byte-identical across runs on identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .axioms import Labeling, check_global, check_local, infer_labelings, labels_from_marking
 from .documents import GraphDocument, document_from_graph, dumps_document, parse_document
-from .enumeration import GraphStream, census, census_rows_to_csv, enumerate_graphs
+from .enumeration import (
+    GraphStream,
+    census,
+    census_rows_to_csv,
+    enumerate_graphs,
+    resolve_workers,
+)
 from .errors import BudgetError, CounterexampleError, CrystalCheckError, DocumentError
 from .graph import (
     ColoredDigraph,
@@ -88,6 +96,73 @@ def _structural_checks(g: ColoredDigraph) -> list[dict]:
         cycle = [_cycle_violation(potential)] if isinstance(potential, CycleCertificate) else []
         checks.append({"check": "acyclicity", "violations": cycle})
     return checks
+
+
+def _dumps_indented(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without its
+    pure-Python encoder.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises ``TypeError``.  Strings are escaped by the C
+    escaper that ``json.dumps`` uses.
+    """
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    parts: list[str] = []
+    _write_indented(value, "\n", parts.append)
+    return "".join(parts)
+
+
+# Exact types only: a subclass of one of these raises TypeError.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write_indented(value, newline: str, put) -> None:
+    """Put the pieces of one container, which starts on a line indented as
+    ``newline`` ends.  Scalars are encoded in line; a list of strings is one
+    join."""
+    kind = type(value)
+    if kind is dict:
+        opener, closer = "{", "}"
+    elif kind is list or kind is tuple:
+        opener, closer = "[", "]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        put(opener + closer)
+        return
+    inner = newline + "  "
+    separator = opener + inner
+    if kind is not dict:
+        if {*map(type, value)} == {str}:
+            put(separator + ("," + inner).join(map(_quote, value)) + newline + closer)
+            return
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                put(separator + encode(item))
+            else:
+                put(separator)
+                _write_indented(item, inner, put)
+            separator = "," + inner
+    else:
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                put(separator + _quote(key) + ": " + encode(item))
+            else:
+                put(separator + _quote(key) + ": ")
+                _write_indented(item, inner, put)
+            separator = "," + inner
+    put(newline + closer)
 
 
 def _render_text(result: dict) -> str:
@@ -214,7 +289,7 @@ def _cmd_validate(args) -> int:
     result["ok"] = not any_violation and not predicate_fail
 
     if args.format == "json":
-        print(json.dumps(result, indent=2))
+        print(_dumps_indented(result))
     else:
         print(_render_text(result))
     return EXIT_OK if result["ok"] else EXIT_VIOLATIONS
@@ -228,7 +303,7 @@ def _cmd_infer(args) -> int:
     g = doc.graph
     for check in _structural_checks(g):
         if check["violations"]:
-            print(json.dumps({"command": "infer", "violations": check["violations"]}, indent=2))
+            print(_dumps_indented({"command": "infer", "violations": check["violations"]}))
             return EXIT_VIOLATIONS
 
     for lab in infer_labelings(g):
@@ -239,6 +314,9 @@ def _cmd_infer(args) -> int:
 def _cmd_enumerate(args) -> int:
     try:
         stream = GraphStream(max_vertices=args.max_vertices, canonical=not args.no_canonical)
+        # The stream reads CRYSTALCHECK_THREADS once it starts; a bad value
+        # is refused here, before any output.
+        resolve_workers()
     except ValueError as exc:
         _error(str(exc))
         return EXIT_INPUT
@@ -271,7 +349,10 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves no state
+    on it."""
     parser = argparse.ArgumentParser(
         prog="crystalcheck",
         description="Validate, label, enumerate, and census 2-colored crystal graphs.",

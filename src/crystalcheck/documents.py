@@ -16,14 +16,17 @@ kind plus a location, so callers can report precisely what was wrong.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .axioms import LABEL_VALUES, CentralMarking, Labeling
-from .errors import DocumentError
+from .errors import DocumentError, GraphError
 from .graph import ColoredDigraph, Edge
 
 _TOP_LEVEL_KEYS = ("vertices", "edges", "labels", "centers")
+# The code points UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _EDGE_KEYS = {"from", "to", "color"}
 _CENTERS_KEYS = {"vertices", "edges_1"}
 
@@ -41,6 +44,41 @@ def _require_str_list(value, kind: str, location: str) -> list[str]:
     if not isinstance(value, list) or any(not isinstance(x, str) for x in value):
         raise DocumentError(kind, location, "expected an array of strings")
     return value
+
+
+# Where and how a document reports each ``GraphError`` kind; ``{0}`` is the
+# error's value and ``{1}`` its index.
+_GRAPH_FAULTS = {
+    "empty-vertex-set": ("vertices", "a graph must declare at least one vertex"),
+    "duplicate-vertex": ("vertices[{1}]", "vertex {0!r} declared twice"),
+    "unknown-color": ("edges[{1}]", "color must be 1 or 2, got {0!r}"),
+    "dangling-endpoint": ("edges[{1}]", "undeclared vertex {0!r}"),
+    "self-loop": ("edges[{1}]", "self-loop at {0!r}"),
+    "duplicate-edge": ("edges[{1}]", "duplicate edge {0}"),
+}
+
+
+def _graph(vertices, edges) -> ColoredDigraph:
+    """The graph on these vertices and edges, or the ``DocumentError`` for
+    its first fault."""
+    try:
+        return ColoredDigraph(vertices=vertices, edges=edges)
+    except GraphError as exc:
+        location, message = (
+            text.format(exc.value, exc.index) for text in _GRAPH_FAULTS[exc.kind]
+        )
+        raise DocumentError(exc.kind, location, message) from exc
+
+
+def _edge_shape_fault(item) -> Optional[str]:
+    """What is wrong with the shape of one edge item, or None."""
+    if type(item) is not dict:
+        return "edge must be an object"
+    if item.keys() != _EDGE_KEYS:
+        return f"edge object must have exactly the keys {sorted(_EDGE_KEYS)}"
+    if type(item["from"]) is not str or type(item["to"]) is not str:
+        return "'from' and 'to' must be strings"
+    return None
 
 
 def parse_document(data: Union[bytes, str]) -> GraphDocument:
@@ -73,52 +111,28 @@ def parse_document(data: Union[bytes, str]) -> GraphDocument:
             raise DocumentError("invalid-structure", key, f"missing required key {key!r}")
 
     vertices = _require_str_list(raw["vertices"], "invalid-structure", "vertices")
-    if not vertices:
-        raise DocumentError("empty-vertex-set", "vertices", "a graph must declare at least one vertex")
-    declared = set()
-    for i, v in enumerate(vertices):
-        if v in declared:
-            raise DocumentError("duplicate-vertex", f"vertices[{i}]", f"vertex {v!r} declared twice")
-        # A JSON escape can spell a lone surrogate, which no output can encode.
-        try:
-            v.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DocumentError(
-                "malformed-syntax", f"vertices[{i}]", "vertex id is not valid UTF-8"
-            ) from exc
-        declared.add(v)
+    # A JSON escape can spell a lone surrogate, which no output can encode.
+    # Each fault the parser finds itself is raised only after the graph
+    # built from everything before it, so the first fault in document
+    # order wins.
+    if _SURROGATE.search("".join(vertices)):
+        i = next(i for i, v in enumerate(vertices) if _SURROGATE.search(v))
+        if i:
+            _graph(vertices[:i], ())
+        raise DocumentError("malformed-syntax", f"vertices[{i}]", "vertex id is not valid UTF-8")
 
-    if not isinstance(raw["edges"], list):
+    raw_edges = raw["edges"]
+    if not isinstance(raw_edges, list):
+        _graph(vertices, ())
         raise DocumentError("invalid-structure", "edges", "expected an array of edge objects")
     edges: list[Edge] = []
-    seen_triples = set()
-    for i, item in enumerate(raw["edges"]):
-        loc = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise DocumentError("invalid-structure", loc, "edge must be an object")
-        if set(item) != _EDGE_KEYS:
-            raise DocumentError(
-                "invalid-structure", loc,
-                f"edge object must have exactly the keys {sorted(_EDGE_KEYS)}",
-            )
-        tail, head, color = item["from"], item["to"], item["color"]
-        if not isinstance(tail, str) or not isinstance(head, str):
-            raise DocumentError("invalid-structure", loc, "'from' and 'to' must be strings")
-        # bool is an int subclass; reject it explicitly.
-        if isinstance(color, bool) or not isinstance(color, int) or color not in (1, 2):
-            raise DocumentError("unknown-color", loc, f"color must be 1 or 2, got {color!r}")
-        for endpoint in (tail, head):
-            if endpoint not in declared:
-                raise DocumentError("dangling-endpoint", loc, f"undeclared vertex {endpoint!r}")
-        if tail == head:
-            raise DocumentError("self-loop", loc, f"self-loop at {tail!r}")
-        triple = (tail, head, color)
-        if triple in seen_triples:
-            raise DocumentError("duplicate-edge", loc, f"duplicate edge {triple}")
-        seen_triples.add(triple)
-        edges.append(Edge(tail=tail, head=head, color=color))
-
-    graph = ColoredDigraph(vertices=tuple(vertices), edges=tuple(edges))
+    for i, item in enumerate(raw_edges):
+        fault = _edge_shape_fault(item)
+        if fault is not None:
+            _graph(vertices, edges)
+            raise DocumentError("invalid-structure", f"edges[{i}]", fault)
+        edges.append(Edge(item["from"], item["to"], item["color"]))
+    graph = _graph(vertices, edges)
 
     labels = None
     if "labels" in raw:
@@ -230,3 +244,4 @@ def serialize_graph(
 ) -> bytes:
     """Serialize to the document format; parsing the result round-trips."""
     return dumps_document(document_from_graph(g, labels, marking)).encode("utf-8")
+

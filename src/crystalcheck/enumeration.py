@@ -16,13 +16,14 @@ injections, one per color, so each is acyclic and (B0).  The port key, a
 cheaper complete invariant, drops the disconnected ones and sorts the rest
 into isomorphism classes, and one candidate per class is canonicalized.
 This runs in shards, one per pair of 1-edge and 2-edge counts, which a
-census may hand to a process pool.  A canonical stream emits these minimal
-encodings; a labeled stream emits all their relabelings, which are exactly
-the row's labeled graphs.
+census or a stream may hand to a process pool.  A canonical stream emits
+these minimal encodings; a labeled stream emits all their relabelings,
+which are exactly the row's labeled graphs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -457,12 +458,30 @@ def _row_codes(
     return sorted(codes)
 
 
-def _position_graphs_exactly(n: int, stream: GraphStream) -> Iterator[tuple[PositionEdge, ...]]:
+@contextlib.contextmanager
+def _shard_map(workers: int) -> Iterator[Callable]:
+    """The ``map`` that runs a row's shards: the builtin for one worker,
+    else a process pool's, the pool shut down on exit with the shards not
+    yet started dropped."""
+    if workers == 1:
+        yield map
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _position_graphs_exactly(
+    n: int, stream: GraphStream, map_shards: Callable = map
+) -> Iterator[tuple[PositionEdge, ...]]:
     """The stream's edge sets on exactly n positions, in ascending encoding
-    order.  A labeled stream is the relabelings of the row's canonical
-    codes, so the whole row is held before it is sorted."""
+    order, the row's shards run by ``map_shards``.  A labeled stream is the
+    relabelings of the row's canonical codes, so the whole row is held
+    before it is sorted."""
     encoder = _Encoder(n)
-    codes = _row_codes(n)
+    codes = _row_codes(n, map_shards=map_shards)
     if not stream.canonical:
         codes = sorted({relabeled for code in codes for relabeled in encoder.relabelings(code)})
     for code in codes:
@@ -475,11 +494,16 @@ def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
     Graphs come out by increasing vertex count and, within one count, in
     ascending encoding order; two runs yield identical streams.  With
     ``canonical`` set, exactly one representative per isomorphism class is
-    emitted, namely the one with minimal encoding.
+    emitted, namely the one with minimal encoding.  The stream reads
+    CRYSTALCHECK_THREADS when it starts (``resolve_workers``, which raises
+    ``ValueError`` for a bad value); with more than one worker each row's
+    shards run in one process pool, shut down when the stream ends or is
+    closed.  The stream is the same for any worker count.
     """
-    for n in range(1, stream.max_vertices + 1):
-        for edges in _position_graphs_exactly(n, stream):
-            yield graph_from_position_edges(n, edges)
+    with _shard_map(resolve_workers()) as map_shards:
+        for n in range(1, stream.max_vertices + 1):
+            for edges in _position_graphs_exactly(n, stream, map_shards):
+                yield graph_from_position_edges(n, edges)
 
 
 @dataclass(frozen=True)
@@ -579,8 +603,8 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
 
 
 def resolve_workers() -> int:
-    """Worker count for a census's enumeration shards; CRYSTALCHECK_THREADS
-    caps it."""
+    """Worker count for the enumeration shards of a census or a stream;
+    CRYSTALCHECK_THREADS caps it."""
     raw = os.environ.get("CRYSTALCHECK_THREADS")
     if raw is None:
         return 1
@@ -626,10 +650,9 @@ def census(
         raise ValueError(f"census workers must be at least 1, got {workers}")
     deadline = math.inf if budget_seconds is None else time.monotonic() + budget_seconds
     rows: list[CensusRow] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with _shard_map(workers) as map_shards:
         for n in range(1, max_vertices + 1):
-            codes = _row_codes(n, deadline, pool.map if pool is not None else map)
+            codes = _row_codes(n, deadline, map_shards)
             if codes is None:
                 raise BudgetError(budget_seconds, len(rows))
             encoder = _Encoder(n)
@@ -661,8 +684,4 @@ def census(
                     f"{n_labelings} labelings vs {n_markings} markings"
                 )
             rows.append(CensusRow(n, len(codes), n_with_labeling, n_labelings, n_markings))
-    finally:
-        if pool is not None:
-            # Drop the shards not yet started when a row stops early.
-            pool.shutdown(cancel_futures=True)
     return rows

@@ -22,6 +22,25 @@ class DocumentError(CrystalCheckError):
         self.message = message
 
 
+class GraphError(CrystalCheckError, ValueError):
+    """A ``ColoredDigraph`` was given vertices or edges that break one of its
+    invariants.
+
+    ``kind`` names the invariant with the matching document error kind
+    (``"empty-vertex-set"``, ``"duplicate-vertex"``, ``"unknown-color"``,
+    ``"dangling-endpoint"``, ``"self-loop"``, ``"duplicate-edge"``).
+    ``index`` is the position of the offending vertex or edge in the order
+    given (None for an empty vertex set), and ``value`` the offending vertex
+    id, color or ``(tail, head, color)`` triple.
+    """
+
+    def __init__(self, kind: str, index, value, message: str):
+        super().__init__(message)
+        self.kind = kind
+        self.index = index
+        self.value = value
+
+
 class DegreeAxiomError(CrystalCheckError):
     """An operation that requires axiom (B0) was called on a graph violating it."""
 

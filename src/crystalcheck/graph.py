@@ -11,9 +11,10 @@ repeated runs yield identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Union
 
-from .errors import DegreeAxiomError, MonochromaticCycleError
+from .errors import DegreeAxiomError, GraphError, MonochromaticCycleError
 from .violations import CLAUSE_B0, Violation, ViolationReport
 
 COLORS = (1, 2)
@@ -31,20 +32,28 @@ class Edge:
         return (self.tail, self.head, self.color)
 
 
+_TAIL, _HEAD, _COLOR = attrgetter("tail"), attrgetter("head"), attrgetter("color")
+
+
 @dataclass(frozen=True)
 class ColoredDigraph:
     """A finite directed graph whose edges are colored 1 or 2.
 
-    Invariants enforced at construction: endpoints are declared vertices,
-    vertex ids are unique, no self-loops, and no duplicate
+    Invariants enforced at construction: at least one vertex, unique vertex
+    ids, colors 1 or 2, declared endpoints, no self-loops, and no duplicate
     (tail, head, color) triples.  Parallel edges of *different* colors
-    between the same ordered pair are allowed.
+    between the same ordered pair are allowed.  A breach raises
+    ``GraphError`` (a ``ValueError``) naming the first offending vertex or
+    edge in the order given.  This is the one place these invariants are
+    checked; the document parser relies on it.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     _vertex_index: dict = field(init=False, repr=False, compare=False)
     _edge_index: dict = field(init=False, repr=False, compare=False)
+    # The port index: (color, vertex) -> the edges leaving (``_out``) or
+    # entering (``_in``) the vertex in that color, in declared edge order.
     _out: dict = field(init=False, repr=False, compare=False)
     _in: dict = field(init=False, repr=False, compare=False)
     # color -> StringDecomposition, filled by ``decompose_strings``.
@@ -53,39 +62,42 @@ class ColoredDigraph:
     def __post_init__(self):
         # Copied from any iterable, so a generator is read exactly once and
         # a list or set given by the caller cannot change under the graph.
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-
+        vertices = tuple(self.vertices)
+        edges = tuple(self.edges)
+        # Each vertex, then each edge, is checked once and in order, so the
+        # error names the first fault.
         vertex_index: dict[str, int] = {}
-        for pos, v in enumerate(self.vertices):
+        for pos, v in enumerate(vertices):
             if v in vertex_index:
-                raise ValueError(f"duplicate vertex id {v!r}")
+                raise GraphError("duplicate-vertex", pos, v, f"duplicate vertex id {v!r}")
             vertex_index[v] = pos
         if not vertex_index:
-            raise ValueError("graph must have at least one vertex")
+            raise GraphError("empty-vertex-set", None, None, "graph must have at least one vertex")
 
         edge_index: dict[tuple[str, str, int], int] = {}
-        out: dict[tuple[int, str], list[Edge]] = {}
-        inc: dict[tuple[int, str], list[Edge]] = {}
-        for pos, e in enumerate(self.edges):
+        claim = edge_index.setdefault
+        for pos, e in enumerate(edges):
             triple = tail, head, color = e.tail, e.head, e.color
             # An int only: True and 1.0 compare equal to 1 but serialize otherwise.
             if type(color) is not int or color not in COLORS:
-                raise ValueError(f"edge {triple} has color outside {COLORS}")
+                message = f"edge {triple} has color outside {COLORS}"
+                raise GraphError("unknown-color", pos, color, message)
             if tail not in vertex_index or head not in vertex_index:
-                raise ValueError(f"edge {triple} has an undeclared endpoint")
+                end = head if tail in vertex_index else tail
+                message = f"edge {triple} has an undeclared endpoint"
+                raise GraphError("dangling-endpoint", pos, end, message)
             if tail == head:
-                raise ValueError(f"self-loop at {tail!r}")
-            if triple in edge_index:
-                raise ValueError(f"duplicate edge {triple}")
-            edge_index[triple] = pos
-            out.setdefault((color, tail), []).append(e)
-            inc.setdefault((color, head), []).append(e)
+                raise GraphError("self-loop", pos, tail, f"self-loop at {tail!r}")
+            if claim(triple, pos) != pos:
+                raise GraphError("duplicate-edge", pos, triple, f"duplicate edge {triple}")
 
+        colors = tuple(map(_COLOR, edges))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_index", vertex_index)
         object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_in", {k: tuple(v) for k, v in inc.items()})
+        object.__setattr__(self, "_out", _ports(colors, tuple(map(_TAIL, edges)), edges))
+        object.__setattr__(self, "_in", _ports(colors, tuple(map(_HEAD, edges)), edges))
         object.__setattr__(self, "_strings", {})
 
     # -- basic accessors -------------------------------------------------
@@ -114,6 +126,19 @@ class ColoredDigraph:
 
     def edges_of_color(self, color: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.color == color)
+
+
+def _ports(colors: tuple, ends: tuple, edges: tuple) -> dict:
+    """Map each (color, vertex) port to its edges, in edge order.  Under (B0)
+    no two edges share a port, and each port is a 1-tuple made in one
+    sweep; otherwise the edges are grouped."""
+    ports = dict(zip(zip(colors, ends), zip(edges)))
+    if len(ports) == len(edges):
+        return ports
+    grouped: dict = {}
+    for key, e in zip(zip(colors, ends), edges):
+        grouped.setdefault(key, []).append(e)
+    return {key: tuple(port) for key, port in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -246,10 +271,38 @@ def find_potential(g: ColoredDigraph) -> Union[Potential, CycleCertificate]:
     The potential is the longest-path depth from the sources: an integer in
     [0, |V|-1] with pi(u) < pi(v) on every edge.  A graph admits such a
     function exactly when it is acyclic.
+
+    One in-degree (Kahn) sweep over the port index places each vertex once
+    all its in-edges are placed, when its depth is final.  A vertex left
+    unplaced lies on or behind a cycle; only then does a depth-first search
+    run, to name the cycle.
     """
+    out_get = g._out.get
+    waiting = dict.fromkeys(g.vertices, 0)
+    for (_, head), edges in g._in.items():
+        waiting[head] += len(edges)
+    depth = dict.fromkeys(g.vertices, 0)
+    placed = [v for v, count in waiting.items() if not count]
+    for v in placed:  # grows while it is read
+        d = depth[v] + 1
+        for e in out_get((1, v), ()) + out_get((2, v), ()):
+            w = e.head
+            if depth[w] < d:
+                depth[w] = d
+            count = waiting[w] - 1
+            waiting[w] = count
+            if not count:
+                placed.append(w)
+    if len(placed) < len(depth):
+        return _first_cycle(g)
+    return Potential(values=depth)
+
+
+def _first_cycle(g: ColoredDigraph) -> CycleCertificate:
+    """The first cycle a depth-first search meets, roots and successors
+    taken in declared order."""
     WHITE, GRAY, BLACK = 0, 1, 2
     state = {v: WHITE for v in g.vertices}
-    postorder: list[str] = []
 
     def successors(v: str) -> list[str]:
         return [e.head for e in g.out_edges(v, 1) + g.out_edges(v, 2)]
@@ -275,40 +328,31 @@ def find_potential(g: ColoredDigraph) -> Union[Potential, CycleCertificate]:
             else:
                 stack.pop()
                 state[v] = BLACK
-                postorder.append(v)
-
-    depth = {v: 0 for v in g.vertices}
-    for v in reversed(postorder):  # topological order
-        for e in g.in_edges(v, 1) + g.in_edges(v, 2):
-            depth[v] = max(depth[v], depth[e.tail] + 1)
-    return Potential(values=depth)
+    raise AssertionError("the in-degree sweep left a vertex unplaced in an acyclic graph")
 
 
 def weak_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
     """Partition the vertex set into weakly-connected components.
 
     Components are ordered by their first vertex in declared order, and each
-    component lists its vertices in declared order.
+    component lists its vertices in declared order.  One union-find sweep
+    over the edges (with path halving) joins their ends; reading the
+    vertices in declared order then lists each component as its roots are
+    met, so nothing is sorted.
     """
-    neighbors: dict[str, set[str]] = {v: set() for v in g.vertices}
+    root = dict(zip(g.vertices, g.vertices))
     for e in g.edges:
-        neighbors[e.tail].add(e.head)
-        neighbors[e.head].add(e.tail)
-
-    seen: set[str] = set()
-    components = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        component = {start}
-        while stack:
-            v = stack.pop()
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    component.add(w)
-                    stack.append(w)
-        components.append(tuple(sorted(component, key=g.vertex_index)))
-    return tuple(components)
+        a, b = e.tail, e.head
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[b] = a
+    components: dict[str, list[str]] = {}
+    for v in g.vertices:
+        r = v
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        components.setdefault(r, []).append(v)
+    return tuple(map(tuple, components.values()))

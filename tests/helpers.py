@@ -1,10 +1,11 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
-The oracles here (Kahn cycle test, permutation isomorphism test, minimal
-encoding over all vertex permutations, least breadth-first renumbering
-over all roots, every (B0) edge set, the (B1) slot product, valid markings
-among all subsets) are kept independent of the library's own algorithms
-so the two can check each other.
+The oracles here (Kahn cycle test, depth-first potential, neighbor-set
+components, the one-loop document parser, permutation isomorphism test,
+minimal encoding over all vertex permutations, least breadth-first
+renumbering over all roots, every (B0) edge set, the (B1) slot product,
+valid markings among all subsets) are kept independent of the library's
+own algorithms so the two can check each other.
 """
 
 from __future__ import annotations
@@ -15,8 +16,19 @@ import random
 
 from hypothesis import strategies as st
 
-from crystalcheck import CentralMarking, ColoredDigraph, Edge, Labeling, check_global
+from crystalcheck import (
+    CentralMarking,
+    ColoredDigraph,
+    CycleCertificate,
+    DocumentError,
+    Edge,
+    GraphDocument,
+    Labeling,
+    Potential,
+    check_global,
+)
 from crystalcheck.axioms import LABEL_VALUES
+from crystalcheck.documents import _parse_centers, _parse_labels
 from crystalcheck.graph import StringDecomposition
 
 
@@ -138,6 +150,141 @@ def kahn_is_acyclic(g: ColoredDigraph) -> bool:
             if indegree[w] == 0:
                 queue.append(w)
     return done == len(g.vertices)
+
+
+def dfs_potential(g: ColoredDigraph):
+    """Longest-path depths by a depth-first postorder, or the first cycle
+    the search meets (roots and successors in declared order): the
+    potential and certificate a one-pass in-degree sweep must reproduce."""
+    state = {v: 0 for v in g.vertices}  # 0 unvisited, 1 on the stack, 2 done
+    postorder = []
+
+    def successors(v):
+        return [e.head for e in g.out_edges(v, 1) + g.out_edges(v, 2)]
+
+    for root in g.vertices:
+        if state[root]:
+            continue
+        stack = [(root, successors(root))]
+        state[root] = 1
+        while stack:
+            v, pending = stack[-1]
+            if pending:
+                nxt = pending.pop(0)
+                if state[nxt] == 1:
+                    path = [frame[0] for frame in stack]
+                    return CycleCertificate(vertices=tuple(path[path.index(nxt):] + [nxt]))
+                if not state[nxt]:
+                    state[nxt] = 1
+                    stack.append((nxt, successors(nxt)))
+            else:
+                stack.pop()
+                state[v] = 2
+                postorder.append(v)
+    depth = {v: 0 for v in g.vertices}
+    for v in reversed(postorder):
+        for e in g.in_edges(v, 1) + g.in_edges(v, 2):
+            depth[v] = max(depth[v], depth[e.tail] + 1)
+    return Potential(values=depth)
+
+
+def neighbor_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
+    """Weak components by search over per-vertex neighbor sets, each listed
+    in declared order, ordered by first vertex."""
+    neighbors = {v: set() for v in g.vertices}
+    for e in g.edges:
+        neighbors[e.tail].add(e.head)
+        neighbors[e.head].add(e.tail)
+    seen = set()
+    components = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for w in neighbors[stack.pop()] - component:
+                component.add(w)
+                stack.append(w)
+        seen |= component
+        components.append(tuple(v for v in g.vertices if v in component))
+    return tuple(components)
+
+
+def parse_document_oracle(data) -> GraphDocument:
+    """The document parser as one loop that checks every vertex and edge in
+    document order, shape and graph checks interleaved; labels and centers
+    are read by the library's own readers."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError("malformed-syntax", "<document>", f"not valid UTF-8: {exc}")
+    try:
+        raw = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise DocumentError("malformed-syntax", f"line {exc.lineno} column {exc.colno}", exc.msg)
+    except RecursionError:
+        raise DocumentError("malformed-syntax", "<document>", "nesting too deep")
+    except ValueError:
+        raise DocumentError("malformed-syntax", "<document>", "integer literal too long")
+
+    if not isinstance(raw, dict):
+        raise DocumentError("invalid-structure", "<document>", "top level must be a JSON object")
+    for key in raw:
+        if key not in ("vertices", "edges", "labels", "centers"):
+            raise DocumentError("unknown-key", key, f"unknown top-level key {key!r}")
+    for key in ("vertices", "edges"):
+        if key not in raw:
+            raise DocumentError("invalid-structure", key, f"missing required key {key!r}")
+
+    vertices = raw["vertices"]
+    if not isinstance(vertices, list) or any(not isinstance(x, str) for x in vertices):
+        raise DocumentError("invalid-structure", "vertices", "expected an array of strings")
+    if not vertices:
+        raise DocumentError("empty-vertex-set", "vertices", "a graph must declare at least one vertex")
+    declared = set()
+    for i, v in enumerate(vertices):
+        if v in declared:
+            raise DocumentError("duplicate-vertex", f"vertices[{i}]", f"vertex {v!r} declared twice")
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DocumentError("malformed-syntax", f"vertices[{i}]", "vertex id is not valid UTF-8")
+        declared.add(v)
+
+    if not isinstance(raw["edges"], list):
+        raise DocumentError("invalid-structure", "edges", "expected an array of edge objects")
+    edges = []
+    seen_triples = set()
+    for i, item in enumerate(raw["edges"]):
+        loc = f"edges[{i}]"
+        if not isinstance(item, dict):
+            raise DocumentError("invalid-structure", loc, "edge must be an object")
+        if set(item) != {"from", "to", "color"}:
+            raise DocumentError(
+                "invalid-structure", loc,
+                "edge object must have exactly the keys ['color', 'from', 'to']",
+            )
+        tail, head, color = item["from"], item["to"], item["color"]
+        if not isinstance(tail, str) or not isinstance(head, str):
+            raise DocumentError("invalid-structure", loc, "'from' and 'to' must be strings")
+        if isinstance(color, bool) or not isinstance(color, int) or color not in (1, 2):
+            raise DocumentError("unknown-color", loc, f"color must be 1 or 2, got {color!r}")
+        for endpoint in (tail, head):
+            if endpoint not in declared:
+                raise DocumentError("dangling-endpoint", loc, f"undeclared vertex {endpoint!r}")
+        if tail == head:
+            raise DocumentError("self-loop", loc, f"self-loop at {tail!r}")
+        triple = (tail, head, color)
+        if triple in seen_triples:
+            raise DocumentError("duplicate-edge", loc, f"duplicate edge {triple}")
+        seen_triples.add(triple)
+        edges.append(Edge(tail=tail, head=head, color=color))
+
+    g = ColoredDigraph(vertices=tuple(vertices), edges=tuple(edges))
+    labels = _parse_labels(raw["labels"], g) if "labels" in raw else None
+    marking = _parse_centers(raw["centers"], g) if "centers" in raw else None
+    return GraphDocument(graph=g, labels=labels, marking=marking)
 
 
 def brute_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:

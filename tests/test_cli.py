@@ -1,18 +1,36 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior through real subprocesses, and through
+``cli.main`` in process where a test needs one process's state."""
 
 from __future__ import annotations
 
+import contextlib
+import enum
 import hashlib
+import io
 import json
+import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crystalcheck import infer_labelings, parse_graph
+from crystalcheck import (
+    ColoredDigraph,
+    GraphStream,
+    check_corollary2,
+    check_corollary3,
+    cli,
+    enumerate_graphs,
+    infer_labelings,
+    parse_graph,
+)
+from crystalcheck.cli import _dumps_indented
 
 from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS, LABELED_COUNTS
 
@@ -196,6 +214,24 @@ def test_enumerate_six_vertices_output_is_pinned():
     )
 
 
+def test_enumerate_six_vertices_on_two_workers_is_pinned():
+    # The shards of each row run on a pool; the stream is unchanged.
+    result = run_cli("enumerate", "--max-vertices", "6", env_extra={"CRYSTALCHECK_THREADS": "2"})
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "7d403346b8728937fdf3e1b205993cd61ce8e5abd16d85e1c80c6ec938e60a5c"
+    )
+
+
+def test_enumerate_invalid_threads_env():
+    result = run_cli("enumerate", "--max-vertices", "2",
+                     env_extra={"CRYSTALCHECK_THREADS": "nope"})
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"CRYSTALCHECK_THREADS" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+
 def test_enumerate_seven_vertices_output_is_pinned():
     result = run_cli("enumerate", "--max-vertices", "7")
     assert result.returncode == 0
@@ -368,3 +404,152 @@ def test_hostile_json_exits_2_without_traceback(command, name):
     assert b"crystalcheck: error: malformed-syntax" in result.stderr
     assert b"Traceback" not in result.stderr
     assert b"sys." not in result.stderr
+
+
+# -- the report writer against json.dumps(indent=2) --------------------------
+
+class _Color(enum.IntEnum):
+    ONE = 1
+
+
+class _Name(str):
+    pass
+
+
+# Every code point, lone surrogates and control characters included.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_SCALARS = (
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1, True, False])
+    | st.integers() | st.integers(min_value=-(10 ** 60), max_value=10 ** 60) | _TEXT
+)
+_SUPPORTED = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+# Values json.dumps would encode (or refuse) but the writer does not take.
+_UNSUPPORTED = (
+    st.floats() | st.sets(st.integers(), max_size=2) | st.binary(max_size=3)
+    | st.just(_Color.ONE) | _TEXT.map(_Name) | st.builds(object)
+    | st.dictionaries(st.integers() | st.none() | st.booleans() | st.floats(), _SCALARS,
+                      min_size=1, max_size=2)
+)
+_CONTAINING_UNSUPPORTED = st.recursive(
+    _UNSUPPORTED,
+    lambda children: (
+        st.lists(children, min_size=1, max_size=3)
+        | st.tuples(_SUPPORTED, children)
+        | st.dictionaries(_TEXT, children, min_size=1, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=500)
+@given(_SUPPORTED)
+@example({})
+@example([])
+@example({"a": {}, "b": [[], {}], "c": [{"d": []}]})
+@example([[[]], [{}], ()])
+@example({"\x00\x1f\x7f 𐏿\U0001f600": "\"\\\n\t"})
+@example([True, 1, False, 0, None, 10 ** 100, -(10 ** 100)])
+def test_writer_matches_json_dumps_indent_2(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=300)
+@given(_CONTAINING_UNSUPPORTED)
+@example(1.0)
+@example({1: "a"})
+@example([_Color.ONE])
+@example({"a": [_Name("b")]})
+def test_writer_refuses_what_it_does_not_take(value):
+    with pytest.raises(TypeError):
+        _dumps_indented(value)
+
+
+# -- in process ---------------------------------------------------------------
+
+def main_in_process(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
+    # Two components with valid labels: the defaults (auto mode,
+    # connectivity enforced, JSON) give exit 1 with a JSON report, and the
+    # options of the call between must not leak into a later call.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b"], "edges": [], "labels": {"a": "c", "b": "c"},
+    }))
+    defaults = ("validate", str(path))
+    cli.build_parser.cache_clear()
+    fresh = main_in_process(*defaults)
+    assert fresh[0] == 1 and json.loads(fresh[1])["mode"] == "labels"
+    options = main_in_process("validate", str(path), "--mode", "auto",
+                              "--no-require-connected", "--format", "text")
+    assert options[0] == 0 and options[1].startswith("graph: 2 vertices")
+    assert main_in_process(*defaults) == fresh
+    assert main_in_process("infer", str(path)) == (0, '{"a":"c","b":"c"}\n')
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def labelable_pieces() -> list[tuple[ColoredDigraph, dict, bool]]:
+    """Every census graph on at most five vertices with a labeling, its one
+    labeling, and whether a corollary fails on it."""
+    pieces = []
+    for g in enumerate_graphs(GraphStream(max_vertices=5)):
+        labelings = infer_labelings(g)
+        if labelings:
+            (lab,) = labelings
+            fails = any(report.status == "fails"
+                        for report in (check_corollary2(g, lab), check_corollary3(g, lab)))
+            pieces.append((g, lab.labels, fails))
+    return pieces
+
+
+def test_ten_thousand_vertex_document_in_linear_passes(tmp_path):
+    # A disjoint union of renamed labelable census graphs, declared in a
+    # shuffled order: its one labeling is the union of theirs.
+    pieces = labelable_pieces()
+    assert len(pieces) == 27
+    rng = random.Random(10_000)
+    vertices, edges, labels, fails = [], [], {}, False
+    while len(vertices) < 10_000:
+        g, piece_labels, piece_fails = pieces[len(labels) % len(pieces)]
+        name = {v: f"p{len(vertices)}.{v}" for v in g.vertices}
+        vertices.extend(name.values())
+        edges.extend({"from": name[e.tail], "to": name[e.head], "color": e.color} for e in g.edges)
+        labels.update((name[v], piece_labels[v]) for v in g.vertices)
+        fails = fails or piece_fails
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    labels = {v: labels[v] for v in vertices}
+    labeled, bare = tmp_path / "labeled.json", tmp_path / "bare.json"
+    labeled.write_text(json.dumps({"vertices": vertices, "edges": edges, "labels": labels}))
+    bare.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    expected = 1 if fails else 0
+
+    start = time.perf_counter()
+    code, out = main_in_process(
+        "validate", str(labeled), "--mode", "labels", "--no-require-connected"
+    )
+    assert code == expected
+    report = json.loads(out)
+    assert report["graph"]["vertices"] == len(vertices)
+    assert not any(check["violations"] for check in report["checks"])
+    code, out = main_in_process("validate", str(bare), "--no-require-connected")
+    assert code == expected
+    assert [entry["labels"] for entry in json.loads(out)["labelings"]] == [labels]
+    code, out = main_in_process("infer", str(bare))
+    assert (code, out) == (0, json.dumps(labels, separators=(",", ":")) + "\n")
+    # All three took about 1 s on a 2-vCPU host; the bound leaves room for
+    # a slow or loaded machine, not for a pass that grows quadratically.
+    assert time.perf_counter() - start < 15.0

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalcheck import (
     DocumentError,
@@ -17,7 +18,13 @@ from crystalcheck import (
 )
 from crystalcheck.axioms import CentralMarking
 
-from helpers import HOSTILE_DOCUMENTS, colored_digraphs, doc_bytes, graphs_with_labelings
+from helpers import (
+    HOSTILE_DOCUMENTS,
+    colored_digraphs,
+    doc_bytes,
+    graphs_with_labelings,
+    parse_document_oracle,
+)
 
 
 def test_smallest_legal_document():
@@ -152,3 +159,79 @@ def test_dumps_document_compact_and_pretty():
     pretty = dumps_document(doc)
     assert "\n" not in compact
     assert json.loads(compact) == json.loads(pretty) == doc
+
+
+# -- the parser against the one-loop oracle ----------------------------------
+
+_NAMES = ["a", "b", "c", "d", "é"]
+_BAD_EDGES = [
+    1, [], None, "edge",
+    {"from": "a", "to": "b"},
+    {"from": "a", "to": "b", "color": 1, "weight": 0},
+    {"from": 1, "to": "a", "color": 1},
+    {"from": "a", "to": None, "color": 2},
+]
+_BAD_COLORS = [0, 3, -1, True, False, 1.0, 2.0, "1", None, [1]]
+
+
+@st.composite
+def faulty_documents(draw) -> bytes:
+    """A graph document over a few names with up to five injected faults:
+    a bad edge shape, a bad color, a dangling endpoint, a self-loop, a
+    duplicate edge or vertex, a lone surrogate, a bad vertex or edge list."""
+    vertices = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5, unique=True))
+    edge = st.fixed_dictionaries({
+        "from": st.sampled_from(vertices),
+        "to": st.sampled_from(vertices),
+        "color": st.sampled_from([1, 2]),
+    })
+    edges = draw(st.lists(edge, max_size=8))
+
+    def insert(items: list, item) -> None:
+        items.insert(draw(st.integers(0, len(items))), item)
+
+    faults = draw(st.lists(st.sampled_from([
+        "shape", "color", "dangling", "self-loop", "duplicate-edge",
+        "duplicate-vertex", "surrogate", "vertex-list", "edge-list",
+    ]), max_size=5))
+    # The faults that replace a whole list come last.
+    for fault in sorted(faults, key=lambda fault: fault.endswith("-list")):
+        if fault == "shape":
+            insert(edges, draw(st.sampled_from(_BAD_EDGES)))
+        elif fault == "color":
+            insert(edges, {**draw(edge), "color": draw(st.sampled_from(_BAD_COLORS))})
+        elif fault == "dangling":
+            insert(edges, {**draw(edge), draw(st.sampled_from(["from", "to"])): "zz"})
+        elif fault == "self-loop":
+            v = draw(st.sampled_from(vertices))
+            insert(edges, {**draw(edge), "from": v, "to": v})
+        elif fault == "duplicate-edge" and edges:
+            insert(edges, draw(st.sampled_from(edges)))
+        elif fault == "duplicate-vertex":
+            insert(vertices, draw(st.sampled_from(vertices)))
+        elif fault == "surrogate":
+            surrogate = draw(st.sampled_from(["\ud800", "\udfff", "x\udc00"]))
+            insert(vertices, surrogate)
+            if draw(st.booleans()):
+                insert(edges, {"from": surrogate, "to": vertices[0], "color": 1})
+        elif fault == "vertex-list":
+            vertices = draw(st.sampled_from([[], {}, "a", [1], ["a", None]]))
+        elif fault == "edge-list":
+            edges = draw(st.sampled_from([{}, "edges", 1]))
+    doc: dict = {"vertices": vertices, "edges": edges}
+    if draw(st.booleans()) and type(vertices) is list:
+        doc["labels"] = {v: draw(st.sampled_from(["0", "c", "1"])) for v in vertices}
+    return json.dumps(doc).encode("utf-8")
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except DocumentError as exc:
+        return (exc.kind, exc.location, exc.message)
+
+
+@settings(max_examples=500)
+@given(faulty_documents())
+def test_parser_matches_the_one_loop_oracle(data):
+    assert _outcome(parse_document, data) == _outcome(parse_document_oracle, data)

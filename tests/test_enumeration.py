@@ -637,3 +637,35 @@ class TestWorkerResolution:
         monkeypatch.setenv("CRYSTALCHECK_THREADS", bad)
         with pytest.raises(ValueError):
             resolve_workers()
+
+    def test_stream_runs_its_shards_on_a_pool_and_shuts_it_down(self, monkeypatch):
+        monkeypatch.delenv("CRYSTALCHECK_THREADS", raising=False)
+        serial = list(enumerate_graphs(GraphStream(max_vertices=4)))
+        pools = []
+
+        class RecordingPool(enumeration.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.rows = 0
+                self.closed = False
+                pools.append(self)
+
+            def map(self, *args, **kwargs):
+                self.rows += 1
+                return super().map(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                self.closed = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(enumeration, "resolve_workers", lambda: 2)
+        assert list(enumerate_graphs(GraphStream(max_vertices=4))) == serial
+        assert (pools[0].rows, pools[0].closed) == (4, True)
+
+        # Closing the stream early shuts its pool down too.
+        stream = enumerate_graphs(GraphStream(max_vertices=5))
+        next(stream)
+        assert not pools[1].closed
+        stream.close()
+        assert (pools[1].rows, pools[1].closed) == (1, True)

@@ -10,6 +10,7 @@ from crystalcheck import (
     CycleCertificate,
     DegreeAxiomError,
     Edge,
+    GraphError,
     GraphStream,
     MonochromaticCycleError,
     Potential,
@@ -23,8 +24,10 @@ from crystalcheck import (
 from helpers import (
     b0_graphs,
     colored_digraphs,
+    dfs_potential,
     graph,
     kahn_is_acyclic,
+    neighbor_components,
     path5,
 )
 
@@ -201,6 +204,26 @@ class TestPotential:
                 assert g.has_edge(a, b, 1) or g.has_edge(a, b, 2)
 
 
+    @given(colored_digraphs(max_vertices=6))
+    def test_matches_the_depth_first_potential_and_certificate(self, g):
+        assert find_potential(g) == dfs_potential(g)
+
+    def test_certificate_is_the_first_cycle_met_behind_a_placed_prefix(self):
+        # s and a are placed by the sweep; b, c, d are left, and the search
+        # from s meets the cycle b -> c -> d -> b.
+        g = graph(
+            ["s", "a", "b", "c", "d"],
+            [("s", "a", 1), ("a", "b", 2), ("b", "c", 1), ("c", "d", 2), ("d", "b", 1)],
+        )
+        assert find_potential(g) == dfs_potential(g) == CycleCertificate(("b", "c", "d", "b"))
+
+    def test_long_path_without_recursion(self):
+        n = 20_000
+        g = graph([f"v{k}" for k in reversed(range(n))],
+                  [(f"v{k}", f"v{k + 1}", 1 + k % 2) for k in range(n - 1)])
+        assert find_potential(g).values == {f"v{k}": k for k in range(n)}
+
+
 class TestWeakComponents:
     def test_edgeless(self):
         g = graph(["a", "b", "c"], [])
@@ -221,6 +244,10 @@ class TestWeakComponents:
         vertices = [f"h{k}" for k in range(n)] + [f"t{k}" for k in reversed(range(n))]
         g = graph(vertices, [(f"t{k}", f"h{k}", 1 + k % 2) for k in range(n)])
         assert weak_components(g) == tuple((f"h{k}", f"t{k}") for k in range(n))
+
+    @given(colored_digraphs(max_vertices=7))
+    def test_match_the_neighbor_set_search(self, g):
+        assert weak_components(g) == neighbor_components(g)
 
     @given(colored_digraphs(max_vertices=6))
     def test_components_partition_and_follow_declared_order(self, g):
@@ -258,6 +285,33 @@ class TestGraphInvariants:
         # Both compare equal to 1, but would serialize as true and 1.0.
         with pytest.raises(ValueError, match="color outside"):
             ColoredDigraph(vertices=("a", "b"), edges=(Edge("a", "b", color),))
+
+    @pytest.mark.parametrize("vertices, edges, kind, index, value", [
+        ([], [], "empty-vertex-set", None, None),
+        (["a", "b", "a", "b"], [], "duplicate-vertex", 2, "a"),
+        (["a", "b"], [("a", "b", 1), ("a", "b", 3), ("b", "b", 1)], "unknown-color", 1, 3),
+        (["a", "b"], [("a", "x", 1), ("y", "b", 1)], "dangling-endpoint", 0, "x"),
+        (["a", "b"], [("b", "a", 2), ("y", "x", 1)], "dangling-endpoint", 1, "y"),
+        (["a", "b"], [("a", "b", 1), ("b", "b", 2), ("a", "a", 1)], "self-loop", 1, "b"),
+        (["a", "b"], [("a", "b", 1), ("b", "a", 1), ("a", "b", 1)],
+         "duplicate-edge", 2, ("a", "b", 1)),
+    ])
+    def test_errors_name_their_first_fault(self, vertices, edges, kind, index, value):
+        with pytest.raises(GraphError) as err:
+            graph(vertices, edges)
+        assert isinstance(err.value, ValueError)
+        assert (err.value.kind, err.value.index, err.value.value) == (kind, index, value)
+
+    def test_vertex_faults_come_before_edge_faults(self):
+        with pytest.raises(GraphError) as err:
+            graph(["a", "a"], [("a", "a", 7)])
+        assert err.value.kind == "duplicate-vertex"
+
+    def test_ports_group_edges_sharing_a_port_in_edge_order(self):
+        g = graph(["a", "b", "c"], [("a", "b", 1), ("c", "b", 2), ("a", "c", 1), ("a", "b", 2)])
+        assert [e.head for e in g.out_edges("a", 1)] == ["b", "c"]
+        assert [e.tail for e in g.in_edges("b", 2)] == ["c", "a"]
+        assert g.out_edges("b", 1) == g.in_edges("a", 2) == ()
 
     def test_fields_are_copied_into_tuples(self):
         vertices = ("a", "b", "c")
