@@ -13,7 +13,6 @@ from .axioms import (
     classify_edges,
     classify_vertices,
     infer_labelings,
-    infer_labelings_exhaustive,
     labels_from_marking,
     marking_from_labels,
 )

@@ -15,7 +15,6 @@ and the enumeration oracle verifies it exhaustively on small graphs.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -490,32 +489,6 @@ def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
 
 # -- label inference ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LocalClauses:
-    """The local axioms of one graph, compiled over vertex positions.
-
-    ``allowed[k]`` holds the labels that the endpoint clauses (B1(ii),
-    B2(ii)) leave the k-th declared vertex, in ``LABEL_VALUES`` order; no
-    endpoint clause excludes c, so none is empty.  Each ``(t, h, pairs)`` in
-    ``edges`` is one edge clause (B1(i), B2(i)): the labels at positions t
-    and h must form one of the admissible pairs of the edge's color.
-    """
-
-    allowed: tuple[tuple[str, ...], ...]
-    edges: tuple[tuple[int, int, Mapping[tuple[str, str], str]], ...]
-
-    def admits(self, vector: tuple[str, ...]) -> bool:
-        """Whether the label vector (declared vertex order) breaks no clause,
-        that is, whether ``check_local`` reports nothing for it."""
-        for value, allowed in zip(vector, self.allowed):
-            if value not in allowed:
-                return False
-        for t, h, pairs in self.edges:
-            if (vector[t], vector[h]) not in pairs:
-                return False
-        return True
-
-
 def _endpoint_labels(g: ColoredDigraph, v: str) -> tuple[str, ...]:
     """The labels the endpoint clauses leave vertex v, in ``LABEL_VALUES``
     order."""
@@ -527,16 +500,6 @@ def _endpoint_labels(g: ColoredDigraph, v: str) -> tuple[str, ...]:
         else:
             labels.append(value)
     return tuple(labels)
-
-
-def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
-    return _LocalClauses(
-        allowed=tuple(_endpoint_labels(g, v) for v in g.vertices),
-        edges=tuple(
-            (g.vertex_index(e.tail), g.vertex_index(e.head), _EDGE_CLASS[e.color])
-            for e in g.edges
-        ),
-    )
 
 
 def _unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
@@ -610,19 +573,3 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
             if value in domains[open_vertex]:
                 stack.append({**domains, open_vertex: {value}})
     return results
-
-
-def infer_labelings_exhaustive(g: ColoredDigraph) -> list[Labeling]:
-    """Brute-force reference for ``infer_labelings``: try all 3^|V| vectors.
-
-    Kept deliberately naive so the two routes can cross-check each other:
-    every vector is tested against the compiled clauses, without pruning,
-    and only the vectors that pass become labelings.
-    """
-    _require_degree_axiom(g)
-    clauses = _local_clauses(g)
-    return [
-        Labeling(labels=dict(zip(g.vertices, vector)))
-        for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices)
-        if clauses.admits(vector)
-    ]

@@ -11,12 +11,14 @@ follows from the 1-string lengths alone, so branch and bound only decides
 which 1-strings of equal length trade places, reading only the 2-rows.
 
 Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
-the census, from one pipeline.  A row's candidates pair forward partial
-injections, one per color, so each is acyclic and (B0).  The port key, a
-cheaper complete invariant, drops the disconnected ones and sorts the rest
-into isomorphism classes, and one candidate per class is canonicalized.
-This runs in shards, one per pair of 1-edge and 2-edge counts, which a
-census or a stream may hand to a process pool.  A canonical stream emits
+the census, from one pipeline.  Under (B0) and acyclicity the 1-edges are
+disjoint directed paths, so a graph's 1-system is fixed, up to isomorphism,
+by the partition of n into its 1-string lengths.  A row runs in shards, one
+per partition, which a census or a stream may hand to a process pool.  A
+shard's candidates are the 1-strings of ``c1`` joined with every acyclic
+partial injection of 2-edges.  The port key, a cheaper complete invariant,
+drops the disconnected ones and sorts the rest into isomorphism classes,
+and one candidate per class is canonicalized.  A canonical stream emits
 these minimal encodings; a labeled stream emits all their relabelings,
 which are exactly the row's labeled graphs.
 """
@@ -179,19 +181,17 @@ class _Encoder:
         The 1-rows are the most significant rows, and they encode exactly
         the 1-edges.  So every minimal code's 1-block is ``c1``, the minimal
         code of the 1-edges alone, and a permutation reaches ``c1`` exactly
-        when it maps the 1-edges onto those of ``c1``.  When the 1-edges are
-        disjoint directed paths, the 1-strings, those maps send each
-        1-string onto a string of ``c1`` with the same length, offset by
-        offset, and ``c1`` depends only on the multiset of string lengths
-        (``_one_block``).  The search fills the positions in order.  A
-        position on a string of ``c1`` that already has a 1-string is
-        forced; the first position reached on another string tries each
+        when it maps the 1-edges onto those of ``c1``.  The 1-edges must be
+        disjoint directed paths, the 1-strings (else ``ValueError``).  Those
+        maps send each 1-string onto a string of ``c1`` with the same
+        length, offset by offset, and ``c1`` depends only on the multiset of
+        string lengths (``_one_block``).  The search fills the positions in
+        order.  A position on a string of ``c1`` that already has a 1-string
+        is forced; the first position reached on another string tries each
         unused 1-string of its length.  Only the 2-block is left to
         minimize, so the bound reads only the 2-rows.
 
-        A set without 2-edges is its own ``c1``.  A set whose 1-edges are
-        not disjoint paths (a 1-cycle, or a 1-degree above one) is searched
-        vertex by vertex, with the 1-end cell of ``_one_end_cell``.
+        A set without 2-edges is its own ``c1``.
         """
         n = self.n
         heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
@@ -199,7 +199,7 @@ class _Encoder:
             heads[color - 1][i].append(j)
         strings = _one_strings(heads[0])
         if strings is None:
-            return self._least_code(heads, _one_end_cell(heads[0]))
+            raise ValueError("the 1-edges are not disjoint directed paths")
         c1, slots = _one_block(n, tuple(sorted(map(len, strings))))
         if not any(heads[1]):
             return c1
@@ -370,72 +370,72 @@ def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[int, 
     return c1, tuple(slots)
 
 
-def _vertex_names(n: int) -> tuple[str, ...]:
-    return tuple(f"v{k + 1}" for k in range(n))
-
-
 def graph_from_position_edges(n: int, edges: tuple[PositionEdge, ...]) -> ColoredDigraph:
     """Materialize a graph on vertices v1..vn from position-edge triples."""
-    names = _vertex_names(n)
+    names = tuple(f"v{k + 1}" for k in range(n))
     return ColoredDigraph(
         vertices=names,
         edges=tuple(Edge(names[i], names[j], color) for i, j, color in edges),
     )
 
 
-@functools.cache
-def _partial_injections(n: int, color: int) -> tuple[tuple[tuple[PositionEdge, ...], ...], ...]:
-    """All forward edge sets of one color with out- and in-degree at most 1
-    on n positions, grouped by size: entry k holds the sets with k edges.
-    Each process builds them once per n and color.
+def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The multisets of positive integers summing to n, as ascending tuples:
+    the 1-string lengths a graph on n vertices can have."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield rest + (part,)
 
-    Every edge goes from a lower to a higher position, so each set is
-    acyclic, and every acyclic isomorphism class has such a representative.
+
+def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge, ...]]:
+    """Row n's candidates whose 1-strings have these ``lengths``: the
+    1-edges of ``c1`` (``_one_block``), to which those of every such graph
+    are isomorphic, with every partial injection of 2-edges that closes no
+    cycle and leaves at least n - 1 edges, the fewest a connected graph has.
+
+    The 2-edges are chosen tail position by tail position, each an unused
+    head or none.  ``reach[v]``, the bitmask of the positions reachable from
+    v (v included), refuses a 2-edge (p, j) with p in ``reach[j]``, which
+    would close a cycle.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out_free = [True] * n
-    in_free = [True] * n
-    acc: list[PositionEdge] = []
-    by_size: list[list[tuple[PositionEdge, ...]]] = [[] for _ in range(n)]
+    c1, _ = _one_block(n, lengths)
+    ones = _Encoder(n).decode(c1)
+    reach = [1 << v for v in range(n)]
+    for i, j, _ in ones:
+        reach = [r | reach[j] if r >> i & 1 else r for r in reach]
 
-    def rec(idx: int) -> None:
-        if idx == len(pairs):
-            by_size[len(acc)].append(tuple(acc))
+    def extend(p: int, reach: list[int], free: int, edges: tuple) -> Iterator:
+        if p == n:
+            yield edges
             return
-        i, j = pairs[idx]
-        rec(idx + 1)
-        if out_free[i] and in_free[j]:
-            out_free[i] = in_free[j] = False
-            acc.append((i, j, color))
-            rec(idx + 1)
-            acc.pop()
-            out_free[i] = in_free[j] = True
+        if len(edges) >= p:  # n - 1 edges stay reachable without one at p
+            yield from extend(p + 1, reach, free, edges)
+        for j in range(n):
+            if free >> j & 1 and not reach[j] >> p & 1:
+                joined = [r | reach[j] if r >> p & 1 else r for r in reach]
+                yield from extend(p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),))
 
-    rec(0)
-    return tuple(map(tuple, by_size))
+    yield from extend(0, reach, (1 << n) - 1, ones)
 
 
-def _shard_codes(n: int, deadline: float, edges_1: int, edges_2: int) -> Optional[set[int]]:
-    """The canonical codes of one shard of row n: the candidates, pairs of
-    forward partial injections, with ``edges_1`` 1-edges and ``edges_2``
-    2-edges.  Returns None once ``time.monotonic()``, read before each
-    candidate, passes ``deadline``.
-
-    Both edge counts are isomorphism invariants, so no class spans two
-    shards, and one candidate per port key is canonicalized.
-    """
+def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[set[int]]:
+    """The canonical codes of row n's classes whose 1-strings have these
+    ``lengths``, one per port key among the ``_candidates``; the lengths are
+    an isomorphism invariant, so no class spans two shards.  Returns None
+    once ``time.monotonic()``, read before each candidate, passes
+    ``deadline``."""
     encoder = _Encoder(n)
     keys = set()
     codes = set()
-    for first in _partial_injections(n, 1)[edges_1]:
-        for second in _partial_injections(n, 2)[edges_2]:
-            if time.monotonic() > deadline:
-                return None
-            edges = first + second
-            key = encoder.port_key(edges)
-            if key >= 0 and key not in keys:
-                keys.add(key)
-                codes.add(encoder.canonical_code(edges))
+    for edges in _candidates(n, lengths):
+        if time.monotonic() > deadline:
+            return None
+        key = encoder.port_key(edges)
+        if key >= 0 and key not in keys:
+            keys.add(key)
+            codes.add(encoder.canonical_code(edges))
     return codes
 
 
@@ -445,13 +445,12 @@ def _row_codes(
     """The sorted canonical codes of the weakly connected acyclic (B0)
     graphs on n vertices, or None if a shard passed ``deadline``.
 
-    ``map_shards`` runs ``_shard_codes`` over the shards: ``map`` in this
-    process, or a process pool's ``map``.  A connected graph on n vertices
-    has at least n - 1 edges, so the shards with fewer are skipped.
+    ``map_shards`` runs ``_shard_codes`` over the shards, one per partition
+    of n into 1-string lengths: ``map`` in this process, or a process
+    pool's ``map``.
     """
-    shards = [(k1, k2) for k1 in range(n) for k2 in range(n) if k1 + k2 >= n - 1]
     codes: set[int] = set()
-    for shard in map_shards(functools.partial(_shard_codes, n, deadline), *zip(*shards)):
+    for shard in map_shards(functools.partial(_shard_codes, n, deadline), _partitions(n)):
         if shard is None:
             return None
         codes |= shard

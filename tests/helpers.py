@@ -1,11 +1,12 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, depth-first potential, neighbor-set
-components, the one-loop document parser, permutation isomorphism test,
-minimal encoding over all vertex permutations, least breadth-first
-renumbering over all roots, every (B0) edge set, the (B1) slot product,
-valid markings among all subsets) are kept independent of the library's
-own algorithms so the two can check each other.
+components, the one-loop document parser, labelings among all 3^n label
+vectors, permutation isomorphism test, minimal encoding over all vertex
+permutations, least breadth-first renumbering over all roots, every (B0)
+edge set, the (B1) slot product, valid markings among all subsets) are kept
+independent of the library's own algorithms so the two can check each
+other.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import dataclass
+from typing import Mapping
 
 from hypothesis import strategies as st
 
@@ -27,7 +30,12 @@ from crystalcheck import (
     Potential,
     check_global,
 )
-from crystalcheck.axioms import LABEL_VALUES
+from crystalcheck.axioms import (
+    LABEL_VALUES,
+    _EDGE_CLASS,
+    _endpoint_labels,
+    _require_degree_axiom,
+)
 from crystalcheck.documents import _parse_centers, _parse_labels
 from crystalcheck.graph import StringDecomposition
 
@@ -285,6 +293,58 @@ def parse_document_oracle(data) -> GraphDocument:
     labels = _parse_labels(raw["labels"], g) if "labels" in raw else None
     marking = _parse_centers(raw["centers"], g) if "centers" in raw else None
     return GraphDocument(graph=g, labels=labels, marking=marking)
+
+
+@dataclass(frozen=True)
+class _LocalClauses:
+    """The local axioms of one graph, compiled over vertex positions.
+
+    ``allowed[k]`` holds the labels that the endpoint clauses (B1(ii),
+    B2(ii)) leave the k-th declared vertex, in ``LABEL_VALUES`` order; no
+    endpoint clause excludes c, so none is empty.  Each ``(t, h, pairs)`` in
+    ``edges`` is one edge clause (B1(i), B2(i)): the labels at positions t
+    and h must form one of the admissible pairs of the edge's color.
+    """
+
+    allowed: tuple[tuple[str, ...], ...]
+    edges: tuple[tuple[int, int, Mapping[tuple[str, str], str]], ...]
+
+    def admits(self, vector: tuple[str, ...]) -> bool:
+        """Whether the label vector (declared vertex order) breaks no clause,
+        that is, whether ``check_local`` reports nothing for it."""
+        for value, allowed in zip(vector, self.allowed):
+            if value not in allowed:
+                return False
+        for t, h, pairs in self.edges:
+            if (vector[t], vector[h]) not in pairs:
+                return False
+        return True
+
+
+def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
+    return _LocalClauses(
+        allowed=tuple(_endpoint_labels(g, v) for v in g.vertices),
+        edges=tuple(
+            (g.vertex_index(e.tail), g.vertex_index(e.head), _EDGE_CLASS[e.color])
+            for e in g.edges
+        ),
+    )
+
+
+def infer_labelings_exhaustive(g: ColoredDigraph) -> list[Labeling]:
+    """Brute-force reference for ``infer_labelings``: try all 3^|V| vectors.
+
+    Kept deliberately naive so the two routes can cross-check each other:
+    every vector is tested against the compiled clauses, without pruning,
+    and only the vectors that pass become labelings.
+    """
+    _require_degree_axiom(g)
+    clauses = _local_clauses(g)
+    return [
+        Labeling(labels=dict(zip(g.vertices, vector)))
+        for vector in itertools.product(LABEL_VALUES, repeat=g.n_vertices)
+        if clauses.admits(vector)
+    ]
 
 
 def brute_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:

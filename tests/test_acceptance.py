@@ -27,7 +27,6 @@ from crystalcheck import (
     enumerate_graphs,
     find_potential,
     infer_labelings,
-    infer_labelings_exhaustive,
     labels_from_marking,
     marking_from_labels,
 )
@@ -36,6 +35,7 @@ from helpers import (
     bare_1_edge,
     brute_valid_markings,
     chain4,
+    infer_labelings_exhaustive,
     kahn_is_acyclic,
     path5,
     random_b0_dag,

@@ -28,7 +28,6 @@ from crystalcheck import (
     decompose_strings,
     enumerate_graphs,
     infer_labelings,
-    infer_labelings_exhaustive,
     labels_from_marking,
     marking_from_labels,
 )
@@ -36,16 +35,17 @@ from crystalcheck.axioms import (
     ALLOWED_PAIRS_1,
     ALLOWED_PAIRS_2,
     LABEL_VALUES,
-    _local_clauses,
     _propagate,
     _unary_domains,
 )
 
 from helpers import (
+    _local_clauses,
     b0_graphs,
     bare_1_edge,
     chain4,
     graph,
+    infer_labelings_exhaustive,
     labeling,
     path5,
     single_vertex,

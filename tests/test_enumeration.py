@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import random
 import time
 
@@ -20,13 +22,14 @@ from crystalcheck import (
     check_proposition,
     decompose_strings,
     enumerate_graphs,
-    infer_labelings_exhaustive,
     serialize_graph,
 )
 from crystalcheck import enumeration
 from crystalcheck.axioms import CentralMarking, Labeling, _b2_markings
 from crystalcheck.enumeration import (
     PropositionResult,
+    _candidates,
+    _partitions,
     _position_graphs_exactly,
     _row_codes,
     _shard_codes,
@@ -47,21 +50,31 @@ from helpers import (
     brute_port_key,
     brute_valid_markings,
     graph,
+    infer_labelings_exhaustive,
     kahn_is_acyclic,
     path5,
     random_b0_edge_set,
     single_vertex,
 )
 
+# Labeled graphs per vertex count beyond LABELED_COUNTS, counted from the
+# skeleton candidates; n = 5 is also the size of the labeled stream.
+SKELETON_LABELED_COUNTS = {5: 60_360, 6: 2_866_200}
 
-def _partitions(n: int, largest: int | None = None):
-    """The multisets of positive integers summing to n, as ascending tuples."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield rest + (part,)
+
+def _one_paths(n: int, edges) -> bool:
+    """Whether the 1-edges are disjoint directed paths: no 1-degree above
+    one and no 1-cycle."""
+    ones = tuple(edge for edge in set(edges) if edge[2] == 1)
+    return len({i for i, _, _ in ones}) == len(ones) == len({j for _, j, _ in ones}) and (
+        kahn_is_acyclic(graph_from_position_edges(n, ones))
+    )
+
+
+def _string_automorphisms(lengths) -> int:
+    """The automorphisms of 1-strings with these lengths: the permutations
+    of the strings of each length."""
+    return math.prod(math.factorial(lengths.count(k)) for k in set(lengths))
 
 
 def _forest(lengths) -> tuple[tuple[int, int, int], ...]:
@@ -189,31 +202,44 @@ class TestEnumerate:
 
 
 class TestCanonicalCode:
+    # The canonical code is defined on the sets whose 1-edges are disjoint
+    # paths, every acyclic (B0) set among them.  Their 2-rows may still
+    # have several heads, share heads or close cycles.
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_permutation_scan_on_every_slot_subset(self, n):
-        # Mostly not (B0): rows with several heads, heads shared by rows.
         encoder = enumeration._Encoder(n)
+        checked = 0
         for code in range(1 << len(encoder.slots)):
             edges = encoder.decode(code)
-            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+            if _one_paths(n, edges):
+                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+                checked += 1
+        assert checked == {1: 1, 2: 12, 3: 832}[n]
 
-    # (B0) edge sets, cycles and disconnected ones included.
+    # (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, edge_sets", [(1, 1), (2, 16), (3, 324), (4, 11_664)])
     def test_matches_permutation_scan_on_every_b0_edge_set(self, n, edge_sets):
         encoder = enumeration._Encoder(n)
         all_edge_sets = b0_edge_sets(n)
         assert len(all_edge_sets) == edge_sets
+        checked = 0
         for edges in all_edge_sets:
-            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+            if _one_paths(n, edges):
+                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+                checked += 1
+        assert checked == {1: 1, 2: 12, 3: 234, 4: 7_884}[n]
 
-    # Seeded (B0) edge sets, cycles and disconnected ones included.
+    # Seeded (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, samples", [(5, 500), (6, 200)])
     def test_matches_permutation_scan_on_random_b0_edge_sets(self, n, samples):
         rng = random.Random(n)
         encoder = enumeration._Encoder(n)
-        for _ in range(samples):
+        checked = 0
+        while checked < samples:
             edges = random_b0_edge_set(rng, n)
-            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+            if _one_paths(n, edges):
+                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+                checked += 1
 
     def test_matches_permutation_scan_on_random_non_b0_slot_subsets(self):
         rng = random.Random(4)
@@ -226,8 +252,18 @@ class TestCanonicalCode:
             in_ports = [(j, color) for _, j, color in edges]
             if len(set(out_ports)) == len(edges) == len(set(in_ports)):
                 continue  # (B0) sets are covered above
-            assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
-            checked += 1
+            if _one_paths(4, edges):
+                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
+                checked += 1
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1, 1), (1, 0, 1)),  # a 1-cycle
+        ((0, 1, 1), (0, 2, 1)),  # a 1-tail with two heads
+        ((0, 2, 1), (1, 2, 1), (0, 1, 2)),  # a 1-head with two tails
+    ])
+    def test_refuses_one_edges_that_are_not_paths(self, edges):
+        with pytest.raises(ValueError, match="not disjoint directed paths"):
+            enumeration._Encoder(3).canonical_code(edges)
 
     def test_one_block_matches_permutation_scan_on_every_forest(self):
         # c1 depends only on the 1-string lengths: one forest per multiset.
@@ -242,23 +278,23 @@ class TestCanonicalCode:
 
     def test_string_search_matches_vertex_search_on_row_classes(self):
         # Every class of rows 1 to 6 and 500 seeded classes of row 7, each
-        # as its canonical form (or sampled candidate) and under three
-        # random relabelings.
+        # as its canonical form (or sampled skeleton candidate) and under
+        # three random relabelings.
         rng = random.Random(20261018)
         classes = [
             (n, enumeration._Encoder(n).decode(code))
             for n in range(1, 7) for code in _row_codes(n)
         ]
         encoder = enumeration._Encoder(7)
-        injections = [
-            [edges for size in enumeration._partial_injections(7, color) for edges in size]
-            for color in (1, 2)
+        sample = [
+            edges for lengths in _partitions(7) for edges in _candidates(7, lengths)
+            if rng.random() < 0.02
         ]
+        rng.shuffle(sample)
         keys = set()
-        while len(keys) < 500:
-            edges = rng.choice(injections[0]) + rng.choice(injections[1])
+        for edges in sample:
             key = encoder.port_key(edges)
-            if key >= 0 and key not in keys:
+            if key >= 0 and key not in keys and len(keys) < 500:
                 keys.add(key)
                 classes.append((7, edges))
         assert len(classes) == sum(CANONICAL_COUNTS.values()) + 500
@@ -330,11 +366,70 @@ class TestCanonicalCode:
             if key < 0:
                 continue
             connected += 1
-            code = encoder.canonical_code(edges)
+            code = brute_canonical_code(encoder, edges)
             assert code_of_key.setdefault(key, code) == code
             assert key_of_code.setdefault(code, key) == key
         assert connected == edge_sets
         assert len(code_of_key) == classes
+
+
+class TestSkeletonCandidates:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_are_every_acyclic_b0_edge_set_on_the_one_block(self, n):
+        # Per partition: the (B0) edge sets whose 1-edges are those of c1,
+        # acyclic and with at least n - 1 edges, each once.
+        encoder = enumeration._Encoder(n)
+        edge_sets = b0_edge_sets(n)
+        for lengths in _partitions(n):
+            c1, _ = enumeration._one_block(n, lengths)
+            ones = set(encoder.decode(c1))
+            expected = {
+                frozenset(edges) for edges in edge_sets
+                if {edge for edge in edges if edge[2] == 1} == ones and len(edges) >= n - 1
+                and kahn_is_acyclic(graph_from_position_edges(n, edges))
+            }
+            candidates = [frozenset(edges) for edges in _candidates(n, lengths)]
+            assert len(candidates) == len(set(candidates))
+            assert set(candidates) == expected
+
+    def test_row_seven_has_fewer_candidates_than_pairs_of_injections(self):
+        # The pairs of forward partial injections numbered 616,115.
+        candidates = sum(1 for lengths in _partitions(7) for _ in _candidates(7, lengths))
+        assert candidates == 126_740
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_count_the_labeled_row(self, n):
+        # A labeled graph with 1-string lengths λ is one of the n!/|Aut(λ)|
+        # labelings of those strings with the 2-edges of one connected
+        # candidate.
+        total = 0
+        for lengths in _partitions(n):
+            connected = sum(_weakly_connected(n, edges) for edges in _candidates(n, lengths))
+            total += math.factorial(n) // _string_automorphisms(lengths) * connected
+        assert total == {**LABELED_COUNTS, **SKELETON_LABELED_COUNTS}[n]
+        if n == 5:
+            labeled = GraphStream(max_vertices=5, canonical=False)
+            assert sum(1 for _ in _position_graphs_exactly(5, labeled)) == total
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_stabilizer_per_partition(self, n):
+        # Aut(λ) acts on the connected candidates of λ, and its orbits are
+        # the classes of the shard; the stabilizer of a candidate is its
+        # graph's automorphism group.  A dedup that merged two classes or
+        # dropped one would miss its orbit.
+        encoder = enumeration._Encoder(n)
+        for lengths in _partitions(n):
+            connected = sum(_weakly_connected(n, edges) for edges in _candidates(n, lengths))
+            orbits = 0
+            for code in _shard_codes(n, math.inf, lengths):
+                edges = set(encoder.decode(code))
+                automorphisms = sum(
+                    {(perm[i], perm[j], color) for i, j, color in edges} == edges
+                    for perm in itertools.permutations(range(n))
+                )
+                assert _string_automorphisms(lengths) % automorphisms == 0
+                orbits += _string_automorphisms(lengths) // automorphisms
+            assert orbits == connected
 
 
 class TestProposition:
@@ -541,13 +636,14 @@ class TestCensus:
         # A deadline already passed stops a shard and its row before any
         # port key is computed.
         passed = time.monotonic() - 1.0
-        assert _shard_codes(6, passed, 3, 3) is None
+        assert _shard_codes(6, passed, (3, 3)) is None
         assert _row_codes(6, passed) is None
         assert calls == []
-        # The deadline is read before each candidate: the largest shard of
-        # row 6 holds 90 * 90 = 8,100 candidates, and it stops after the
-        # tenth, which ends past the deadline.
-        assert _shard_codes(6, time.monotonic() + 0.05, 3, 3) is None
+        # The deadline is read before each candidate: the shard of row 6
+        # with two 1-strings of length 3 holds 810 candidates, and it stops
+        # after the tenth, which ends past the deadline.
+        assert sum(1 for _ in _candidates(6, (3, 3))) == 810
+        assert _shard_codes(6, time.monotonic() + 0.05, (3, 3)) is None
         assert len(calls) == 10
 
     def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
@@ -562,7 +658,7 @@ class TestCensus:
         assert time.monotonic() - start < 2.0
 
     def test_budget_stops_pool_shards_mid_row(self):
-        # The census to n = 7 takes over 20 s on two workers.  The deadline
+        # The census to n = 7 takes about 10 s on two workers.  The deadline
         # is read before each enumeration candidate and after each graph,
         # so the run stops soon after it, whichever stage it is in.
         start = time.monotonic()
