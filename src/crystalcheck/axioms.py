@@ -27,7 +27,14 @@ from .errors import (
     MarkingError,
     PreconditionError,
 )
-from .graph import ColoredDigraph, Edge, StringDecomposition, check_degree_axiom, decompose_strings
+from .graph import (
+    ColoredDigraph,
+    Edge,
+    StringDecomposition,
+    _reduce_read_only,
+    check_degree_axiom,
+    decompose_strings,
+)
 from .violations import (
     CLAUSE_B1,
     CLAUSE_B1_I,
@@ -104,9 +111,7 @@ class Labeling:
     def __hash__(self) -> int:
         return hash(frozenset(self.labels.items()))
 
-    def __reduce__(self):
-        # A mapping proxy cannot be pickled or deep-copied; a dict can.
-        return (Labeling, (dict(self.labels),))
+    __reduce__ = _reduce_read_only
 
     def vector(self, g: ColoredDigraph) -> tuple[str, ...]:
         """Label values in the graph's declared vertex order."""
@@ -148,9 +153,15 @@ class CentralMarking:
 
 @dataclass(frozen=True)
 class VertexClass:
-    """Total classification of vertices as left, central, or right."""
+    """Total classification of vertices as left, central, or right;
+    ``classes`` is a read-only copy of the mapping it was built from."""
 
     classes: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
+
+    __reduce__ = _reduce_read_only
 
 
 def _require_total(g: ColoredDigraph, lab: Labeling) -> None:
@@ -417,8 +428,8 @@ def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
         if pair not in _EDGE_CLASS[e.color]:
             violations.append(Violation(
                 clause=_EDGE_CLAUSE[e.color],
-                at=e.triple(),
-                detail=f"{e.color}-edge {e.triple()} has label pair {pair}, not an admissible pair",
+                at=e,
+                detail=f"{e.color}-edge {tuple(e)} has label pair {pair}, not an admissible pair",
             ))
 
     for v in g.vertices:
@@ -450,7 +461,7 @@ def classify_edges(g: ColoredDigraph, lab: Labeling) -> dict[Edge, str]:
         cls = _EDGE_CLASS[e.color].get(pair)
         if cls is None:
             raise PreconditionError(
-                f"edge {e.triple()} has label pair {pair} outside the admissible lists"
+                f"edge {tuple(e)} has label pair {pair} outside the admissible lists"
             )
         result[e] = cls
     return result
@@ -462,7 +473,8 @@ def labels_from_marking(g: ColoredDigraph, marking: CentralMarking) -> Labeling:
     Left vertices map to 0, central vertices to c, right vertices to 1.
     """
     _require_no_violations(check_global(g, marking), "marking violates the global axioms")
-    classes = classify_vertices(decompose_strings(g, 1), marking).classes
+    # check_global has checked the scope and that every 1-string is marked.
+    classes, _unmarked = _classify(decompose_strings(g, 1), marking)
     to_label = {LEFT: LABEL_LEFT, CENTRAL: LABEL_CENTRAL, RIGHT: LABEL_RIGHT}
     return Labeling(labels={v: to_label[classes[v]] for v in g.vertices})
 
@@ -512,13 +524,11 @@ def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
 
     Returns False as soon as some domain empties (no labeling exists).
     Pruned domains are replaced, never changed in place, so callers may
-    share the sets between copies of ``domains``.
+    share the sets between copies of ``domains``.  A vertex whose domain
+    shrinks requeues the edges at its four ports; arc consistency reaches
+    the same fixpoint in any queue order.
     """
-    incident: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        incident[e.tail].append(e)
-        incident[e.head].append(e)
-
+    out, into = g._out.get, g._in.get
     queue = deque(g.edges)
     queued = set(g.edges)
     while queue:
@@ -533,7 +543,7 @@ def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
                 domains[v] = new
                 if not new:
                     return False
-                for other in incident[v]:
+                for other in out((1, v), ()) + out((2, v), ()) + into((1, v), ()) + into((2, v), ()):
                     if other not in queued:
                         queue.append(other)
                         queued.add(other)

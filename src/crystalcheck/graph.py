@@ -1,18 +1,21 @@
 """Finite 2-edge-colored directed graphs and their string structure.
 
 Everything here is immutable after construction and safe to share between
-threads or processes.  A graph's string decompositions are computed on
-first use and kept on the graph, so every check reads the same string
-skeleton.  All derived orderings (string lists, components, cycle
-certificates) follow the declared vertex/edge order of the input, so
-repeated runs yield identical output.
+threads or processes.  An ``Edge`` is its (tail, head, color) triple, and
+the graph constructor's one pass over the edges checks the invariants,
+builds the port index and records the (B0) breaches that later checks
+read.  A graph's string decompositions are computed on first use and kept
+on the graph, so every check reads the same string skeleton.  All derived
+orderings (string lists, components, cycle certificates) follow the
+declared vertex/edge order of the input, so repeated runs yield identical
+output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Mapping, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 from .errors import DegreeAxiomError, GraphError, MonochromaticCycleError
 from .violations import CLAUSE_B0, Violation, ViolationReport
@@ -20,19 +23,12 @@ from .violations import CLAUSE_B0, Violation, ViolationReport
 COLORS = (1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A directed edge carrying color 1 or 2."""
+class Edge(NamedTuple):
+    """A directed edge of color 1 or 2, equal to its (tail, head, color) triple."""
 
     tail: str
     head: str
     color: int
-
-    def triple(self) -> tuple[str, str, int]:
-        return (self.tail, self.head, self.color)
-
-
-_TAIL, _HEAD, _COLOR = attrgetter("tail"), attrgetter("head"), attrgetter("color")
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,9 @@ class ColoredDigraph:
     # entering (``_in``) the vertex in that color, in declared edge order.
     _out: dict = field(init=False, repr=False, compare=False)
     _in: dict = field(init=False, repr=False, compare=False)
+    # The (B0) breaches: (direction, color, vertex, edge count) for each port
+    # holding more than one edge; empty exactly when (B0) holds.
+    _breaches: tuple = field(init=False, repr=False, compare=False)
     # color -> StringDecomposition, filled by ``decompose_strings``.
     _strings: dict = field(init=False, repr=False, compare=False)
 
@@ -91,13 +90,17 @@ class ColoredDigraph:
             if claim(triple, pos) != pos:
                 raise GraphError("duplicate-edge", pos, triple, f"duplicate edge {triple}")
 
-        colors = tuple(map(_COLOR, edges))
+        # Each edge is its triple, so transposing gives the columns.
+        tails, heads, colors = tuple(zip(*edges)) or ((), (), ())
+        out, leaving = _ports(colors, tails, edges, "leaving")
+        into, entering = _ports(colors, heads, edges, "entering")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_index", vertex_index)
         object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_out", _ports(colors, tuple(map(_TAIL, edges)), edges))
-        object.__setattr__(self, "_in", _ports(colors, tuple(map(_HEAD, edges)), edges))
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", into)
+        object.__setattr__(self, "_breaches", leaving + entering)
         object.__setattr__(self, "_strings", {})
 
     # -- basic accessors -------------------------------------------------
@@ -128,17 +131,19 @@ class ColoredDigraph:
         return tuple(e for e in self.edges if e.color == color)
 
 
-def _ports(colors: tuple, ends: tuple, edges: tuple) -> dict:
-    """Map each (color, vertex) port to its edges, in edge order.  Under (B0)
-    no two edges share a port, and each port is a 1-tuple made in one
-    sweep; otherwise the edges are grouped."""
+def _ports(colors: tuple, ends: tuple, edges: tuple, direction: str) -> tuple[dict, tuple]:
+    """Map each (color, vertex) port to its edges, in edge order, and list
+    each port holding more than one edge as (direction, color, vertex, edge
+    count).  Under (B0) no two edges share a port, and each port is a
+    1-tuple made in one sweep; otherwise the edges are grouped."""
     ports = dict(zip(zip(colors, ends), zip(edges)))
     if len(ports) == len(edges):
-        return ports
+        return ports, ()
     grouped: dict = {}
     for key, e in zip(zip(colors, ends), edges):
         grouped.setdefault(key, []).append(e)
-    return {key: tuple(port) for key, port in grouped.items()}
+    crowded = tuple((direction, *key, len(port)) for key, port in grouped.items() if len(port) > 1)
+    return {key: tuple(port) for key, port in grouped.items()}, crowded
 
 
 @dataclass(frozen=True)
@@ -176,11 +181,24 @@ class StringDecomposition:
         return self._position.get(head) == (string_idx, pos + 1)
 
 
+def _reduce_read_only(value):
+    """``__reduce__`` for a frozen dataclass whose one field is a read-only
+    mapping view: the view cannot be pickled or deep-copied; a dict can."""
+    (name,) = value.__dataclass_fields__
+    return (type(value), (dict(getattr(value, name)),))
+
+
 @dataclass(frozen=True)
 class Potential:
-    """An integer vertex function strictly increasing along every edge."""
+    """An integer vertex function strictly increasing along every edge;
+    ``values`` is a read-only copy of the mapping it was built from."""
 
     values: Mapping[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+
+    __reduce__ = _reduce_read_only
 
 
 @dataclass(frozen=True)
@@ -193,18 +211,16 @@ class CycleCertificate:
 def check_degree_axiom(g: ColoredDigraph) -> ViolationReport:
     """Check axiom (B0): per color, in- and out-degree at most 1 everywhere.
 
-    Returns one violation per (vertex, color, direction) excess.  Only the
-    ports holding more than one edge are visited; the report sorts them.
+    Returns one violation per (vertex, color, direction) excess, read off
+    the breaches the graph recorded as it was built; the report sorts them.
     """
     violations = [
         Violation(
             clause=CLAUSE_B0,
             at=v,
-            detail=f"vertex {v!r} has {len(edges)} {word} {color}-edges (at most 1 allowed)",
+            detail=f"vertex {v!r} has {count} {word} {color}-edges (at most 1 allowed)",
         )
-        for ports, word in ((g._out, "leaving"), (g._in, "entering"))
-        for (color, v), edges in ports.items()
-        if len(edges) > 1
+        for word, color, v, count in g._breaches
     ]
     return ViolationReport.build(g, violations)
 
@@ -221,10 +237,7 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
         return memo
     if color not in COLORS:
         raise ValueError(f"color must be one of {COLORS}, got {color!r}")
-    offenders = [
-        v for ports in (g._out, g._in) for (c, v), edges in ports.items()
-        if c == color and len(edges) > 1
-    ]
+    offenders = [v for _word, c, v, _count in g._breaches if c == color]
     if offenders:
         v = min(offenders, key=g.vertex_index)
         raise DegreeAxiomError(

@@ -1,8 +1,9 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, depth-first potential, neighbor-set
-components, the one-loop document parser, labelings among all 3^n label
-vectors, permutation isomorphism test, minimal encoding over all vertex
+components, the one-loop document parser, (B0) by a scan of every port,
+round-robin arc consistency, labelings among all 3^n label vectors,
+permutation isomorphism test, minimal encoding over all vertex
 permutations, least breadth-first renumbering over all roots, every (B0)
 edge set, the (B1) slot product, valid markings among all subsets) are kept
 independent of the library's own algorithms so the two can check each
@@ -158,6 +159,36 @@ def kahn_is_acyclic(g: ColoredDigraph) -> bool:
             if indegree[w] == 0:
                 queue.append(w)
     return done == len(g.vertices)
+
+
+def port_scan_b0(g: ColoredDigraph) -> tuple[list[tuple[str, str]], dict[int, str | None]]:
+    """(B0) by counting the edges at every vertex, color and direction in
+    the declared edge list; independent of the graph's port index.
+
+    Returns the (vertex, detail) pairs ``check_degree_axiom`` must report,
+    in report order, and per color the ``DegreeAxiomError`` text that
+    ``decompose_strings`` must raise, or None when (B0) holds in that color.
+    """
+    entries = []
+    errors: dict[int, str | None] = {1: None, 2: None}
+    for v in g.vertices:
+        details = []
+        for color in (1, 2):
+            for word in ("leaving", "entering"):
+                count = sum(
+                    1 for e in g.edges
+                    if e.color == color and (e.tail if word == "leaving" else e.head) == v
+                )
+                if count > 1:
+                    details.append(
+                        f"vertex {v!r} has {count} {word} {color}-edges (at most 1 allowed)"
+                    )
+                    if errors[color] is None:
+                        errors[color] = (
+                            f"vertex {v!r} violates (B0) in color {color}; strings are undefined"
+                        )
+        entries.extend((v, detail) for detail in sorted(details))
+    return entries, errors
 
 
 def dfs_potential(g: ColoredDigraph):
@@ -331,6 +362,28 @@ def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
     )
 
 
+def arc_consistent_domains(g: ColoredDigraph, domains: Mapping[str, set]):
+    """The largest arc-consistent domains within ``domains``, or None when
+    one empties: every edge is revised in declared order, round after
+    round, until a round changes nothing.  Independent of the queue that
+    ``_propagate`` keeps."""
+    domains = dict(domains)
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            allowed = _EDGE_CLASS[e.color]
+            tails, heads = domains[e.tail], domains[e.head]
+            new_tails = {a for a in tails if any((a, b) in allowed for b in heads)}
+            new_heads = {b for b in heads if any((a, b) in allowed for a in new_tails)}
+            if (new_tails, new_heads) != (tails, heads):
+                if not new_tails or not new_heads:
+                    return None
+                domains[e.tail], domains[e.head] = new_tails, new_heads
+                changed = True
+    return domains
+
+
 def infer_labelings_exhaustive(g: ColoredDigraph) -> list[Labeling]:
     """Brute-force reference for ``infer_labelings``: try all 3^|V| vectors.
 
@@ -351,7 +404,7 @@ def brute_isomorphic(g1: ColoredDigraph, g2: ColoredDigraph) -> bool:
     """Color- and direction-preserving isomorphism by trying every bijection."""
     if g1.n_vertices != g2.n_vertices or len(g1.edges) != len(g2.edges):
         return False
-    target = {e.triple() for e in g2.edges}
+    target = set(g2.edges)
     for perm in itertools.permutations(g2.vertices):
         mapping = dict(zip(g1.vertices, perm))
         if all((mapping[e.tail], mapping[e.head], e.color) in target for e in g1.edges):

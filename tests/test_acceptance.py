@@ -68,7 +68,7 @@ def test_criterion_1_proposition_equivalence(universe5):
     for g in universe5:
         result = check_proposition(g)
         assert result.holds, (
-            f"correspondence failed on {[e.triple() for e in g.edges]}: {result.detail}"
+            f"correspondence failed on {[tuple(e) for e in g.edges]}: {result.detail}"
         )
         assert result.n_valid_markings == result.n_valid_labelings
         checked += 1

@@ -31,16 +31,20 @@ from crystalcheck import (
     labels_from_marking,
     marking_from_labels,
 )
+from crystalcheck import axioms
 from crystalcheck.axioms import (
     ALLOWED_PAIRS_1,
     ALLOWED_PAIRS_2,
     LABEL_VALUES,
+    VertexClass,
     _propagate,
     _unary_domains,
 )
 
 from helpers import (
     _local_clauses,
+    arc_consistent_domains,
+    b0_edge_sets,
     b0_graphs,
     bare_1_edge,
     chain4,
@@ -72,6 +76,19 @@ def marking(vertices=(), edges=()) -> CentralMarking:
         central_vertices=frozenset(vertices),
         central_1_edges=frozenset(edges),
     )
+
+
+def assert_propagation_matches_the_fixpoint(g):
+    """``_propagate`` from the unary domains, and from them with one vertex
+    fixed to each of its values, must reach the fixpoint of the round-robin
+    oracle, or fail exactly when the oracle empties a domain."""
+    root = _unary_domains(g)
+    for start in [root] + [{**root, v: {value}} for v in g.vertices for value in root[v]]:
+        domains = dict(start)
+        expected = arc_consistent_domains(g, start)
+        assert _propagate(g, domains) == (expected is not None)
+        if expected is not None:
+            assert domains == expected
 
 
 class TestLabelingValue:
@@ -325,6 +342,19 @@ class TestClassification:
         with pytest.raises(ValueError, match="color-1 decomposition"):
             classify_vertices(decompose_strings(single_vertex(), 2), marking(vertices=["a"]))
 
+    def test_classes_are_a_read_only_copy(self):
+        decomp = decompose_strings(single_vertex(), 1)
+        classes = classify_vertices(decomp, marking(vertices=["a"]))
+        with pytest.raises(TypeError):
+            classes.classes["a"] = "left"
+        assert classes.classes == {"a": "central"}
+        for twin in (pickle.loads(pickle.dumps(classes)), copy.deepcopy(classes)):
+            assert twin == classes
+        source = {"a": "left"}
+        copied = VertexClass(classes=source)
+        source["a"] = "right"
+        assert copied.classes == {"a": "left"}
+
     def test_unbalanced_string_raises_with_string(self):
         decomp = decompose_strings(path5(), 1)
         with pytest.raises(CentralityError) as err:
@@ -378,6 +408,21 @@ class TestConversions:
         lab = labels_from_marking(g, marking(vertices=["up", "vp"], edges=[("u", "v")]))
         assert lab.vector(g) == ("c", "0", "1", "c")
 
+    def test_labels_from_marking_checks_the_scope_once(self, monkeypatch):
+        calls = []
+        scope = axioms._check_marking_scope
+
+        def counted(*args):
+            calls.append(args)
+            return scope(*args)
+
+        monkeypatch.setattr(axioms, "_check_marking_scope", counted)
+        g = path5()
+        assert labels_from_marking(g, marking(vertices=["v1", "v3", "v5"])).vector(g) == (
+            "c", "1", "c", "0", "c"
+        )
+        assert len(calls) == 1
+
     def test_path5_marking_from_labels(self):
         g = path5()
         m = marking_from_labels(g, labeling(g, ["c", "1", "c", "0", "c"]))
@@ -396,6 +441,8 @@ class TestConversions:
         g = path5()
         with pytest.raises(PreconditionError):
             labels_from_marking(g, marking(vertices=["v3"]))
+        with pytest.raises(MarkingError, match="^central vertex 'nope' is not in the graph$"):
+            labels_from_marking(g, marking(vertices=["v1", "v3", "v5", "nope"]))
         with pytest.raises(PreconditionError):
             marking_from_labels(g, labeling(g, ["c", "c", "c", "c", "c"]))
 
@@ -491,6 +538,22 @@ class TestInference:
             for value in root[v]:
                 fixed = {**root, v: {value}}
                 assert _propagate(g, fixed) == any(lab.labels[v] == value for lab in labelings)
+
+    def test_propagation_reaches_the_arc_consistent_fixpoint_on_small_edge_sets(self):
+        # Every (B0) edge set on at most 4 positions, cycles included: a
+        # queue that requeues only the out-edges of a shrunk vertex first
+        # misses the fixpoint at 4 positions.
+        for n in range(1, 5):
+            names = [f"v{k}" for k in range(n)]
+            for edges in b0_edge_sets(n):
+                assert_propagation_matches_the_fixpoint(
+                    graph(names, [(names[i], names[j], c) for i, j, c in edges])
+                )
+
+    @given(ACYCLIC_OR_CYCLIC_B0)
+    @settings(max_examples=100)
+    def test_propagation_reaches_the_arc_consistent_fixpoint(self, g):
+        assert_propagation_matches_the_fixpoint(g)
 
     @given(b0_graphs(max_vertices=6))
     @settings(max_examples=60)

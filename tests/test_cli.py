@@ -15,6 +15,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -479,6 +480,107 @@ def main_in_process(*argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
     return code, out.getvalue()
+
+
+# Exit code and SHA-256 of stdout and of stderr for each file under
+# tests/documents and each document command: any change to what a command
+# prints shows here.
+DOCUMENT_COMMANDS = {
+    "validate": ("validate",),
+    "validate-text": ("validate", "--format", "text"),
+    "infer": ("infer",),
+}
+DOCUMENT_PINS = {
+    ("bad_centers_edge.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "68ae38b0d8de8e36aad58b84f7f56dd3fdb734779ce0f3fd17b572f2b721bd7d"),
+    ("bad_centers_edge.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "68ae38b0d8de8e36aad58b84f7f56dd3fdb734779ce0f3fd17b572f2b721bd7d"),
+    ("bad_centers_edge.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "68ae38b0d8de8e36aad58b84f7f56dd3fdb734779ce0f3fd17b572f2b721bd7d"),
+    ("bad_label_value.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a544850ea63f23bc6756388b51e3e0fb63181de6f6597847c28360e4ca655ac"),
+    ("bad_label_value.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a544850ea63f23bc6756388b51e3e0fb63181de6f6597847c28360e4ca655ac"),
+    ("bad_label_value.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a544850ea63f23bc6756388b51e3e0fb63181de6f6597847c28360e4ca655ac"),
+    ("bare_1_edge.json", "validate"): (1, "d4c2f0c3bb42b1d21538b8a7dec3b3f986925af0d41f27451fbc19efeee5688f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bare_1_edge.json", "validate-text"): (1, "292a97b4eb779042410f809f7000cfbaa4a8ab987a1c7f090f8b53ecfa791936", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bare_1_edge.json", "infer"): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("corollary2_gap.json", "validate"): (1, "01a214903d6ff2a0e9415d65ac9629db5b8b7504dff5e72ac0ef3537e0a5a559", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("corollary2_gap.json", "validate-text"): (1, "5241a2ffd5c6fc36a2282fb1d5432cdb899df0ed6991cb1fe7ad14bb3b4204fe", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("corollary2_gap.json", "infer"): (0, "8b156a17ab4ae71afabe723fd76be75801b9cd5ce98ef4e635bca6aa6dcfe6ef", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cyclic.json", "validate"): (1, "ec037b52a7ed45dd08723ab3dba83477c401e4fb73085f90f71ef21a5a773a72", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cyclic.json", "validate-text"): (1, "b5f8cf536ba7b69d8fc4e0e0e788657d61de09cb47ed3655d7a87726bdce32ff", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cyclic.json", "infer"): (1, "7db38fea7b4b1991c2956679aab0c0cf76d5fcc0fa36ef246bf8f4df9b3d4481", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dangling_endpoint.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4adc995afb5a5c7ef66ee98a5f851340a3d938f6b1ccc89b63138d7cc70d43e6"),
+    ("dangling_endpoint.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4adc995afb5a5c7ef66ee98a5f851340a3d938f6b1ccc89b63138d7cc70d43e6"),
+    ("dangling_endpoint.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4adc995afb5a5c7ef66ee98a5f851340a3d938f6b1ccc89b63138d7cc70d43e6"),
+    ("degree_violation.json", "validate"): (1, "8d8227efc8e9767a0595dcd6bed26646a5604af4613624426197ab3bf69db4b9", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("degree_violation.json", "validate-text"): (1, "51a7a7d6d81a53ec5dc63a01392dad591a03b08be2b8bac09881ccff4356d38d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("degree_violation.json", "infer"): (1, "d4b20a63129361c5e29ba25e625844213854bb014b1f6b7d31fa6870b3dfdb24", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("disconnected_pair.json", "validate"): (1, "48c0807fe6cbf25afa76e935866b5b07854eb5fd5dcded7f9d21e2cf41c91436", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("disconnected_pair.json", "validate-text"): (1, "a575baac4f4a73fc76eba6c1227f7c92acff2914a4deeeca61435efd4b4346b7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("disconnected_pair.json", "infer"): (0, "26733d996cc18c65c7d823103d711e1f0331dfa799d3e238394471709d9d28e2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("duplicate_edge.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "32893c5326a64a4a277ad2b7a8cfbb6f1c7edf3f727371edd7d1986c27e612b2"),
+    ("duplicate_edge.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "32893c5326a64a4a277ad2b7a8cfbb6f1c7edf3f727371edd7d1986c27e612b2"),
+    ("duplicate_edge.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "32893c5326a64a4a277ad2b7a8cfbb6f1c7edf3f727371edd7d1986c27e612b2"),
+    ("duplicate_vertex.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c5e8d72ba511c6636dd86e0835cfd133e7d99ec0090251544b2029a469926294"),
+    ("duplicate_vertex.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c5e8d72ba511c6636dd86e0835cfd133e7d99ec0090251544b2029a469926294"),
+    ("duplicate_vertex.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c5e8d72ba511c6636dd86e0835cfd133e7d99ec0090251544b2029a469926294"),
+    ("empty_vertices.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "29b2c87b1b48d7f6933b29db2833c7c0c91b0ffa2e88c3d8858248095520bd9f"),
+    ("empty_vertices.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "29b2c87b1b48d7f6933b29db2833c7c0c91b0ffa2e88c3d8858248095520bd9f"),
+    ("empty_vertices.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "29b2c87b1b48d7f6933b29db2833c7c0c91b0ffa2e88c3d8858248095520bd9f"),
+    ("global_missing_centers.json", "validate"): (1, "67ff5d35750fde8f17c0a215ee84c1c12d987427e1010bf4fa97d417adbe3959", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("global_missing_centers.json", "validate-text"): (1, "7b7790b57a366c81bf5c8d7fb2e9a39723adef03ed630bcf9586a177f48314f5", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("global_missing_centers.json", "infer"): (0, "a390ef7dce1852cc3ff422c1078066eeec7a2ec4bf8e98273aeafdafe665fec1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("local_cc_edge.json", "validate"): (1, "44842047464613aa7e0b8a2f5119b970033cb5367dc9af6b3fc877e1b2b4c12d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("local_cc_edge.json", "validate-text"): (1, "bd6dfe4f033c677d983363ffced07ce00eb42506c4bbcf34db0c2a9325e22a08", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("local_cc_edge.json", "infer"): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("malformed.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "761f52f5a1c507dde8f3f2eeac119c984c1b00b8d3c95bbe019c6731b4544dee"),
+    ("malformed.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "761f52f5a1c507dde8f3f2eeac119c984c1b00b8d3c95bbe019c6731b4544dee"),
+    ("malformed.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "761f52f5a1c507dde8f3f2eeac119c984c1b00b8d3c95bbe019c6731b4544dee"),
+    ("partial_labels.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a07b53501f751f1a7ac7b07a116a692834ab5bb1e3e5814d54768eff42396b0"),
+    ("partial_labels.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a07b53501f751f1a7ac7b07a116a692834ab5bb1e3e5814d54768eff42396b0"),
+    ("partial_labels.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0a07b53501f751f1a7ac7b07a116a692834ab5bb1e3e5814d54768eff42396b0"),
+    ("self_loop.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "17b7a80fe0f0d4ac821043fe4107b1d0afd8fc4d4897e5ff1fde8cd4fc9acc43"),
+    ("self_loop.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "17b7a80fe0f0d4ac821043fe4107b1d0afd8fc4d4897e5ff1fde8cd4fc9acc43"),
+    ("self_loop.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "17b7a80fe0f0d4ac821043fe4107b1d0afd8fc4d4897e5ff1fde8cd4fc9acc43"),
+    ("single_vertex.json", "validate"): (0, "d202a0728a4ac16cea78e43f86fa4f5799e1b5e688f942b6dacd420b214e8bfb", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("single_vertex.json", "validate-text"): (0, "f9ab0be03f9f6203288a86eb0f1facbd387bc2743b9eeed65707196eb36912fb", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("single_vertex.json", "infer"): (0, "2260b6aa380c980d7ed2eeeadf0a266d1a52ed220081a392036ee931a4892c88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("unknown_color.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "f408c64cd756233b35712c91d45933057365661549920d6ea165964dd0498f7a"),
+    ("unknown_color.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "f408c64cd756233b35712c91d45933057365661549920d6ea165964dd0498f7a"),
+    ("unknown_color.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "f408c64cd756233b35712c91d45933057365661549920d6ea165964dd0498f7a"),
+    ("unknown_key.json", "validate"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b3a0eb9a3195291f1da91fe14cb337f7050449cd9fb949cd5c96d244c5448e9"),
+    ("unknown_key.json", "validate-text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b3a0eb9a3195291f1da91fe14cb337f7050449cd9fb949cd5c96d244c5448e9"),
+    ("unknown_key.json", "infer"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b3a0eb9a3195291f1da91fe14cb337f7050449cd9fb949cd5c96d244c5448e9"),
+    ("valid_centers_path5.json", "validate"): (0, "b9310f4dfd88bb7b654f030461b68fc47d24359e073f378fbf0e80aa8dc49960", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_centers_path5.json", "validate-text"): (0, "9f3ea899090f9dcbabf8f286c3de4121ea2f34f0776859d67661cb99b3cc11e9", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_centers_path5.json", "infer"): (0, "a390ef7dce1852cc3ff422c1078066eeec7a2ec4bf8e98273aeafdafe665fec1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_chain4_labels.json", "validate"): (0, "f90d67c491069eae19f092009af84738449915f170d988c0d0df44a90a140ef3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_chain4_labels.json", "validate-text"): (0, "3a7aa9e9774e37acee222c05eb0cbbedf7e5ba28ad51d594bf7c803a6bb1416a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_chain4_labels.json", "infer"): (0, "1258bf53f5dc59de4009fbb1a4d0c7adccaa6b37c0c55517b6351b4e51630fe3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_labels_path5.json", "validate"): (0, "3d1fab282841ddbb7762b8470fe0103fc4b58e0a141623516826b9a5ce7a6d35", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_labels_path5.json", "validate-text"): (0, "609d7e13673f01e7eaab5db256aa10bc1dbd993a70b0523cb0c0b17664aa3d62", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valid_labels_path5.json", "infer"): (0, "a390ef7dce1852cc3ff422c1078066eeec7a2ec4bf8e98273aeafdafe665fec1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_document_pins_cover_every_document_and_command():
+    files = {path.name for path in DOCUMENTS.glob("*.json")}
+    assert len(files) == 22
+    assert set(DOCUMENT_PINS) == {(f, c) for f in files for c in DOCUMENT_COMMANDS}
+
+
+@pytest.mark.parametrize("name, command", sorted(DOCUMENT_PINS))
+def test_document_output_is_pinned(name, command):
+    # Read from stdin, so no path can reach the output; both streams are
+    # strict UTF-8 as in a real run.
+    stdin = io.TextIOWrapper(io.BytesIO((DOCUMENTS / name).read_bytes()), encoding="utf-8")
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8", errors="strict")
+    stderr = io.TextIOWrapper(err, encoding="utf-8", errors="strict")
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main([*DOCUMENT_COMMANDS[command], "-"])
+        stdout.flush()
+        stderr.flush()
+    digests = [hashlib.sha256(stream.getvalue()).hexdigest() for stream in (out, err)]
+    assert (code, *digests) == DOCUMENT_PINS[(name, command)]
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):

@@ -36,7 +36,7 @@ def test_smallest_legal_document():
 def test_single_edge_document():
     g = parse_graph(b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":1}]}')
     assert len(g.edges) == 1
-    assert g.edges[0].triple() == ("a", "b", 1)
+    assert g.edges[0] == ("a", "b", 1)
 
 
 def test_parallel_edges_of_different_colors_allowed():

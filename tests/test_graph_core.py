@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 
@@ -29,7 +33,58 @@ from helpers import (
     kahn_is_acyclic,
     neighbor_components,
     path5,
+    port_scan_b0,
 )
+
+
+def every_small_edge_set():
+    """Edge sets to hold against the port scan, on vertices declared in
+    reverse name order: every edge set on at most 3 positions, and on 4
+    positions every set of one color's 12 slots, alone in either color and
+    beside a seeded set of the other color's slots (all 2^24 two-color
+    sets would take minutes)."""
+    rng = random.Random(4)
+    for n in range(1, 5):
+        names = [f"v{k}" for k in range(n)]
+        vertices = names[::-1]
+        slots = [(names[i], names[j]) for i in range(n) for j in range(n) if i != j]
+        if n <= 3:
+            colored = [(t, h, c) for c in (1, 2) for t, h in slots]
+            for mask in range(1 << len(colored)):
+                yield vertices, [edge for k, edge in enumerate(colored) if mask >> k & 1]
+            continue
+        for mask in range(1 << len(slots)):
+            chosen = [slot for k, slot in enumerate(slots) if mask >> k & 1]
+            other = [slot for slot in slots if rng.random() < 0.3]
+            yield vertices, [(t, h, 1) for t, h in chosen]
+            yield vertices, [(t, h, 2) for t, h in chosen]
+            yield vertices, [(t, h, 1) for t, h in chosen] + [(t, h, 2) for t, h in other]
+
+
+class TestEdge:
+    def test_edge_is_its_triple(self):
+        e = Edge("a", "b", 1)
+        assert e == ("a", "b", 1) and tuple(e) == ("a", "b", 1)
+        assert hash(e) == hash(("a", "b", 1))
+        assert {e: "x"}[("a", "b", 1)] == "x"
+        assert (e.tail, e.head, e.color) == ("a", "b", 1)
+        assert repr(e) == "Edge(tail='a', head='b', color=1)"
+
+    def test_edge_rejects_assignment(self):
+        e = Edge("a", "b", 1)
+        for name in ("tail", "head", "color"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, "z")
+        assert e == ("a", "b", 1)
+
+    def test_edge_pickles_and_deep_copies(self):
+        e = Edge("a", "b", 2)
+        for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(twin) is Edge and twin == e and repr(twin) == repr(e)
+
+    def test_graph_refuses_a_plain_tuple_edge(self):
+        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'tail'"):
+            ColoredDigraph(vertices=("a", "b"), edges=(("a", "b", 1),))
 
 
 class TestDegreeAxiom:
@@ -60,6 +115,29 @@ class TestDegreeAxiom:
             ("a", "2 entering"),
             ("a", "2 leaving "),
         ]
+
+    def test_matches_the_port_scan_on_every_small_edge_set(self):
+        checked = breaking = 0
+        for vertices, edges in every_small_edge_set():
+            g = graph(vertices, edges)
+            entries, errors = port_scan_b0(g)
+            report = check_degree_axiom(g)
+            assert [(x.clause, x.at, x.detail) for x in report] == [
+                ("B0", v, detail) for v, detail in entries
+            ]
+            for color, text in errors.items():
+                if text is None:
+                    try:
+                        decompose_strings(g, color)
+                    except MonochromaticCycleError:
+                        pass
+                else:
+                    with pytest.raises(DegreeAxiomError) as err:
+                        decompose_strings(g, color)
+                    assert str(err.value) == text
+            checked += 1
+            breaking += bool(entries)
+        assert (checked, breaking) == (1 + 16 + 4096 + 3 * 4096, 15_823)
 
 
 class TestStringDecomposition:
@@ -216,6 +294,19 @@ class TestPotential:
             [("s", "a", 1), ("a", "b", 2), ("b", "c", 1), ("c", "d", 2), ("d", "b", 1)],
         )
         assert find_potential(g) == dfs_potential(g) == CycleCertificate(("b", "c", "d", "b"))
+
+    def test_values_are_a_read_only_copy(self):
+        source = {"a": 0, "b": 1}
+        potential = Potential(values=source)
+        source["a"] = 5
+        with pytest.raises(TypeError):
+            potential.values["a"] = 2
+        assert potential.values == {"a": 0, "b": 1}
+        found = find_potential(graph(["a", "b"], [("a", "b", 1)]))
+        with pytest.raises(TypeError):
+            found.values["b"] = 0
+        for twin in (pickle.loads(pickle.dumps(found)), copy.deepcopy(found)):
+            assert twin == found == potential
 
     def test_long_path_without_recursion(self):
         n = 20_000
