@@ -15,6 +15,7 @@ and the enumeration oracle verifies it exhaustively on small graphs.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -72,19 +73,28 @@ _EDGE_CLAUSE = {1: CLAUSE_B1_I, 2: CLAUSE_B2_I}
 ALLOWED_PAIRS_1 = frozenset(EDGE_CLASS_1)
 ALLOWED_PAIRS_2 = frozenset(EDGE_CLASS_2)
 
-# The endpoint clauses, per label: the edges a vertex needs to take it, each
-# as (clause, color, incident-edge reader, direction).  c needs none.
+# The endpoint clauses, per label: the ports a vertex needs occupied to take
+# it, each as (clause, (direction, color)).  c needs none.
 _ENDPOINT_NEEDS = {
     LABEL_LEFT: (
-        (CLAUSE_B1_II, 1, ColoredDigraph.out_edges, "leaving"),
-        (CLAUSE_B2_II, 2, ColoredDigraph.in_edges, "entering"),
+        (CLAUSE_B1_II, ("leaving", 1)),
+        (CLAUSE_B2_II, ("entering", 2)),
     ),
     LABEL_CENTRAL: (),
     LABEL_RIGHT: (
-        (CLAUSE_B1_II, 1, ColoredDigraph.in_edges, "entering"),
-        (CLAUSE_B2_II, 2, ColoredDigraph.out_edges, "leaving"),
+        (CLAUSE_B1_II, ("entering", 1)),
+        (CLAUSE_B2_II, ("leaving", 2)),
     ),
 }
+
+# The bit of each (direction, color) port in a vertex's port mask.
+_PORT_BIT = {("leaving", 1): 1, ("leaving", 2): 2, ("entering", 1): 4, ("entering", 2): 8}
+
+
+def _port_index(g: ColoredDigraph) -> dict[str, dict]:
+    """Per direction, the graph's port index: (color, vertex) -> edges."""
+    return {"leaving": g._out, "entering": g._in}
+
 
 LEFT, CENTRAL, RIGHT = "left", "central", "right"
 
@@ -432,10 +442,11 @@ def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
                 detail=f"{e.color}-edge {tuple(e)} has label pair {pair}, not an admissible pair",
             ))
 
+    ports = _port_index(g)
     for v in g.vertices:
         value = labels[v]
-        for clause, color, incident, direction in _ENDPOINT_NEEDS[value]:
-            if not incident(g, v, color):
+        for clause, (direction, color) in _ENDPOINT_NEEDS[value]:
+            if (color, v) not in ports[direction]:
                 violations.append(Violation(
                     clause=clause,
                     at=v,
@@ -501,22 +512,24 @@ def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
 
 # -- label inference ------------------------------------------------------
 
-def _endpoint_labels(g: ColoredDigraph, v: str) -> tuple[str, ...]:
-    """The labels the endpoint clauses leave vertex v, in ``LABEL_VALUES``
-    order."""
-    labels = []
-    for value, needs in _ENDPOINT_NEEDS.items():
-        for _clause, color, incident, _direction in needs:
-            if not incident(g, v, color):
-                break
-        else:
-            labels.append(value)
-    return tuple(labels)
+def _unary_domains(g: ColoredDigraph) -> dict[str, frozenset[str]]:
+    """Per-vertex label domains from the endpoint clauses alone: the labels
+    whose needed ports the vertex occupies, read off the port index as a
+    mask per vertex.  Equal domains are one shared frozenset."""
+    masks = dict.fromkeys(g.vertices, 0)
+    for direction, index in _port_index(g).items():
+        for color, v in index:
+            masks[v] |= _PORT_BIT[direction, color]
+    return {v: _endpoint_domain(mask) for v, mask in masks.items()}
 
 
-def _unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
-    """Per-vertex label domains from the endpoint clauses alone."""
-    return {v: set(_endpoint_labels(g, v)) for v in g.vertices}
+@functools.cache
+def _endpoint_domain(mask: int) -> frozenset[str]:
+    """The labels whose needed ports are all in the port ``mask``."""
+    return frozenset(
+        value for value, needs in _ENDPOINT_NEEDS.items()
+        if all(mask & _PORT_BIT[port] for _clause, port in needs)
+    )
 
 
 def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:

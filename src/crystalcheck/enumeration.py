@@ -7,8 +7,8 @@ block in row-major order over ordered vertex pairs.  Enumeration order is
 ascending over this encoding; the canonical form of a graph is the minimal
 encoding over all vertex permutations, which deduplicates color- and
 direction-preserving isomorphs.  Its most significant block, the 1-rows,
-follows from the 1-string lengths alone, so branch and bound only decides
-which 1-strings of equal length trade places, reading only the 2-rows.
+follows from the 1-string lengths alone, so the rest is a direct minimum of
+the 2-rows over the swaps of equal-length 1-strings.
 
 Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
 the census, from one pipeline.  Under (B0) and acyclicity the 1-edges are
@@ -74,7 +74,9 @@ class GraphStream:
     canonical: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
+        # An int only, as for edge colors: 2.5 would pass the range test.
+        max_vertices = self.max_vertices
+        if type(max_vertices) is not int or not 1 <= max_vertices <= MAX_ENUMERATION_VERTICES:
             raise ValueError(
                 f"max_vertices must be in [1, {MAX_ENUMERATION_VERTICES}], "
                 f"got {self.max_vertices}"
@@ -178,114 +180,119 @@ class _Encoder:
     def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
         """The minimal encoding of ``edges`` over all vertex permutations.
 
-        The 1-rows are the most significant rows, and they encode exactly
-        the 1-edges.  So every minimal code's 1-block is ``c1``, the minimal
-        code of the 1-edges alone, and a permutation reaches ``c1`` exactly
-        when it maps the 1-edges onto those of ``c1``.  The 1-edges must be
-        disjoint directed paths, the 1-strings (else ``ValueError``).  Those
-        maps send each 1-string onto a string of ``c1`` with the same
-        length, offset by offset, and ``c1`` depends only on the multiset of
-        string lengths (``_one_block``).  The search fills the positions in
-        order.  A position on a string of ``c1`` that already has a 1-string
-        is forced; the first position reached on another string tries each
-        unused 1-string of its length.  Only the 2-block is left to
-        minimize, so the bound reads only the 2-rows.
+        The 1-edges must be disjoint directed paths, the 1-strings (else
+        ``ValueError``); ``c1`` is their least code alone, which depends
+        only on the multiset of string lengths (``_one_block``).
+        - The 1-rows are the most significant rows and encode exactly the
+          1-edges, so every minimal code starts with ``c1``.
+        - The permutations that reach ``c1`` send each 1-string onto a
+          string of ``c1`` with the same length, offset by offset: one fixed
+          map, each 1-string onto the next unused string of ``c1`` of its
+          length, composed with the swaps of equal-length strings.
+        - So the canonical code is ``c1`` joined with the least 2-block over
+          those swaps.
 
         A set without 2-edges is its own ``c1``.
         """
-        n = self.n
-        heads: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (1, 2)]
+        n, bit = self.n, self.bit
+        successors: list[list[int]] = [[] for _ in range(n)]
+        twos = []
         for i, j, color in set(edges):
-            heads[color - 1][i].append(j)
-        strings = _one_strings(heads[0])
+            if color == 1:
+                successors[i].append(j)
+            else:
+                twos.append((i, j))
+        strings = _one_strings(successors)
         if strings is None:
             raise ValueError("the 1-edges are not disjoint directed paths")
-        c1, slots = _one_block(n, tuple(sorted(map(len, strings))))
-        if not any(heads[1]):
+        c1, groups = _one_block(n, tuple(sorted(map(len, strings))))
+        if not twos:
             return c1
-        string_of: list[list[int]] = [[]] * n
         by_length: dict[int, list[list[int]]] = {}
         for string in strings:
             by_length.setdefault(len(string), []).append(string)
-            for v in string:
-                string_of[v] = string
+        targets = [p for group in groups for string in group for p in string]
+        position = [0] * n
+        best = -1
+        for choice in itertools.product(
+            *(itertools.permutations(by_length[len(group[0])]) for group in groups)
+        ):
+            sources = (v for swapped in choice for string in swapped for v in string)
+            for v, p in zip(sources, targets):
+                position[v] = p
+            code = sum(bit[(n + position[i]) * n + position[j]] for i, j in twos)
+            if best < 0 or code < best:
+                best = code
+        return c1 | best
 
-        # A string of ``c1`` is first reached at its end, since ``c1`` puts
-        # the 1-ends first, so a 1-string is unused while its end is unplaced.
-        def cell(order: list[int], position: list[int]) -> list[int]:
-            first, offset, length = slots[len(order)]
-            if first < len(order):
-                return [string_of[order[first]][offset]]
-            return [string[offset] for string in by_length[length] if position[string[-1]] < 0]
+    def _least_code(self, successors: list[list[int]]) -> int:
+        """The least encoding of the 1-edges ``successors`` (per vertex, its
+        1-heads) over all vertex placements, with no 2-edges.
 
-        return c1 | self._least_code([[[]] * n, heads[1]], cell)
-
-    def _least_code(self, heads: list[list[list[int]]], cell: Callable) -> int:
-        """The least encoding of the rows ``heads`` (per color, per vertex,
-        its heads) over the vertex placements that ``cell`` admits.
+        A 1-end, a vertex without a 1-head, has an all-zero 1-row wherever
+        it goes and every other vertex has a nonzero one, and the 1-rows
+        are the most significant rows in position order.  So a placement
+        with the s 1-ends at positions 0..s-1 beats any other, and every
+        minimal code puts them there: positions below s take the 1-ends,
+        the others the rest.
 
         Branch and bound: vertices are placed at positions 0, 1, ... in
-        turn, and ``cell(order, position)`` gives the vertices that may take
-        the next position, given the vertices ``order`` already placed and
-        the ``position`` of each (-1 if unplaced).  A partial placement is
+        turn, each from those its position admits.  A partial placement is
         bounded below row by row.  A placed row puts its unplaced heads in
         its least significant free columns; the rows of the unplaced
         positions take the smallest values their vertices can reach, in
         ascending order (by rearrangement, no assignment of them to
-        positions is smaller).  Any restriction of the completions only
-        raises their least code, so the bound holds for every cell.  A
-        branch is cut once its bound is no smaller than the best code found;
-        with every vertex placed the bound is the code itself.  A position
-        with one candidate is forced and gets no bound.
+        positions is smaller).  A branch is cut once its bound is no
+        smaller than the best code found; with every vertex placed the
+        bound is the code itself.  A position with one candidate is forced
+        and gets no bound.
 
         The bound reads only the rows with heads.  The unplaced rows without
         heads are zero and sort first, so they take the first unplaced
         positions, and the sorted nonzero rows take the last ones.
         """
         n = self.n
-        # Per color: the row shifts and the (vertex, heads) pairs of its
-        # nonzero rows.
-        blocks = [
-            (shift, [(v, block[v]) for v in range(n) if block[v]])
-            for shift, block in zip(self.row_shift, heads)
-        ]
-        blocks = [block for block in blocks if block[1]]
+        shift = self.row_shift[0]
+        rows = [(v, heads) for v, heads in enumerate(successors) if heads]
+        one_ends = n - len(rows)
         position = [-1] * n
-        order: list[int] = []
+        placed = 0
         best = -1
 
         def bound() -> int:
             total = 0
-            for shift, rows in blocks:
-                unplaced_rows = []
-                for v, row_heads in rows:
-                    p = position[v]
-                    row = free = 0
-                    for h in row_heads:
-                        q = position[h]
-                        if q < 0:
-                            free += 1
-                        else:
-                            row |= 1 << (n - 2 - (q if p < 0 or q < p else q - 1))
-                    row += (1 << free) - 1
-                    if p < 0:
-                        unplaced_rows.append(row)
+            unplaced_rows = []
+            for v, row_heads in rows:
+                p = position[v]
+                row = free = 0
+                for h in row_heads:
+                    q = position[h]
+                    if q < 0:
+                        free += 1
                     else:
-                        total += row << shift[p]
-                unplaced_rows.sort()
-                for p, row in enumerate(unplaced_rows, n - len(unplaced_rows)):
+                        row |= 1 << (n - 2 - (q if p < 0 or q < p else q - 1))
+                row += (1 << free) - 1
+                if p < 0:
+                    unplaced_rows.append(row)
+                else:
                     total += row << shift[p]
+            unplaced_rows.sort()
+            for p, row in enumerate(unplaced_rows, n - len(unplaced_rows)):
+                total += row << shift[p]
             return total
 
         def search() -> None:
-            nonlocal best
-            placed = len(order)
+            nonlocal best, placed
             if placed == n:
                 code = bound()
                 if best < 0 or code < best:
                     best = code
                 return
-            candidates = cell(order, position)
+            needs_head = placed >= one_ends
+            candidates = [
+                v for v, heads in enumerate(successors)
+                if position[v] < 0 and bool(heads) == needs_head
+            ]
             if len(candidates) == 1:
                 children = [(-1, candidates[0])]  # forced: never cut
             else:
@@ -299,9 +306,9 @@ class _Encoder:
                 if 0 <= best <= low:
                     return
                 position[v] = placed
-                order.append(v)
+                placed += 1
                 search()
-                order.pop()
+                placed -= 1
                 position[v] = -1
 
         search()
@@ -324,50 +331,28 @@ def _one_strings(successors: list[list[int]]) -> Optional[list[list[int]]]:
     return strings if sum(map(len, strings)) == len(successors) else None
 
 
-def _one_end_cell(successors: list[list[int]]) -> Callable:
-    """The cell of a vertex-by-vertex search for a least code: positions
-    below s take the s vertices without a 1-head, the 1-ends, and the
-    others take the rest.
-
-    A 1-end has an all-zero 1-row wherever it goes and every other vertex
-    has a nonzero one, and the 1-rows are the most significant rows in
-    position order.  So a placement with the 1-ends at positions 0..s-1
-    beats any other, and every minimal code puts them there.
-    """
-    one_ends = sum(not heads for heads in successors)
-
-    def cell(order: list[int], position: list[int]) -> list[int]:
-        needs_head = len(order) >= one_ends
-        return [
-            v for v, heads in enumerate(successors)
-            if position[v] < 0 and bool(heads) == needs_head
-        ]
-
-    return cell
-
-
 @functools.cache
-def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     """``c1``, the least code of 1-strings with these ``lengths`` on n
-    positions and no 2-edges, and per position p the slot (first position
-    of p's string in ``c1``, p's offset on it, the string's length).
+    positions and no 2-edges, and ``c1``'s 1-strings, each as its positions
+    from start to end, grouped by length in ascending order.
 
-    The vertex-by-vertex search finds ``c1`` on a forest with these
-    lengths; each process does so once per n and length multiset.
+    The forest search (``_Encoder._least_code``) finds ``c1`` on a forest
+    with these lengths; each process does so once per n and length
+    multiset.
     """
     successors = [[v + 1] for v in range(n)]
     for end in itertools.accumulate(lengths):
         successors[end - 1] = []
     encoder = _Encoder(n)
-    c1 = encoder._least_code([successors, [[]] * n], _one_end_cell(successors))
+    c1 = encoder._least_code(successors)
     successors = [[] for _ in range(n)]
     for i, j, _ in encoder.decode(c1):
         successors[i].append(j)
-    slots = [(0, 0, 0)] * n
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for string in _one_strings(successors):
-        for offset, p in enumerate(string):
-            slots[p] = (min(string), offset, len(string))
-    return c1, tuple(slots)
+        groups.setdefault(len(string), []).append(tuple(string))
+    return c1, tuple(tuple(groups[length]) for length in sorted(groups))
 
 
 def graph_from_position_edges(n: int, edges: tuple[PositionEdge, ...]) -> ColoredDigraph:
@@ -634,10 +619,11 @@ def census(
     process then checks the row's graphs in order, so the output is the
     same for any worker count.  The budget is one deadline, read before
     each enumeration candidate and after each graph is checked; passing it
-    raises ``BudgetError``.  A NaN or negative budget, or fewer than one
-    worker, raises ``ValueError``.
+    raises ``BudgetError``.  A ``max_vertices`` or worker count that is not
+    an int, a NaN or negative budget, or fewer than one worker, raises
+    ``ValueError``.
     """
-    if not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
+    if type(max_vertices) is not int or not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
             f"census max_vertices must be in [1, {MAX_CENSUS_VERTICES}], got {max_vertices}"
         )
@@ -645,7 +631,7 @@ def census(
         raise ValueError(f"census budget_seconds must be a number >= 0, got {budget_seconds}")
     if workers is None:
         workers = resolve_workers()
-    elif workers < 1:
+    elif type(workers) is not int or workers < 1:
         raise ValueError(f"census workers must be at least 1, got {workers}")
     deadline = math.inf if budget_seconds is None else time.monotonic() + budget_seconds
     rows: list[CensusRow] = []

@@ -231,12 +231,14 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
     Requires (B0) for the given color and a cycle-free color class; under
     those conditions the decomposition is unique.  It is computed once per
     graph and color; a graph violating the requirements raises every time.
+    A color other than the int 1 or 2 raises ``ValueError``.
     """
+    # Before the memo, whose lookup would hash the color or take 1.0 for 1.
+    if type(color) is not int or color not in COLORS:
+        raise ValueError(f"color must be one of {COLORS}, got {color!r}")
     memo = g._strings.get(color)
     if memo is not None:
         return memo
-    if color not in COLORS:
-        raise ValueError(f"color must be one of {COLORS}, got {color!r}")
     offenders = [v for _word, c, v, _count in g._breaches if c == color]
     if offenders:
         v = min(offenders, key=g.vertex_index)

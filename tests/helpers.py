@@ -4,10 +4,10 @@ The oracles here (Kahn cycle test, depth-first potential, neighbor-set
 components, the one-loop document parser, (B0) by a scan of every port,
 round-robin arc consistency, labelings among all 3^n label vectors,
 permutation isomorphism test, minimal encoding over all vertex
-permutations, least breadth-first renumbering over all roots, every (B0)
-edge set, the (B1) slot product, valid markings among all subsets) are kept
-independent of the library's own algorithms so the two can check each
-other.
+permutations and by a vertex-by-vertex search, least breadth-first
+renumbering over all roots, every (B0) edge set, the (B1) slot product,
+valid markings among all subsets) are kept independent of the library's
+own algorithms so the two can check each other.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from crystalcheck import (
 from crystalcheck.axioms import (
     LABEL_VALUES,
     _EDGE_CLASS,
-    _endpoint_labels,
     _require_degree_axiom,
+    _unary_domains,
 )
 from crystalcheck.documents import _parse_centers, _parse_labels
 from crystalcheck.graph import StringDecomposition
@@ -353,8 +353,11 @@ class _LocalClauses:
 
 
 def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
+    domains = _unary_domains(g)
     return _LocalClauses(
-        allowed=tuple(_endpoint_labels(g, v) for v in g.vertices),
+        allowed=tuple(
+            tuple(value for value in LABEL_VALUES if value in domains[v]) for v in g.vertices
+        ),
         edges=tuple(
             (g.vertex_index(e.tail), g.vertex_index(e.head), _EDGE_CLASS[e.color])
             for e in g.edges
@@ -421,6 +424,89 @@ def brute_canonical_code(encoder, edges) -> int:
         sum(1 << (top - index[(perm[i], perm[j], color)]) for i, j, color in set(edges))
         for perm in itertools.permutations(range(encoder.n))
     )
+
+
+def vertex_search_code(encoder, edges) -> int:
+    """Least encoding of position edges over all vertex permutations, by a
+    vertex-by-vertex branch and bound over both colors.
+
+    A 1-end, a vertex without a 1-head, has an all-zero 1-row wherever it
+    goes and every other vertex has a nonzero one, and the 1-rows are the
+    most significant rows in position order.  So positions below s take the
+    s 1-ends and the others take the rest.  Vertices are placed at positions
+    0, 1, ... in turn.  A partial placement is bounded below row by row: a
+    placed row puts its unplaced heads in its least significant free
+    columns, and the rows of the unplaced positions take the smallest values
+    their vertices can reach, in ascending order.  A branch is cut once its
+    bound is no smaller than the best code found.  Independent of the
+    1-string matching of ``canonical_code``.
+    """
+    n = encoder.n
+    heads = [[[] for _ in range(n)] for _ in (1, 2)]
+    for i, j, color in set(edges):
+        heads[color - 1][i].append(j)
+    one_ends = sum(not row for row in heads[0])
+    # Per color: the row shifts and the (vertex, heads) pairs of its
+    # nonzero rows.
+    blocks = [
+        (shift, [(v, block[v]) for v in range(n) if block[v]])
+        for shift, block in zip(encoder.row_shift, heads)
+    ]
+    blocks = [block for block in blocks if block[1]]
+    position = [-1] * n
+    order: list[int] = []
+    best = -1
+
+    def bound() -> int:
+        total = 0
+        for shift, rows in blocks:
+            unplaced_rows = []
+            for v, row_heads in rows:
+                p = position[v]
+                row = free = 0
+                for h in row_heads:
+                    q = position[h]
+                    if q < 0:
+                        free += 1
+                    else:
+                        row |= 1 << (n - 2 - (q if p < 0 or q < p else q - 1))
+                row += (1 << free) - 1
+                if p < 0:
+                    unplaced_rows.append(row)
+                else:
+                    total += row << shift[p]
+            unplaced_rows.sort()
+            for p, row in enumerate(unplaced_rows, n - len(unplaced_rows)):
+                total += row << shift[p]
+        return total
+
+    def search() -> None:
+        nonlocal best
+        placed = len(order)
+        if placed == n:
+            code = bound()
+            if best < 0 or code < best:
+                best = code
+            return
+        needs_head = placed >= one_ends
+        children = []
+        for v in range(n):
+            if position[v] < 0 and bool(heads[0][v]) == needs_head:
+                position[v] = placed
+                children.append((bound(), v))
+                position[v] = -1
+        children.sort()
+        for low, v in children:
+            if 0 <= best <= low:
+                return
+            position[v] = placed
+            order.append(v)
+            search()
+            order.pop()
+            position[v] = -1
+
+    search()
+    return best
 
 
 def brute_port_key(encoder, edges) -> int:

@@ -55,6 +55,7 @@ from helpers import (
     path5,
     random_b0_edge_set,
     single_vertex,
+    vertex_search_code,
 )
 
 # Labeled graphs per vertex count beyond LABELED_COUNTS, counted from the
@@ -86,22 +87,15 @@ def _forest(lengths) -> tuple[tuple[int, int, int], ...]:
     return tuple(edges)
 
 
-def _vertex_search(encoder, edges) -> int:
-    """The least code by the vertex-by-vertex search with the 1-end cell."""
-    heads = [[[] for _ in range(encoder.n)] for _ in (1, 2)]
-    for i, j, color in set(edges):
-        heads[color - 1][i].append(j)
-    return encoder._least_code(heads, enumeration._one_end_cell(heads[0]))
-
-
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
 
 
 class TestStreamConfig:
-    @pytest.mark.parametrize("bad", [0, -1, 9])
+    # An int only: 2.5 passed the range test and then broke ``range``.
+    @pytest.mark.parametrize("bad", [0, -1, 9, 2.5, 3.0, True, "3"])
     def test_max_vertices_bounds(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_vertices must be in"):
             GraphStream(max_vertices=bad)
 
     def test_labeled_stream_bound(self):
@@ -267,12 +261,22 @@ class TestCanonicalCode:
 
     def test_one_block_matches_permutation_scan_on_every_forest(self):
         # c1 depends only on the 1-string lengths: one forest per multiset.
+        # Its strings come grouped by ascending length, each from its start,
+        # and they cover the positions once and make up c1's 1-edges.
         forests = 0
         for n in range(1, 8):
             encoder = enumeration._Encoder(n)
             for lengths in _partitions(n):
-                c1, _ = enumeration._one_block(n, lengths)
+                c1, groups = enumeration._one_block(n, lengths)
                 assert c1 == brute_canonical_code(encoder, _forest(lengths))
+                strings = [string for group in groups for string in group]
+                assert [len(string) for string in strings] == list(lengths)
+                assert all(len({len(string) for string in group}) == 1 for group in groups)
+                assert len(groups) == len(set(lengths))
+                assert sorted(v for string in strings for v in string) == list(range(n))
+                assert set(encoder.decode(c1)) == {
+                    (v, w, 1) for string in strings for v, w in zip(string, string[1:])
+                }
                 forests += 1
         assert forests == 44
 
@@ -300,7 +304,7 @@ class TestCanonicalCode:
         assert len(classes) == sum(CANONICAL_COUNTS.values()) + 500
         for n, edges in classes:
             encoder = enumeration._Encoder(n)
-            expected = _vertex_search(encoder, edges)
+            expected = vertex_search_code(encoder, edges)
             assert encoder.canonical_code(edges) == expected
             for _ in range(3):
                 perm = rng.sample(range(n), n)
@@ -308,26 +312,25 @@ class TestCanonicalCode:
                 assert encoder.canonical_code(relabeled) == expected
 
     def test_row_six_reaches_the_vertex_search_only_for_one_blocks(self, monkeypatch):
-        # The vertex-by-vertex search runs only inside ``_one_block``, once
+        # The branch and bound runs only inside ``_one_block``, at most once
         # per 1-string length multiset, on its forest without 2-edges.
         forests = []
-        one_end_cell = enumeration._one_end_cell
+        least_code = enumeration._Encoder._least_code
 
-        def counting(successors):
+        def counting(encoder, successors):
             forests.append(successors)
-            return one_end_cell(successors)
+            return least_code(encoder, successors)
 
-        monkeypatch.setattr(enumeration, "_one_end_cell", counting)
+        monkeypatch.setattr(enumeration._Encoder, "_least_code", counting)
         enumeration._one_block.cache_clear()
         assert len(_row_codes(6)) == CANONICAL_COUNTS[6]
-        assert 1 <= len(forests) <= 11
         multisets = set()
         for successors in forests:
             lengths = tuple(sorted(map(len, enumeration._one_strings(successors))))
             edges = tuple((v, w, 1) for v, heads in enumerate(successors) for w in heads)
             assert edges == _forest(lengths)
             multisets.add(lengths)
-        assert len(multisets) == len(forests)
+        assert len(multisets) == len(forests) == len(list(_partitions(6)))
 
     def test_one_ends_come_first(self):
         # Both searches put the 1-ends first: the vertex search in its first
@@ -693,12 +696,17 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(8)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_max_vertices_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="census max_vertices must be in"):
+            census(bad)
+
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
     def test_nan_and_negative_budgets_refused(self, bad):
         with pytest.raises(ValueError, match="budget"):
             census(1, budget_seconds=bad)
 
-    @pytest.mark.parametrize("bad", [0, -2])
+    @pytest.mark.parametrize("bad", [0, -2, 2.5])
     def test_fewer_than_one_worker_refused(self, bad):
         with pytest.raises(ValueError, match="workers"):
             census(1, workers=bad)

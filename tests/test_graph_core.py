@@ -156,6 +156,15 @@ class TestStringDecomposition:
         with pytest.raises(ValueError, match="color must be one of"):
             decompose_strings(g, 3)
 
+    @pytest.mark.parametrize("bad", [[1], 1.0, True])
+    def test_color_must_be_an_int_even_once_memoized(self, bad):
+        # The color is checked before the memo: [1] is unhashable, and 1.0
+        # and True would find the color-1 decomposition.
+        g = graph(["a", "b"], [("a", "b", 1)])
+        decompose_strings(g, 1)
+        with pytest.raises(ValueError, match="color must be one of"):
+            decompose_strings(g, bad)
+
     def test_degree_violation_is_an_error(self):
         g = graph(["a", "b", "c"], [("a", "b", 1), ("a", "c", 1)])
         with pytest.raises(DegreeAxiomError):
