@@ -15,12 +15,12 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .axioms import Labeling, check_global, check_local, infer_labelings, labels_from_marking
-from .documents import GraphDocument, document_from_graph, dumps_document, parse_document
+from .documents import GraphDocument, document_from_graph, dumps_document, dumps_position_edges, parse_document
 from .enumeration import (
     GraphStream,
     census,
     census_rows_to_csv,
-    enumerate_graphs,
+    position_graphs,
     resolve_workers,
 )
 from .errors import BudgetError, CounterexampleError, CrystalCheckError, DocumentError
@@ -320,8 +320,8 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         _error(str(exc))
         return EXIT_INPUT
-    for g in enumerate_graphs(stream):
-        print(dumps_document(document_from_graph(g), compact=True))
+    for n, edges in position_graphs(stream):
+        print(dumps_position_edges(n, edges))
     return EXIT_OK
 
 

@@ -231,6 +231,27 @@ def document_from_graph(
     return doc
 
 
+def graph_from_position_edges(n: int, edges) -> ColoredDigraph:
+    """The graph on vertices v1..vn with these position edges, (tail, head,
+    color) triples over positions 0..n-1."""
+    names = tuple(f"v{k + 1}" for k in range(n))
+    return ColoredDigraph(
+        vertices=names,
+        edges=tuple(Edge(names[i], names[j], color) for i, j, color in edges),
+    )
+
+
+def dumps_position_edges(n: int, edges) -> str:
+    """The line ``dumps_document(document_from_graph(g), compact=True)``
+    gives for ``g = graph_from_position_edges(n, edges)``, written without
+    building the graph."""
+    vertices = ",".join(f'"v{k + 1}"' for k in range(n))
+    items = ",".join(
+        f'{{"from":"v{i + 1}","to":"v{j + 1}","color":{color}}}' for i, j, color in edges
+    )
+    return f'{{"vertices":[{vertices}],"edges":[{items}]}}'
+
+
 def dumps_document(doc: dict, compact: bool = False) -> str:
     if compact:
         return json.dumps(doc, separators=(",", ":"))

@@ -7,20 +7,20 @@ block in row-major order over ordered vertex pairs.  Enumeration order is
 ascending over this encoding; the canonical form of a graph is the minimal
 encoding over all vertex permutations, which deduplicates color- and
 direction-preserving isomorphs.  Its most significant block, the 1-rows,
-follows from the 1-string lengths alone, so the rest is a direct minimum of
-the 2-rows over the swaps of equal-length 1-strings.
+follows from the 1-string lengths alone.
 
 Every stream emits the weakly connected acyclic (B0) graphs, the graphs of
 the census, from one pipeline.  Under (B0) and acyclicity the 1-edges are
 disjoint directed paths, so a graph's 1-system is fixed, up to isomorphism,
-by the partition of n into its 1-string lengths.  A row runs in shards, one
-per partition, which a census or a stream may hand to a process pool.  A
-shard's candidates are the 1-strings of ``c1`` joined with every acyclic
-partial injection of 2-edges.  The port key, a cheaper complete invariant,
-drops the disconnected ones and sorts the rest into isomorphism classes,
-and one candidate per class is canonicalized.  A canonical stream emits
-these minimal encodings; a labeled stream emits all their relabelings,
-which are exactly the row's labeled graphs.
+by the partition λ of n into its 1-string lengths.  A row runs in shards,
+one per partition, which a census or a stream may hand to a process pool.
+A shard's candidates are the 1-strings of ``c1`` joined with every acyclic
+partial injection of 2-edges, and its classes are the orbits of the
+connected candidates under Aut(λ), the swaps of equal-length 1-strings.
+One sweep over the candidates records each orbit once, by its least
+2-block.  A canonical stream emits these minimal encodings; a labeled
+stream emits all their relabelings, which are exactly the row's labeled
+graphs.
 """
 
 from __future__ import annotations
@@ -44,14 +44,9 @@ from .axioms import (
     labels_from_marking,
     marking_from_labels,
 )
+from .documents import graph_from_position_edges
 from .errors import BudgetError, CounterexampleError, DegreeAxiomError, PreconditionError
-from .graph import (
-    ColoredDigraph,
-    CycleCertificate,
-    Edge,
-    decompose_strings,
-    find_potential,
-)
+from .graph import ColoredDigraph, CycleCertificate, decompose_strings, find_potential
 from .predicates import FAILS, check_corollary2, check_corollary3
 
 MAX_ENUMERATION_VERTICES = 8
@@ -113,60 +108,14 @@ class _Encoder:
         ]
 
     def decode(self, code: int) -> tuple[PositionEdge, ...]:
-        total = len(self.slots)
-        return tuple(slot for s, slot in enumerate(self.slots) if code >> (total - 1 - s) & 1)
-
-    def port_key(self, edges: tuple[PositionEdge, ...]) -> int:
-        """A complete isomorphism invariant of a weakly connected (B0) graph,
-        and -1 for a graph that is not weakly connected.
-
-        Under (B0) every vertex has at most one neighbor per (color,
-        direction) port, so a breadth-first numbering from a root that visits
-        the ports in a fixed order depends on the root alone.  The key is the
-        least encoding over the n renumberings; isomorphic graphs share their
-        renumberings, and equal keys encode one and the same graph.  The
-        search follows all four ports, so it numbers exactly the root's weak
-        component.
-
-        Only roots that can give the least encoding are tried.  A root
-        without a 1-successor leaves its own 1-row, the most significant
-        row, empty, so it beats every root with one.  On a connected graph
-        with n >= 2, a root without any 1-edge also beats one with a
-        1-predecessor u: that root numbers u first (the 1-successor port is
-        visited first, then the 1-predecessor one), and u's only 1-head, at
-        position 0, makes row 1 of color 1 equal 2^(n-2).  A root without a
-        1-predecessor numbers a 2-neighbor first, whose 1-head, if any, is
-        not the root and so sits at position 2 or later: that row is at most
-        2^(n-3).
-        """
-        n, bit = self.n, self.bit
-        ports = [[-1] * 4 for _ in range(n)]
-        for i, j, color in edges:
-            ports[i][2 * color - 2] = j
-            ports[j][2 * color - 1] = i
-        roots = (
-            [v for v in range(n) if ports[v][0] < 0 and ports[v][1] < 0]
-            or [v for v in range(n) if ports[v][0] < 0]
-            or range(n)
-        )
-        best = -1
-        for root in roots:
-            number = [-1] * n
-            number[root] = 0
-            order = [root]
-            for v in order:
-                for w in ports[v]:
-                    if w >= 0 and number[w] < 0:
-                        number[w] = len(order)
-                        order.append(w)
-            if len(order) < n:
-                return -1
-            code = 0
-            for i, j, color in edges:
-                code |= bit[((color - 1) * n + number[i]) * n + number[j]]
-            if best < 0 or code < best:
-                best = code
-        return best
+        """The slots of the set bits of ``code``, most significant first."""
+        top = len(self.slots) - 1
+        edges = []
+        while code:
+            high = code.bit_length() - 1
+            edges.append(self.slots[top - high])
+            code ^= 1 << high
+        return tuple(edges)
 
     def relabelings(self, code: int) -> set[int]:
         """The encodings of the graph ``code`` under all n! permutations."""
@@ -176,54 +125,6 @@ class _Encoder:
             sum(bit[((color - 1) * n + perm[i]) * n + perm[j]] for i, j, color in edges)
             for perm in itertools.permutations(range(n))
         }
-
-    def canonical_code(self, edges: tuple[PositionEdge, ...]) -> int:
-        """The minimal encoding of ``edges`` over all vertex permutations.
-
-        The 1-edges must be disjoint directed paths, the 1-strings (else
-        ``ValueError``); ``c1`` is their least code alone, which depends
-        only on the multiset of string lengths (``_one_block``).
-        - The 1-rows are the most significant rows and encode exactly the
-          1-edges, so every minimal code starts with ``c1``.
-        - The permutations that reach ``c1`` send each 1-string onto a
-          string of ``c1`` with the same length, offset by offset: one fixed
-          map, each 1-string onto the next unused string of ``c1`` of its
-          length, composed with the swaps of equal-length strings.
-        - So the canonical code is ``c1`` joined with the least 2-block over
-          those swaps.
-
-        A set without 2-edges is its own ``c1``.
-        """
-        n, bit = self.n, self.bit
-        successors: list[list[int]] = [[] for _ in range(n)]
-        twos = []
-        for i, j, color in set(edges):
-            if color == 1:
-                successors[i].append(j)
-            else:
-                twos.append((i, j))
-        strings = _one_strings(successors)
-        if strings is None:
-            raise ValueError("the 1-edges are not disjoint directed paths")
-        c1, groups = _one_block(n, tuple(sorted(map(len, strings))))
-        if not twos:
-            return c1
-        by_length: dict[int, list[list[int]]] = {}
-        for string in strings:
-            by_length.setdefault(len(string), []).append(string)
-        targets = [p for group in groups for string in group for p in string]
-        position = [0] * n
-        best = -1
-        for choice in itertools.product(
-            *(itertools.permutations(by_length[len(group[0])]) for group in groups)
-        ):
-            sources = (v for swapped in choice for string in swapped for v in string)
-            for v, p in zip(sources, targets):
-                position[v] = p
-            code = sum(bit[(n + position[i]) * n + position[j]] for i, j in twos)
-            if best < 0 or code < best:
-                best = code
-        return c1 | best
 
     def _least_code(self, successors: list[list[int]]) -> int:
         """The least encoding of the 1-edges ``successors`` (per vertex, its
@@ -315,20 +216,18 @@ class _Encoder:
         return best
 
 
-def _one_strings(successors: list[list[int]]) -> Optional[list[list[int]]]:
-    """The 1-strings, each from its start, when the 1-edges (``successors``
-    per vertex) are disjoint directed paths; None otherwise."""
-    heads = [h for row in successors for h in row]
-    if len(set(heads)) < len(heads) or any(len(row) > 1 for row in successors):
-        return None
+def _one_strings(successors: list[list[int]]) -> list[list[int]]:
+    """The 1-strings of disjoint directed 1-paths (``successors`` per
+    vertex, its 1-heads), each from its start."""
+    heads = {h for row in successors for h in row}
     strings = []
-    for v in sorted(set(range(len(successors))).difference(heads)):
-        string = [v]
-        while successors[string[-1]]:
-            string.append(successors[string[-1]][0])
-        strings.append(string)
-    # The vertices left over lie on 1-cycles.
-    return strings if sum(map(len, strings)) == len(successors) else None
+    for v in range(len(successors)):
+        if v not in heads:
+            string = [v]
+            while successors[string[-1]]:
+                string.append(successors[string[-1]][0])
+            strings.append(string)
+    return strings
 
 
 @functools.cache
@@ -353,15 +252,6 @@ def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple
     for string in _one_strings(successors):
         groups.setdefault(len(string), []).append(tuple(string))
     return c1, tuple(tuple(groups[length]) for length in sorted(groups))
-
-
-def graph_from_position_edges(n: int, edges: tuple[PositionEdge, ...]) -> ColoredDigraph:
-    """Materialize a graph on vertices v1..vn from position-edge triples."""
-    names = tuple(f"v{k + 1}" for k in range(n))
-    return ColoredDigraph(
-        vertices=names,
-        edges=tuple(Edge(names[i], names[j], color) for i, j, color in edges),
-    )
 
 
 def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -407,20 +297,74 @@ def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge
 
 def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[set[int]]:
     """The canonical codes of row n's classes whose 1-strings have these
-    ``lengths``, one per port key among the ``_candidates``; the lengths are
-    an isomorphism invariant, so no class spans two shards.  Returns None
-    once ``time.monotonic()``, read before each candidate, passes
-    ``deadline``."""
-    encoder = _Encoder(n)
-    keys = set()
+    ``lengths`` λ, one per orbit of Aut(λ) on the connected ``_candidates``;
+    the lengths are an isomorphism invariant, so no class spans two shards.
+    Returns None once ``time.monotonic()``, read before each candidate,
+    passes ``deadline``.
+
+    Aut(λ) is the swaps of equal-length 1-strings of ``c1`` (``_one_block``),
+    applied offset by offset; this is the orbit method of isomorph
+    rejection.
+    - An isomorphism between two candidates maps 1-edges onto 1-edges, and
+      both have the 1-edges of ``c1``.  So it maps each 1-string of ``c1``
+      onto one of the same length, offset by offset: it lies in Aut(λ).
+    - Aut(λ) maps the 1-edges of ``c1`` onto themselves and the 2-edges
+      one to one, so it keeps acyclicity, the 2-edges' partial injection,
+      the edge count and weak connectivity.  Every orbit lies inside the
+      shard, and the orbits of the connected candidates are exactly its
+      classes.
+    - The 1-rows are the most significant rows and encode exactly the
+      1-edges, so every minimal code starts with ``c1``.  The permutations
+      that reach ``c1`` send each 1-string onto a string of ``c1`` with the
+      same length, offset by offset; on a candidate they are Aut(λ).  So
+      the canonical code is ``c1`` joined with the least 2-block over the
+      orbit.
+
+    A candidate whose 2-block is in ``seen`` lies in an orbit already
+    recorded.  A disconnected one is skipped unmarked: its whole orbit is
+    disconnected, and each member costs one connectivity sweep.
+    """
+    c1, groups = _one_block(n, lengths)
+    bit = _Encoder(n).bit[n * n:]  # bit[i * n + j] is the bit of 2-edge (i, j)
+    automorphisms = []
+    for choice in itertools.product(*map(itertools.permutations, groups)):
+        position = [0] * n
+        for group, images in zip(groups, choice):
+            for string, image in zip(group, images):
+                for p, q in zip(string, image):
+                    position[p] = q
+        automorphisms.append(position)
+    strings = [string for group in groups for string in group]
+    string_of = {p: k for k, string in enumerate(strings) for p in string}
+    everyone = (1 << len(strings)) - 1
+    ones = n - len(strings)
+    seen: set[int] = set()
     codes = set()
     for edges in _candidates(n, lengths):
         if time.monotonic() > deadline:
             return None
-        key = encoder.port_key(edges)
-        if key >= 0 and key not in keys:
-            keys.add(key)
-            codes.add(encoder.canonical_code(edges))
+        twos = edges[ones:]
+        if sum(bit[i * n + j] for i, j, _ in twos) in seen:
+            continue
+        # Weak connectivity: the 2-edges must join the 1-strings.
+        links = [0] * len(strings)
+        for i, j, _ in twos:
+            links[string_of[i]] |= 1 << string_of[j]
+            links[string_of[j]] |= 1 << string_of[i]
+        reach, grown = 0, 1
+        while grown != reach:
+            reach = grown
+            for k, link in enumerate(links):
+                if reach >> k & 1:
+                    grown |= link
+        if reach != everyone:
+            continue
+        orbit = {
+            sum(bit[position[i] * n + position[j]] for i, j, _ in twos)
+            for position in automorphisms
+        }
+        seen |= orbit
+        codes.add(c1 | min(orbit))
     return codes
 
 
@@ -472,22 +416,28 @@ def _position_graphs_exactly(
         yield encoder.decode(code)
 
 
-def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
-    """Enumerate the stream's graphs on 1..max_vertices vertices.
-
-    Graphs come out by increasing vertex count and, within one count, in
-    ascending encoding order; two runs yield identical streams.  With
-    ``canonical`` set, exactly one representative per isomorphism class is
-    emitted, namely the one with minimal encoding.  The stream reads
-    CRYSTALCHECK_THREADS when it starts (``resolve_workers``, which raises
-    ``ValueError`` for a bad value); with more than one worker each row's
-    shards run in one process pool, shut down when the stream ends or is
-    closed.  The stream is the same for any worker count.
+def position_graphs(stream: GraphStream) -> Iterator[tuple[int, tuple[PositionEdge, ...]]]:
+    """The stream's graphs as (n, position edges) on 1..max_vertices
+    positions, by increasing n and, within one n, in ascending encoding
+    order; two runs yield identical streams.  With ``canonical`` set,
+    exactly one representative per isomorphism class is emitted, namely the
+    one with minimal encoding.  The stream reads CRYSTALCHECK_THREADS when
+    it starts (``resolve_workers``, which raises ``ValueError`` for a bad
+    value); with more than one worker each row's shards run in one process
+    pool, shut down when the stream ends or is closed.  The stream is the
+    same for any worker count.
     """
     with _shard_map(resolve_workers()) as map_shards:
         for n in range(1, stream.max_vertices + 1):
             for edges in _position_graphs_exactly(n, stream, map_shards):
-                yield graph_from_position_edges(n, edges)
+                yield n, edges
+
+
+def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
+    """The graphs of ``position_graphs`` on vertices v1, v2, ..."""
+    with contextlib.closing(position_graphs(stream)) as positions:
+        for n, edges in positions:
+            yield graph_from_position_edges(n, edges)
 
 
 @dataclass(frozen=True)
@@ -620,15 +570,19 @@ def census(
     same for any worker count.  The budget is one deadline, read before
     each enumeration candidate and after each graph is checked; passing it
     raises ``BudgetError``.  A ``max_vertices`` or worker count that is not
-    an int, a NaN or negative budget, or fewer than one worker, raises
-    ``ValueError``.
+    an int, a budget that is not an int or float or is NaN or negative, or
+    fewer than one worker, raises ``ValueError``.
     """
     if type(max_vertices) is not int or not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
             f"census max_vertices must be in [1, {MAX_CENSUS_VERTICES}], got {max_vertices}"
         )
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"census budget_seconds must be a number >= 0, got {budget_seconds}")
+    # An int or float only: "5" and [1] cannot be compared with 0, and True
+    # is not a number of seconds.
+    if budget_seconds is not None and (
+        type(budget_seconds) not in (int, float) or not budget_seconds >= 0
+    ):
+        raise ValueError(f"census budget_seconds must be a number >= 0, got {budget_seconds!r}")
     if workers is None:
         workers = resolve_workers()
     elif type(workers) is not int or workers < 1:

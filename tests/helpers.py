@@ -439,7 +439,7 @@ def vertex_search_code(encoder, edges) -> int:
     columns, and the rows of the unplaced positions take the smallest values
     their vertices can reach, in ascending order.  A branch is cut once its
     bound is no smaller than the best code found.  Independent of the
-    1-string matching of ``canonical_code``.
+    orbit sweep of ``_shard_codes``.
     """
     n = encoder.n
     heads = [[[] for _ in range(n)] for _ in (1, 2)]
@@ -507,32 +507,6 @@ def vertex_search_code(encoder, edges) -> int:
 
     search()
     return best
-
-
-def brute_port_key(encoder, edges) -> int:
-    """Least encoding over the breadth-first renumberings from every root of
-    a (B0) edge set, ports visited 1-successor, 1-predecessor, 2-successor,
-    2-predecessor; -1 when a numbering misses a vertex."""
-    index = {slot: s for s, slot in enumerate(encoder.slots)}
-    top = len(encoder.slots) - 1
-    port = {}
-    for i, j, color in edges:
-        port[(i, color, "out")] = j
-        port[(j, color, "in")] = i
-    codes = []
-    for root in range(encoder.n):
-        order = [root]
-        for v in order:
-            for color in (1, 2):
-                for direction in ("out", "in"):
-                    w = port.get((v, color, direction))
-                    if w is not None and w not in order:
-                        order.append(w)
-        if len(order) < encoder.n:
-            return -1
-        number = {v: k for k, v in enumerate(order)}
-        codes.append(sum(1 << (top - index[(number[i], number[j], c)]) for i, j, c in edges))
-    return min(codes)
 
 
 def _weakly_connected(n: int, edges) -> bool:

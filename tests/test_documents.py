@@ -17,9 +17,13 @@ from crystalcheck import (
     serialize_graph,
 )
 from crystalcheck.axioms import CentralMarking
+from crystalcheck.documents import dumps_position_edges, graph_from_position_edges
+from crystalcheck.enumeration import GraphStream, position_graphs
 
 from helpers import (
+    CANONICAL_COUNTS,
     HOSTILE_DOCUMENTS,
+    LABELED_COUNTS,
     colored_digraphs,
     doc_bytes,
     graphs_with_labelings,
@@ -159,6 +163,19 @@ def test_dumps_document_compact_and_pretty():
     pretty = dumps_document(doc)
     assert "\n" not in compact
     assert json.loads(compact) == json.loads(pretty) == doc
+
+
+@pytest.mark.parametrize("canonical, counts", [(True, CANONICAL_COUNTS), (False, LABELED_COUNTS)])
+def test_position_edge_lines_are_the_compact_documents(canonical, counts):
+    # The line ``enumerate`` prints for each graph of both streams.
+    stream = GraphStream(max_vertices=max(counts), canonical=canonical)
+    lines = 0
+    for n, edges in position_graphs(stream):
+        g = graph_from_position_edges(n, edges)
+        expected = dumps_document(document_from_graph(g), compact=True)
+        assert dumps_position_edges(n, edges) == expected
+        lines += 1
+    assert lines == sum(counts.values())
 
 
 # -- the parser against the one-loop oracle ----------------------------------

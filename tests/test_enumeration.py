@@ -47,7 +47,6 @@ from helpers import (
     bare_1_edge,
     brute_canonical_code,
     brute_isomorphic,
-    brute_port_key,
     brute_valid_markings,
     graph,
     infer_labelings_exhaustive,
@@ -63,13 +62,28 @@ from helpers import (
 SKELETON_LABELED_COUNTS = {5: 60_360, 6: 2_866_200}
 
 
-def _one_paths(n: int, edges) -> bool:
-    """Whether the 1-edges are disjoint directed paths: no 1-degree above
-    one and no 1-cycle."""
-    ones = tuple(edge for edge in set(edges) if edge[2] == 1)
-    return len({i for i, _, _ in ones}) == len(ones) == len({j for _, j, _ in ones}) and (
-        kahn_is_acyclic(graph_from_position_edges(n, ones))
+def _in_row(n: int, edges) -> bool:
+    """Whether a set of slots is a graph of row n: (B0), acyclic and weakly
+    connected."""
+    outs = {(i, color) for i, _, color in edges}
+    ins = {(j, color) for _, j, color in edges}
+    return len(outs) == len(edges) == len(ins) and _weakly_connected(n, edges) and (
+        kahn_is_acyclic(graph_from_position_edges(n, edges))
     )
+
+
+def _row_members(n: int, edge_sets) -> set[int]:
+    """The permutation-scan codes of the edge sets in row n, each checked:
+    an edge set is in the row exactly when its code is a row code."""
+    encoder = enumeration._Encoder(n)
+    row = set(_row_codes(n))
+    members = set()
+    for edges in edge_sets:
+        code = brute_canonical_code(encoder, edges)
+        assert (code in row) == _in_row(n, edges)
+        if code in row:
+            members.add(code)
+    return members
 
 
 def _string_automorphisms(lengths) -> int:
@@ -89,6 +103,23 @@ def _forest(lengths) -> tuple[tuple[int, int, int], ...]:
 
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
+
+
+def _count_candidates(monkeypatch, slow: int = 0) -> list:
+    """Wraps ``_candidates`` to record each candidate a shard draws, the
+    ``slow``-th taking 0.1 s to draw; returns the record."""
+    drawn = []
+    candidates = enumeration._candidates
+
+    def counting(n, lengths):
+        for edges in candidates(n, lengths):
+            drawn.append(edges)
+            if len(drawn) == slow:
+                time.sleep(0.1)
+            yield edges
+
+    monkeypatch.setattr(enumeration, "_candidates", counting)
+    return drawn
 
 
 class TestStreamConfig:
@@ -196,68 +227,53 @@ class TestEnumerate:
 
 
 class TestCanonicalCode:
-    # The canonical code is defined on the sets whose 1-edges are disjoint
-    # paths, every acyclic (B0) set among them.  Their 2-rows may still
-    # have several heads, share heads or close cycles.
+    # The row's canonical codes come from the orbit sweep (``_shard_codes``);
+    # the permutation scan and the vertex search are independent oracles.
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_permutation_scan_on_every_slot_subset(self, n):
-        encoder = enumeration._Encoder(n)
-        checked = 0
-        for code in range(1 << len(encoder.slots)):
-            edges = encoder.decode(code)
-            if _one_paths(n, edges):
-                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
-                checked += 1
-        assert checked == {1: 1, 2: 12, 3: 832}[n]
+        slots = enumeration._Encoder(n).slots
+        subsets = [
+            edges for size in range(len(slots) + 1)
+            for edges in itertools.combinations(slots, size)
+        ]
+        assert _row_members(n, subsets) == set(_row_codes(n))
 
     # (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, edge_sets", [(1, 1), (2, 16), (3, 324), (4, 11_664)])
     def test_matches_permutation_scan_on_every_b0_edge_set(self, n, edge_sets):
-        encoder = enumeration._Encoder(n)
         all_edge_sets = b0_edge_sets(n)
         assert len(all_edge_sets) == edge_sets
-        checked = 0
-        for edges in all_edge_sets:
-            if _one_paths(n, edges):
-                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
-                checked += 1
-        assert checked == {1: 1, 2: 12, 3: 234, 4: 7_884}[n]
+        assert _row_members(n, all_edge_sets) == set(_row_codes(n))
 
     # Seeded (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, samples", [(5, 500), (6, 200)])
     def test_matches_permutation_scan_on_random_b0_edge_sets(self, n, samples):
         rng = random.Random(n)
-        encoder = enumeration._Encoder(n)
-        checked = 0
-        while checked < samples:
-            edges = random_b0_edge_set(rng, n)
-            if _one_paths(n, edges):
-                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
-                checked += 1
+        assert _row_members(n, [random_b0_edge_set(rng, n) for _ in range(samples)])
 
     def test_matches_permutation_scan_on_random_non_b0_slot_subsets(self):
+        # No row code is the code of a set that breaks (B0).
         rng = random.Random(4)
-        encoder = enumeration._Encoder(4)
-        checked = 0
-        while checked < 200:
+        slots = enumeration._Encoder(4).slots
+        subsets = []
+        while len(subsets) < 200:
             density = rng.random()
-            edges = tuple(slot for slot in encoder.slots if rng.random() < density)
-            out_ports = [(i, color) for i, _, color in edges]
-            in_ports = [(j, color) for _, j, color in edges]
-            if len(set(out_ports)) == len(edges) == len(set(in_ports)):
-                continue  # (B0) sets are covered above
-            if _one_paths(4, edges):
-                assert encoder.canonical_code(edges) == brute_canonical_code(encoder, edges)
-                checked += 1
+            edges = tuple(slot for slot in slots if rng.random() < density)
+            out_ports = {(i, color) for i, _, color in edges}
+            in_ports = {(j, color) for _, j, color in edges}
+            if not len(out_ports) == len(edges) == len(in_ports):
+                subsets.append(edges)
+        assert _row_members(4, subsets) == set()
 
     @pytest.mark.parametrize("edges", [
-        ((0, 1, 1), (1, 0, 1)),  # a 1-cycle
+        ((0, 1, 1), (1, 0, 1), (1, 2, 2)),  # a 1-cycle
         ((0, 1, 1), (0, 2, 1)),  # a 1-tail with two heads
         ((0, 2, 1), (1, 2, 1), (0, 1, 2)),  # a 1-head with two tails
     ])
     def test_refuses_one_edges_that_are_not_paths(self, edges):
-        with pytest.raises(ValueError, match="not disjoint directed paths"):
-            enumeration._Encoder(3).canonical_code(edges)
+        # Weakly connected sets whose 1-edges are not disjoint paths.
+        assert _weakly_connected(3, edges)
+        assert _row_members(3, [edges]) == set()
 
     def test_one_block_matches_permutation_scan_on_every_forest(self):
         # c1 depends only on the 1-string lengths: one forest per multiset.
@@ -281,35 +297,26 @@ class TestCanonicalCode:
         assert forests == 44
 
     def test_string_search_matches_vertex_search_on_row_classes(self):
-        # Every class of rows 1 to 6 and 500 seeded classes of row 7, each
-        # as its canonical form (or sampled skeleton candidate) and under
-        # three random relabelings.
+        # Rows 1 to 6 are the vertex-search codes of their connected
+        # candidates, which checks both the dedup and the minimum; each of
+        # 500 seeded connected candidates of row 7 has its code in row 7.
+        for n in range(1, 7):
+            encoder = enumeration._Encoder(n)
+            expected = {
+                vertex_search_code(encoder, edges)
+                for lengths in _partitions(n) for edges in _candidates(n, lengths)
+                if _weakly_connected(n, edges)
+            }
+            assert set(_row_codes(n)) == expected
         rng = random.Random(20261018)
-        classes = [
-            (n, enumeration._Encoder(n).decode(code))
-            for n in range(1, 7) for code in _row_codes(n)
+        connected = [
+            edges for lengths in _partitions(7) for edges in _candidates(7, lengths)
+            if _weakly_connected(7, edges)
         ]
         encoder = enumeration._Encoder(7)
-        sample = [
-            edges for lengths in _partitions(7) for edges in _candidates(7, lengths)
-            if rng.random() < 0.02
-        ]
-        rng.shuffle(sample)
-        keys = set()
-        for edges in sample:
-            key = encoder.port_key(edges)
-            if key >= 0 and key not in keys and len(keys) < 500:
-                keys.add(key)
-                classes.append((7, edges))
-        assert len(classes) == sum(CANONICAL_COUNTS.values()) + 500
-        for n, edges in classes:
-            encoder = enumeration._Encoder(n)
-            expected = vertex_search_code(encoder, edges)
-            assert encoder.canonical_code(edges) == expected
-            for _ in range(3):
-                perm = rng.sample(range(n), n)
-                relabeled = tuple((perm[i], perm[j], color) for i, j, color in edges)
-                assert encoder.canonical_code(relabeled) == expected
+        row = set(_row_codes(7))
+        for edges in rng.sample(connected, 500):
+            assert vertex_search_code(encoder, edges) in row
 
     def test_row_six_reaches_the_vertex_search_only_for_one_blocks(self, monkeypatch):
         # The branch and bound runs only inside ``_one_block``, at most once
@@ -345,35 +352,6 @@ class TestCanonicalCode:
                 assert all(i >= s for i in tails)
                 checked += 1
         assert checked == sum(CANONICAL_COUNTS.values())
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_port_key_is_the_least_over_every_root(self, n):
-        encoder = enumeration._Encoder(n)
-        for edges in b0_edge_sets(n):
-            assert encoder.port_key(edges) == brute_port_key(encoder, edges)
-
-    # Weakly connected (B0) edge sets, cycles included, and their
-    # isomorphism classes.
-    @pytest.mark.parametrize(
-        "n, edge_sets, classes", [(1, 1, 1), (2, 15, 9), (3, 278, 49), (4, 9_786, 423)]
-    )
-    def test_port_key_is_complete_on_connected_b0_graphs(self, n, edge_sets, classes):
-        encoder = enumeration._Encoder(n)
-        code_of_key: dict[int, int] = {}
-        key_of_code: dict[int, int] = {}
-        connected = 0
-        for edges in b0_edge_sets(n):
-            key = encoder.port_key(edges)
-            # The key is negative exactly on the disconnected edge sets.
-            assert (key < 0) == (not _weakly_connected(n, edges))
-            if key < 0:
-                continue
-            connected += 1
-            code = brute_canonical_code(encoder, edges)
-            assert code_of_key.setdefault(key, code) == code
-            assert key_of_code.setdefault(code, key) == key
-        assert connected == edge_sets
-        assert len(code_of_key) == classes
 
 
 class TestSkeletonCandidates:
@@ -609,45 +587,29 @@ class TestCensus:
         )
 
     def test_budget_enforced(self, monkeypatch):
-        calls = []
-        for name in ("port_key", "canonical_code"):
-            method = getattr(enumeration._Encoder, name)
-
-            def counting(encoder, edges, method=method):
-                calls.append(method.__name__)
-                return method(encoder, edges)
-
-            monkeypatch.setattr(enumeration._Encoder, name, counting)
+        drawn = _count_candidates(monkeypatch)
         with pytest.raises(BudgetError) as err:
             census(4, budget_seconds=0.0)
         assert err.value.completed_rows == 0
-        # The budget is checked before the first candidate is keyed or
-        # canonicalized.
-        assert calls == []
+        # The budget is read before the first candidate is looked at, so
+        # row 1 stops at its one candidate and nothing else is drawn.
+        assert len(drawn) == 1
 
     def test_budget_stops_canonical_enumeration_between_candidates(self, monkeypatch):
-        calls = []
-        port_key = enumeration._Encoder.port_key
-
-        def slow_tenth_key(encoder, edges):
-            calls.append(edges)
-            if len(calls) == 10:
-                time.sleep(0.1)
-            return port_key(encoder, edges)
-
-        monkeypatch.setattr(enumeration._Encoder, "port_key", slow_tenth_key)
-        # A deadline already passed stops a shard and its row before any
-        # port key is computed.
+        drawn = _count_candidates(monkeypatch, slow=10)
+        # A deadline already passed stops a shard, and its row, at the first
+        # candidate drawn.
         passed = time.monotonic() - 1.0
         assert _shard_codes(6, passed, (3, 3)) is None
         assert _row_codes(6, passed) is None
-        assert calls == []
+        assert len(drawn) == 2
         # The deadline is read before each candidate: the shard of row 6
         # with two 1-strings of length 3 holds 810 candidates, and it stops
         # after the tenth, which ends past the deadline.
+        drawn.clear()
         assert sum(1 for _ in _candidates(6, (3, 3))) == 810
         assert _shard_codes(6, time.monotonic() + 0.05, (3, 3)) is None
-        assert len(calls) == 10
+        assert len(drawn) == 10
 
     def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
         # Rows 1 to 5 are enumerated within a fraction of a second, but the
@@ -704,6 +666,12 @@ class TestCensus:
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
     def test_nan_and_negative_budgets_refused(self, bad):
         with pytest.raises(ValueError, match="budget"):
+            census(1, budget_seconds=bad)
+
+    # An int or float only: "5" and [1] raised TypeError, and True passed.
+    @pytest.mark.parametrize("bad", ["5", [1], True])
+    def test_budget_must_be_an_int_or_float(self, bad):
+        with pytest.raises(ValueError, match="census budget_seconds must be a number"):
             census(1, budget_seconds=bad)
 
     @pytest.mark.parametrize("bad", [0, -2, 2.5])
