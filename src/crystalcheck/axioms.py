@@ -16,7 +16,6 @@ and the enumeration oracle verifies it exhaustively on small graphs.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -89,11 +88,6 @@ _ENDPOINT_NEEDS = {
 
 # The bit of each (direction, color) port in a vertex's port mask.
 _PORT_BIT = {("leaving", 1): 1, ("leaving", 2): 2, ("entering", 1): 4, ("entering", 2): 8}
-
-
-def _port_index(g: ColoredDigraph) -> dict[str, dict]:
-    """Per direction, the graph's port index: (color, vertex) -> edges."""
-    return {"leaving": g._out, "entering": g._in}
 
 
 LEFT, CENTRAL, RIGHT = "left", "central", "right"
@@ -293,7 +287,7 @@ def _b2_markings(
     """
     strings = decomp1.strings
     # Where each vertex of each 1-string sits: (2-string index, offset).
-    spots = [tuple(decomp2.position(v) for v in string) for string in strings]
+    spots = [tuple(map(decomp2.position, string)) for string in strings]
     # An explicit stack, so graph size is not limited by the interpreter's
     # recursion depth.
     stack = [((), tuple((-1, len(string), False) for string in decomp2.strings))]
@@ -328,11 +322,13 @@ def _place(known: tuple, spots: tuple, slot: int) -> Optional[tuple]:
         if 2 * k > slot:  # right
             if pos > hi:
                 return None
-            known[string_idx] = (max(lo, pos), hi, has_c)
+            if pos > lo:
+                known[string_idx] = (pos, hi, has_c)
         elif 2 * k < slot:  # left
             if pos < lo:
                 return None
-            known[string_idx] = (lo, min(hi, pos), has_c)
+            if pos < hi:
+                known[string_idx] = (lo, pos, has_c)
         else:  # central
             if has_c or not lo < pos < hi:
                 return None
@@ -442,7 +438,7 @@ def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
                 detail=f"{e.color}-edge {tuple(e)} has label pair {pair}, not an admissible pair",
             ))
 
-    ports = _port_index(g)
+    ports = {"leaving": g._out, "entering": g._in}
     for v in g.vertices:
         value = labels[v]
         for clause, (direction, color) in _ENDPOINT_NEEDS[value]:
@@ -512,54 +508,59 @@ def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
 
 # -- label inference ------------------------------------------------------
 
-def _unary_domains(g: ColoredDigraph) -> dict[str, frozenset[str]]:
-    """Per-vertex label domains from the endpoint clauses alone: the labels
-    whose needed ports the vertex occupies, read off the port index as a
-    mask per vertex.  Equal domains are one shared frozenset."""
-    masks = dict.fromkeys(g.vertices, 0)
-    for direction, index in _port_index(g).items():
-        for color, v in index:
-            masks[v] |= _PORT_BIT[direction, color]
-    return {v: _endpoint_domain(mask) for v, mask in masks.items()}
+# A label domain is a 3-bit mask, bit k for LABEL_VALUES[k].
+_LABEL_BIT = {value: 1 << k for k, value in enumerate(LABEL_VALUES)}
+# Per color, off _EDGE_CLASS: [0][m] masks the head labels that some tail
+# label in mask m pairs with, [1][m] the tail labels some head label in m
+# pairs with (each a sum over a set of distinct bits, so their union).
+_SUPPORT = {color: tuple(
+    [sum({_LABEL_BIT[pair[1 - end]] for pair in pairs if m & _LABEL_BIT[pair[end]]})
+     for m in range(8)] for end in (0, 1)
+) for color, pairs in _EDGE_CLASS.items()}
 
 
 @functools.cache
-def _endpoint_domain(mask: int) -> frozenset[str]:
-    """The labels whose needed ports are all in the port ``mask``."""
-    return frozenset(
-        value for value, needs in _ENDPOINT_NEEDS.items()
+def _endpoint_domain(mask: int) -> int:
+    """The mask of the labels whose needed ports are all in the port ``mask``."""
+    return sum(
+        _LABEL_BIT[value] for value, needs in _ENDPOINT_NEEDS.items()
         if all(mask & _PORT_BIT[port] for _clause, port in needs)
     )
 
 
-def _propagate(g: ColoredDigraph, domains: dict[str, set[str]]) -> bool:
-    """Prune domains to arc consistency along every edge constraint.
+def _network(n: int, edges) -> tuple[list[int], list[list[int]]]:
+    """For ``edges``, (tail, head, color) triples over indices 0..n-1, each
+    index's label mask from the endpoint clauses alone and its incident
+    edges, as positions in ``edges``: the rest of ``_propagate``'s input."""
+    ports = [0] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for k, (tail, head, color) in enumerate(edges):
+        ports[tail] |= _PORT_BIT["leaving", color]
+        ports[head] |= _PORT_BIT["entering", color]
+        incident[tail].append(k)
+        incident[head].append(k)
+    return [_endpoint_domain(mask) for mask in ports], incident
 
-    Returns False as soon as some domain empties (no labeling exists).
-    Pruned domains are replaced, never changed in place, so callers may
-    share the sets between copies of ``domains``.  A vertex whose domain
-    shrinks requeues the edges at its four ports; arc consistency reaches
-    the same fixpoint in any queue order.
-    """
-    out, into = g._out.get, g._in.get
-    queue = deque(g.edges)
-    queued = set(g.edges)
-    while queue:
-        e = queue.popleft()
-        queued.discard(e)
-        allowed = _EDGE_CLASS[e.color]
-        tail_dom, head_dom = domains[e.tail], domains[e.head]
-        new_tail = {a for a in tail_dom if any((a, b) in allowed for b in head_dom)}
-        new_head = {b for b in head_dom if any((a, b) in allowed for a in tail_dom)}
-        for v, new in ((e.tail, new_tail), (e.head, new_head)):
-            if new != domains[v]:
-                domains[v] = new
+
+def _propagate(domains: list[int], edges, incident: list[list[int]]) -> bool:
+    """Prune the label masks ``domains`` in place to arc consistency along
+    ``edges`` (see ``_network``); False as soon as some mask empties (no
+    labeling exists).  An index whose mask shrinks requeues the edges at
+    it, at most twice per index; arc consistency reaches the same fixpoint
+    in any queue order."""
+    pending = list(range(len(edges)))
+    while pending:
+        tail, head, color = edges[pending.pop()]
+        heads_of, tails_of = _SUPPORT[color]
+        old_tail, old_head = domains[tail], domains[head]
+        new_tail = old_tail & tails_of[old_head]
+        new_head = old_head & heads_of[new_tail]
+        for v, old, new in ((tail, old_tail, new_tail), (head, old_head, new_head)):
+            if new != old:
                 if not new:
                     return False
-                for other in out((1, v), ()) + out((2, v), ()) + into((1, v), ()) + into((2, v), ()):
-                    if other not in queued:
-                        queue.append(other)
-                        queued.add(other)
+                domains[v] = new
+                pending += incident[v]
     return True
 
 
@@ -576,23 +577,28 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
     with no labeling therefore dies in its first propagation, and every
     other branch yields at least one labeling.  Results come in
     lexicographic order of the label vector under declared vertex order
-    with 0 < c < 1.
+    with 0 < c < 1.  The search runs on ``_propagate``'s label masks, the
+    k-th vertex in declared order at index k.
     """
     _require_degree_axiom(g)
+    index = g._vertex_index
+    edges = [(index[e.tail], index[e.head], e.color) for e in g.edges]
+    root, incident = _network(len(g.vertices), edges)
     results: list[Labeling] = []
     # An explicit stack, so graph size is not limited by the interpreter's
     # recursion depth.
-    stack = [_unary_domains(g)]
+    stack = [root]
     while stack:
         domains = stack.pop()
-        if not _propagate(g, domains):
+        if not _propagate(domains, edges, incident):
             continue
-        open_vertex = next((v for v in g.vertices if len(domains[v]) > 1), None)
-        if open_vertex is None:
-            results.append(Labeling(labels={v: value for v, (value,) in domains.items()}))
+        open_k = next((k for k, mask in enumerate(domains) if mask & mask - 1), None)
+        if open_k is None:
+            values = (LABEL_VALUES[mask.bit_length() - 1] for mask in domains)
+            results.append(Labeling(labels=dict(zip(g.vertices, values))))
             continue
         # Reversed, so values are popped in LABEL_VALUES order.
-        for value in reversed(LABEL_VALUES):
-            if value in domains[open_vertex]:
-                stack.append({**domains, open_vertex: {value}})
+        for bit in reversed(_LABEL_BIT.values()):
+            if domains[open_k] & bit:
+                stack.append(domains[:open_k] + [bit] + domains[open_k + 1:])
     return results

@@ -20,7 +20,8 @@ connected candidates under Aut(λ), the swaps of equal-length 1-strings.
 One sweep over the candidates records each orbit once, by its least
 2-block.  A canonical stream emits these minimal encodings; a labeled
 stream emits all their relabelings, which are exactly the row's labeled
-graphs.
+graphs.  A census shard hands back only its classes with a labeling or a
+marking.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .axioms import (
     CentralMarking,
     Labeling,
     _b2_markings,
+    _network,
+    _propagate,
     check_global,
     infer_labelings,
     labels_from_marking,
@@ -46,7 +49,7 @@ from .axioms import (
 )
 from .documents import graph_from_position_edges
 from .errors import BudgetError, CounterexampleError, DegreeAxiomError, PreconditionError
-from .graph import ColoredDigraph, CycleCertificate, decompose_strings, find_potential
+from .graph import ColoredDigraph, CycleCertificate, StringDecomposition, decompose_strings, find_potential
 from .predicates import FAILS, check_corollary2, check_corollary3
 
 MAX_ENUMERATION_VERTICES = 8
@@ -216,17 +219,18 @@ class _Encoder:
         return best
 
 
-def _one_strings(successors: list[list[int]]) -> list[list[int]]:
-    """The 1-strings of disjoint directed 1-paths (``successors`` per
-    vertex, its 1-heads), each from its start."""
-    heads = {h for row in successors for h in row}
+def _one_strings(n: int, edges, color: int = 1) -> list[tuple[int, ...]]:
+    """The strings of the color-``color`` position edges among ``edges``,
+    disjoint directed paths over positions 0..n-1, each from its start."""
+    after = {i: j for i, j, c in edges if c == color}
+    heads = set(after.values())
     strings = []
-    for v in range(len(successors)):
+    for v in range(n):
         if v not in heads:
             string = [v]
-            while successors[string[-1]]:
-                string.append(successors[string[-1]][0])
-            strings.append(string)
+            while string[-1] in after:
+                string.append(after[string[-1]])
+            strings.append(tuple(string))
     return strings
 
 
@@ -245,12 +249,9 @@ def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple
         successors[end - 1] = []
     encoder = _Encoder(n)
     c1 = encoder._least_code(successors)
-    successors = [[] for _ in range(n)]
-    for i, j, _ in encoder.decode(c1):
-        successors[i].append(j)
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for string in _one_strings(successors):
-        groups.setdefault(len(string), []).append(tuple(string))
+    for string in _one_strings(n, encoder.decode(c1)):
+        groups.setdefault(len(string), []).append(string)
     return c1, tuple(tuple(groups[length]) for length in sorted(groups))
 
 
@@ -281,18 +282,19 @@ def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge
     for i, j, _ in ones:
         reach = [r | reach[j] if r >> i & 1 else r for r in reach]
 
-    def extend(p: int, reach: list[int], free: int, edges: tuple) -> Iterator:
+    # A stack of (position, reach, free heads, edges); choices pop in order.
+    stack = [(0, reach, (1 << n) - 1, ones)]
+    while stack:
+        p, reach, free, edges = stack.pop()
         if p == n:
             yield edges
-            return
-        if len(edges) >= p:  # n - 1 edges stay reachable without one at p
-            yield from extend(p + 1, reach, free, edges)
-        for j in range(n):
+            continue
+        for j in reversed(range(n)):
             if free >> j & 1 and not reach[j] >> p & 1:
                 joined = [r | reach[j] if r >> p & 1 else r for r in reach]
-                yield from extend(p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),))
-
-    yield from extend(0, reach, (1 << n) - 1, ones)
+                stack.append((p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),)))
+        if len(edges) >= p:  # n - 1 edges stay reachable without one at p
+            stack.append((p + 1, reach, free, edges))
 
 
 def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[set[int]]:
@@ -386,6 +388,36 @@ def _row_codes(
     return sorted(codes)
 
 
+def _screen(n: int, edges: tuple[PositionEdge, ...], ones: StringDecomposition) -> bool:
+    """Whether the census graph on n positions with these edges and the
+    1-strings ``ones`` has a labeling or a marking (exact, see ``census``):
+    propagation on its ports, then, if a domain empties, the marking search."""
+    domains, incident = _network(n, edges)
+    if _propagate(domains, edges, incident):
+        return True
+    twos = StringDecomposition(2, tuple(_one_strings(n, edges, 2)))
+    return next(_b2_markings(ones, twos), None) is not None
+
+
+def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[tuple]:
+    """The count of ``_shard_codes``' classes and the sorted codes that
+    ``_screen`` keeps, each with the 1-strings of ``c1``; or None once the
+    deadline passes, read before each candidate and after each screen."""
+    codes = _shard_codes(n, deadline, lengths)
+    if codes is None:
+        return None
+    _, groups = _one_block(n, lengths)
+    ones = StringDecomposition(1, tuple(itertools.chain(*groups)))
+    encoder = _Encoder(n)
+    survivors = []
+    for code in sorted(codes):
+        if _screen(n, encoder.decode(code), ones):
+            survivors.append(code)
+        if time.monotonic() > deadline:
+            return None
+    return len(codes), survivors
+
+
 @contextlib.contextmanager
 def _shard_map(workers: int) -> Iterator[Callable]:
     """The ``map`` that runs a row's shards: the builtin for one worker,
@@ -473,6 +505,9 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     a hit labeling l = L(m) has M(l) = m valid and L(M(l)) = l.  A labeling
     that no valid marking hits is the witness of a failure.  Requires a
     degree-valid acyclic graph.
+
+    Where propagation empties a domain and ``_b2_markings`` yields nothing,
+    both sets are empty (0 = 0); ``census`` screens such graphs out unbuilt.
     """
     try:
         labelings = tuple(infer_labelings(g))
@@ -561,17 +596,22 @@ def census(
     count, together with their valid labelings and markings.
 
     The labeling/marking totals of each row must agree (the exhaustive
-    correspondence is re-verified on every graph; a mismatch raises
-    ``CounterexampleError``).  ``on_corollary_gap`` is invoked for every
+    correspondence is re-verified on every graph the screen keeps; a
+    mismatch raises ``CounterexampleError``).  The shards screen each
+    class on its position edges (``_screen``), and the screen is exact: an
+    emptied domain means no labeling, by ``infer_labelings``' argument, and
+    no ``_b2_markings`` yield means no marking, by its docstring; such a
+    graph's proposition is 0 = 0.  ``on_corollary_gap`` is invoked for every
     valid labeling on which a corollary predicate fails, since those
     predicates are not implied by the axioms checked here.  More than one
-    worker runs each row's enumeration shards in a process pool; the main
-    process then checks the row's graphs in order, so the output is the
+    worker runs each row's shards in a process pool; the main process then
+    builds and checks the survivors in code order, so the output is the
     same for any worker count.  The budget is one deadline, read before
-    each enumeration candidate and after each graph is checked; passing it
-    raises ``BudgetError``.  A ``max_vertices`` or worker count that is not
-    an int, a budget that is not an int or float or is NaN or negative, or
-    fewer than one worker, raises ``ValueError``.
+    each enumeration candidate, after each screened code and after each
+    graph is checked; passing it raises ``BudgetError``.  A
+    ``max_vertices`` or worker count that is not an int, a budget that is
+    not an int or float or is NaN or negative, or fewer than one worker,
+    raises ``ValueError``.
     """
     if type(max_vertices) is not int or not 1 <= max_vertices <= MAX_CENSUS_VERTICES:
         raise ValueError(
@@ -591,12 +631,15 @@ def census(
     rows: list[CensusRow] = []
     with _shard_map(workers) as map_shards:
         for n in range(1, max_vertices + 1):
-            codes = _row_codes(n, deadline, map_shards)
-            if codes is None:
-                raise BudgetError(budget_seconds, len(rows))
+            graphs, survivors = 0, []
+            for shard in map_shards(functools.partial(_census_shard, n, deadline), _partitions(n)):
+                if shard is None:
+                    raise BudgetError(budget_seconds, len(rows))
+                graphs += shard[0]
+                survivors += shard[1]
             encoder = _Encoder(n)
             n_with_labeling = n_labelings = n_markings = 0
-            for code in codes:
+            for code in sorted(survivors):
                 g = graph_from_position_edges(n, encoder.decode(code))
                 result = check_proposition(g)
                 if time.monotonic() > deadline:
@@ -622,5 +665,5 @@ def census(
                     f"census row {n} breaks the labeling/marking balance: "
                     f"{n_labelings} labelings vs {n_markings} markings"
                 )
-            rows.append(CensusRow(n, len(codes), n_with_labeling, n_labelings, n_markings))
+            rows.append(CensusRow(n, graphs, n_with_labeling, n_labelings, n_markings))
     return rows

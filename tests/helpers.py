@@ -34,8 +34,8 @@ from crystalcheck import (
 from crystalcheck.axioms import (
     LABEL_VALUES,
     _EDGE_CLASS,
+    _network,
     _require_degree_axiom,
-    _unary_domains,
 )
 from crystalcheck.documents import _parse_centers, _parse_labels
 from crystalcheck.graph import StringDecomposition
@@ -352,8 +352,28 @@ class _LocalClauses:
         return True
 
 
+def kernel_network(g: ColoredDigraph) -> tuple[list, list[int], list[list[int]]]:
+    """``g`` on the propagation kernel's indices, the k-th declared vertex
+    at index k: its edges as (tail, head, color) index triples, then the
+    unary label masks and the incident-edge lists ``_network`` gives."""
+    index = g._vertex_index
+    edges = [(index[e.tail], index[e.head], e.color) for e in g.edges]
+    return (edges, *_network(len(g.vertices), edges))
+
+
+def labels_in(mask: int) -> set[str]:
+    """The labels of a kernel label mask, bit k for ``LABEL_VALUES[k]``."""
+    return {value for k, value in enumerate(LABEL_VALUES) if mask >> k & 1}
+
+
+def unary_domains(g: ColoredDigraph) -> dict[str, set[str]]:
+    """Per vertex, the labels the endpoint clauses leave it."""
+    _, masks, _ = kernel_network(g)
+    return {v: labels_in(mask) for v, mask in zip(g.vertices, masks)}
+
+
 def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
-    domains = _unary_domains(g)
+    domains = unary_domains(g)
     return _LocalClauses(
         allowed=tuple(
             tuple(value for value in LABEL_VALUES if value in domains[v]) for v in g.vertices
@@ -368,8 +388,8 @@ def _local_clauses(g: ColoredDigraph) -> _LocalClauses:
 def arc_consistent_domains(g: ColoredDigraph, domains: Mapping[str, set]):
     """The largest arc-consistent domains within ``domains``, or None when
     one empties: every edge is revised in declared order, round after
-    round, until a round changes nothing.  Independent of the queue that
-    ``_propagate`` keeps."""
+    round, until a round changes nothing.  Independent of the queue and the
+    label masks of ``_propagate``."""
     domains = dict(domains)
     changed = True
     while changed:

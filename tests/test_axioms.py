@@ -38,7 +38,6 @@ from crystalcheck.axioms import (
     LABEL_VALUES,
     VertexClass,
     _propagate,
-    _unary_domains,
 )
 
 from helpers import (
@@ -50,9 +49,12 @@ from helpers import (
     chain4,
     graph,
     infer_labelings_exhaustive,
+    kernel_network,
     labeling,
+    labels_in,
     path5,
     single_vertex,
+    unary_domains,
 )
 
 
@@ -78,15 +80,26 @@ def marking(vertices=(), edges=()) -> CentralMarking:
     )
 
 
+def propagate(g, domains: dict) -> bool:
+    """``_propagate`` on ``g``'s kernel network, the label sets ``domains``
+    (per vertex) turned into label masks and the pruned masks written back
+    into ``domains`` as label sets."""
+    edges, _, incident = kernel_network(g)
+    masks = [sum(1 << LABEL_VALUES.index(value) for value in domains[v]) for v in g.vertices]
+    consistent = _propagate(masks, edges, incident)
+    domains.update((v, labels_in(mask)) for v, mask in zip(g.vertices, masks))
+    return consistent
+
+
 def assert_propagation_matches_the_fixpoint(g):
     """``_propagate`` from the unary domains, and from them with one vertex
     fixed to each of its values, must reach the fixpoint of the round-robin
     oracle, or fail exactly when the oracle empties a domain."""
-    root = _unary_domains(g)
+    root = unary_domains(g)
     for start in [root] + [{**root, v: {value}} for v in g.vertices for value in root[v]]:
         domains = dict(start)
         expected = arc_consistent_domains(g, start)
-        assert _propagate(g, domains) == (expected is not None)
+        assert propagate(g, domains) == (expected is not None)
         if expected is not None:
             assert domains == expected
 
@@ -530,14 +543,14 @@ class TestInference:
         # fixing one vertex and propagating again must answer exactly
         # whether some labeling gives it that value.
         labelings = infer_labelings_exhaustive(g)
-        root = _unary_domains(g)
-        if not _propagate(g, root):
+        root = unary_domains(g)
+        if not propagate(g, root):
             assert labelings == []
             return
         for v in g.vertices:
             for value in root[v]:
                 fixed = {**root, v: {value}}
-                assert _propagate(g, fixed) == any(lab.labels[v] == value for lab in labelings)
+                assert propagate(g, fixed) == any(lab.labels[v] == value for lab in labelings)
 
     def test_propagation_reaches_the_arc_consistent_fixpoint_on_small_edge_sets(self):
         # Every (B0) edge set on at most 4 positions, cycles included: a

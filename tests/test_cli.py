@@ -373,6 +373,23 @@ def test_census_row_6_and_its_corollary_gaps(threads):
     assert notes == {("corollary2", 5): 4, ("corollary2", 6): 24, ("corollary3", 6): 3}
 
 
+# SHA-256 of `census --max-vertices 7` stdout (the table) and stderr (its
+# 236 gap notes, in order).
+CENSUS_7_STDOUT_SHA256 = "bdcf7f22ff46445fc5efe154a7b153f8616456414713872da9c67aea43dad01b"
+CENSUS_7_STDERR_SHA256 = "ff943b689e05ab8b90b09b786676618e99633fdae54f459c61d96df4aeadb835"
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads-2"])
+def test_census_row_7_and_its_corollary_gaps(threads):
+    env_extra = {"CRYSTALCHECK_THREADS": threads} if threads else None
+    result = run_cli("census", "--max-vertices", "7", env_extra=env_extra)
+    assert result.returncode == 0
+    assert result.stdout.decode().splitlines()[-1] == "7,35427,505,517,517"
+    assert len(result.stderr.splitlines()) == 236
+    assert hashlib.sha256(result.stdout).hexdigest() == CENSUS_7_STDOUT_SHA256
+    assert hashlib.sha256(result.stderr).hexdigest() == CENSUS_7_STDERR_SHA256
+
+
 def test_census_gap_notes_name_their_witness_under_validate(tmp_path):
     # Each note is a document whose labeling passes every axiom check, and
     # ``validate`` names the central 1-edge on which corollary 2 fails.

@@ -16,6 +16,7 @@ from crystalcheck import (
     CounterexampleError,
     GraphStream,
     PreconditionError,
+    StringDecomposition,
     census,
     census_rows_to_csv,
     check_global,
@@ -24,14 +25,17 @@ from crystalcheck import (
     enumerate_graphs,
     serialize_graph,
 )
-from crystalcheck import enumeration
+from crystalcheck import axioms, enumeration
 from crystalcheck.axioms import CentralMarking, Labeling, _b2_markings
 from crystalcheck.enumeration import (
     PropositionResult,
     _candidates,
+    _census_shard,
     _partitions,
     _position_graphs_exactly,
+    _one_strings,
     _row_codes,
+    _screen,
     _shard_codes,
     graph_from_position_edges,
     resolve_workers,
@@ -333,8 +337,8 @@ class TestCanonicalCode:
         assert len(_row_codes(6)) == CANONICAL_COUNTS[6]
         multisets = set()
         for successors in forests:
-            lengths = tuple(sorted(map(len, enumeration._one_strings(successors))))
             edges = tuple((v, w, 1) for v, heads in enumerate(successors) for w in heads)
+            lengths = tuple(sorted(map(len, enumeration._one_strings(len(successors), edges))))
             assert edges == _forest(lengths)
             multisets.add(lengths)
         assert len(multisets) == len(forests) == len(list(_partitions(6)))
@@ -547,10 +551,48 @@ class TestPropositionOracles:
             ]
 
 
+def _counts_anything(n: int, code: int) -> bool:
+    """Whether ``check_proposition`` counts a labeling or a marking on the
+    graph of ``code``."""
+    result = check_proposition(graph_from_position_edges(n, enumeration._Encoder(n).decode(code)))
+    assert result.holds
+    return bool(result.n_valid_labelings or result.n_valid_markings)
+
+
+class TestScreen:
+    """The census screen keeps a code exactly when its graph has a labeling
+    or a marking, so every graph it drops has 0 = 0."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking(self, n):
+        for lengths in _partitions(n):
+            codes = _shard_codes(n, math.inf, lengths)
+            graphs, survivors = _census_shard(n, math.inf, lengths)
+            assert graphs == len(codes)
+            assert survivors == sorted(code for code in codes if _counts_anything(n, code))
+
+    def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking_on_row_seven(self):
+        encoder = enumeration._Encoder(7)
+        for code in random.Random(20261019).sample(_row_codes(7), 2000):
+            edges = encoder.decode(code)
+            ones = StringDecomposition(1, tuple(_one_strings(7, edges)))
+            assert _screen(7, edges, ones) == _counts_anything(7, code)
+
+    def test_hides_no_counterexample(self, monkeypatch):
+        # With propagation made to fail, no graph has a labeling.  The graphs
+        # with a marking still pass the screen, starting with the one-vertex
+        # graph, and their check fails; a screen that read labelability
+        # alone would print a table of zeros.
+        for module in (axioms, enumeration):
+            monkeypatch.setattr(module, "_propagate", lambda domains, edges, incident: False)
+        with pytest.raises(CounterexampleError, match="1-vertex graph"):
+            census(5, workers=1)
+
+
 def _slow_check(g):
-    """``check_proposition``, made to take 10 ms on each 5-vertex graph."""
+    """``check_proposition``, made to take 0.2 s on each 5-vertex graph."""
     if g.n_vertices == 5:
-        time.sleep(0.01)
+        time.sleep(0.2)
     return check_proposition(g)
 
 
@@ -612,23 +654,42 @@ class TestCensus:
         assert len(drawn) == 10
 
     def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
-        # Rows 1 to 5 are enumerated within a fraction of a second, but the
-        # slowed checks of the 503 five-vertex graphs, which run in this
-        # process, take over 5 s, so an abort well within 2 s shows the
-        # deadline is read after each graph.
+        # Rows 1 to 5 are enumerated and screened within a fraction of a
+        # second, but the slowed checks of the 20 five-vertex graphs the
+        # screen keeps, which run in this process, take 4 s, so an abort
+        # well within 2 s shows the deadline is read after each graph.
         monkeypatch.setattr(enumeration, "check_proposition", _slow_check)
         start = time.monotonic()
         with pytest.raises(BudgetError):
             census(5, workers=2, budget_seconds=0.5)
         assert time.monotonic() - start < 2.0
 
+    def test_budget_stops_the_screen_between_codes(self, monkeypatch):
+        # Each screened code takes 50 ms; the deadline is read after each,
+        # so a 0.5 s budget screens at most 11 codes, and rows 1 to 4 alone
+        # hold 91.
+        screened = []
+        screen = enumeration._screen
+
+        def slow_screen(n, edges, ones):
+            screened.append(n)
+            time.sleep(0.05)
+            return screen(n, edges, ones)
+
+        monkeypatch.setattr(enumeration, "_screen", slow_screen)
+        with pytest.raises(BudgetError) as err:
+            census(5, workers=1, budget_seconds=0.5)
+        assert err.value.completed_rows < 4
+        assert 1 <= len(screened) <= 11
+
     def test_budget_stops_pool_shards_mid_row(self):
-        # The census to n = 7 takes about 10 s on two workers.  The deadline
-        # is read before each enumeration candidate and after each graph,
-        # so the run stops soon after it, whichever stage it is in.
+        # The census to n = 7 takes about 1.5 s on two workers.  The deadline
+        # is read before each enumeration candidate, after each screened
+        # code and after each graph, so the run stops soon after it,
+        # whichever stage it is in.
         start = time.monotonic()
         with pytest.raises(BudgetError):
-            census(7, workers=2, budget_seconds=1.0)
+            census(7, workers=2, budget_seconds=0.3)
         assert time.monotonic() - start < 3.0
 
     def test_a_failing_graph_is_a_counterexample(self, monkeypatch):
