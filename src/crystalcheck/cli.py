@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Exit codes partition the outcomes: 0 success, 1 axiom violations or
-predicate failures, 2 input/parse/config errors, 3 census budget exceeded.
+predicate failures, 2 input/parse/config errors or a closed stdout, 3
+census budget exceeded.
 Output is byte-identical across runs on identical input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
@@ -320,8 +323,10 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         _error(str(exc))
         return EXIT_INPUT
-    for n, edges in position_graphs(stream):
-        print(dumps_position_edges(n, edges))
+    # Closed first if stdout breaks, so a process pool shuts down.
+    with contextlib.closing(position_graphs(stream)) as positions:
+        for n, edges in positions:
+            print(dumps_position_edges(n, edges))
     return EXIT_OK
 
 
@@ -395,6 +400,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CrystalCheckError as exc:
         # Anything not handled closer to its source is an input problem.
         _error(str(exc))
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Pointing it at devnull
+        # keeps the interpreter's final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error("stdout was closed before the output was complete")
         return EXIT_INPUT
 
 

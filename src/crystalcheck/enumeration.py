@@ -66,7 +66,8 @@ class GraphStream:
     """The weakly connected acyclic (B0) graphs on 1..``max_vertices``
     vertices: one per isomorphism class if ``canonical``, else every labeled
     one, built as the relabelings of those classes (at most
-    ``MAX_LABELED_VERTICES`` vertices)."""
+    ``MAX_LABELED_VERTICES`` vertices).  A ``max_vertices`` out of range or
+    not an int, or a ``canonical`` not a bool, raises ``ValueError``."""
 
     max_vertices: int
     canonical: bool = True
@@ -79,6 +80,9 @@ class GraphStream:
                 f"max_vertices must be in [1, {MAX_ENUMERATION_VERTICES}], "
                 f"got {self.max_vertices}"
             )
+        # A bool only: "no" would read as true and None as false.
+        if type(self.canonical) is not bool:
+            raise ValueError(f"canonical must be True or False, got {self.canonical!r}")
         if not self.canonical and self.max_vertices > MAX_LABELED_VERTICES:
             raise ValueError(
                 f"max_vertices of a labeled (non-canonical) stream must be at most "
@@ -104,11 +108,6 @@ class _Encoder:
         self.bit = [0] * (2 * n * n)
         for s, (i, j, color) in enumerate(self.slots):
             self.bit[((color - 1) * n + i) * n + j] = 1 << (total - 1 - s)
-        # A row value of tail position p, shifted left by row_shift[color - 1][p],
-        # lands in its slots.
-        self.row_shift = [
-            [total - (block * n + p + 1) * (n - 1) for p in range(n)] for block in (0, 1)
-        ]
 
     def decode(self, code: int) -> tuple[PositionEdge, ...]:
         """The slots of the set bits of ``code``, most significant first."""
@@ -128,95 +127,6 @@ class _Encoder:
             sum(bit[((color - 1) * n + perm[i]) * n + perm[j]] for i, j, color in edges)
             for perm in itertools.permutations(range(n))
         }
-
-    def _least_code(self, successors: list[list[int]]) -> int:
-        """The least encoding of the 1-edges ``successors`` (per vertex, its
-        1-heads) over all vertex placements, with no 2-edges.
-
-        A 1-end, a vertex without a 1-head, has an all-zero 1-row wherever
-        it goes and every other vertex has a nonzero one, and the 1-rows
-        are the most significant rows in position order.  So a placement
-        with the s 1-ends at positions 0..s-1 beats any other, and every
-        minimal code puts them there: positions below s take the 1-ends,
-        the others the rest.
-
-        Branch and bound: vertices are placed at positions 0, 1, ... in
-        turn, each from those its position admits.  A partial placement is
-        bounded below row by row.  A placed row puts its unplaced heads in
-        its least significant free columns; the rows of the unplaced
-        positions take the smallest values their vertices can reach, in
-        ascending order (by rearrangement, no assignment of them to
-        positions is smaller).  A branch is cut once its bound is no
-        smaller than the best code found; with every vertex placed the
-        bound is the code itself.  A position with one candidate is forced
-        and gets no bound.
-
-        The bound reads only the rows with heads.  The unplaced rows without
-        heads are zero and sort first, so they take the first unplaced
-        positions, and the sorted nonzero rows take the last ones.
-        """
-        n = self.n
-        shift = self.row_shift[0]
-        rows = [(v, heads) for v, heads in enumerate(successors) if heads]
-        one_ends = n - len(rows)
-        position = [-1] * n
-        placed = 0
-        best = -1
-
-        def bound() -> int:
-            total = 0
-            unplaced_rows = []
-            for v, row_heads in rows:
-                p = position[v]
-                row = free = 0
-                for h in row_heads:
-                    q = position[h]
-                    if q < 0:
-                        free += 1
-                    else:
-                        row |= 1 << (n - 2 - (q if p < 0 or q < p else q - 1))
-                row += (1 << free) - 1
-                if p < 0:
-                    unplaced_rows.append(row)
-                else:
-                    total += row << shift[p]
-            unplaced_rows.sort()
-            for p, row in enumerate(unplaced_rows, n - len(unplaced_rows)):
-                total += row << shift[p]
-            return total
-
-        def search() -> None:
-            nonlocal best, placed
-            if placed == n:
-                code = bound()
-                if best < 0 or code < best:
-                    best = code
-                return
-            needs_head = placed >= one_ends
-            candidates = [
-                v for v, heads in enumerate(successors)
-                if position[v] < 0 and bool(heads) == needs_head
-            ]
-            if len(candidates) == 1:
-                children = [(-1, candidates[0])]  # forced: never cut
-            else:
-                children = []
-                for v in candidates:
-                    position[v] = placed
-                    children.append((bound(), v))
-                    position[v] = -1
-                children.sort()
-            for low, v in children:
-                if 0 <= best <= low:
-                    return
-                position[v] = placed
-                placed += 1
-                search()
-                placed -= 1
-                position[v] = -1
-
-        search()
-        return best
 
 
 def _one_strings(n: int, edges, color: int = 1) -> list[tuple[int, ...]]:
@@ -240,17 +150,33 @@ def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple
     positions and no 2-edges, and ``c1``'s 1-strings, each as its positions
     from start to end, grouped by length in ascending order.
 
-    The forest search (``_Encoder._least_code``) finds ``c1`` on a forest
-    with these lengths; each process does so once per n and length
-    multiset.
+    A 1-end, a position without a 1-head, has an all-zero 1-row, and every
+    other position has a 1-row with one bit, at its head; the 1-rows are
+    the most significant rows, in position order.  So a placement with the
+    s = len(``lengths``) 1-ends at positions 0..s-1 beats any other, and
+    every minimal code puts them there.  Such a placement is fixed by its
+    head tuple (h_s, ..., h_{n-1}) of distinct positions, and row p holds
+    the bit of h_p the lower the larger h_p is: the greater of two head
+    tuples in lexicographic order has the smaller code.
+
+    ``itertools.permutations`` over the positions in descending order
+    yields every tuple of n - s distinct heads in exactly that order, so
+    the first whose strings have these lengths is ``c1``.  A self-loop or
+    a cycle leaves its positions off every string (its heads are taken, so
+    no edge enters it from outside) and fails the length test; any other
+    tuple's edges are s disjoint paths over all n positions, ending at
+    0..s-1.  Each process scans once per n and length multiset.
     """
-    successors = [[v + 1] for v in range(n)]
-    for end in itertools.accumulate(lengths):
-        successors[end - 1] = []
-    encoder = _Encoder(n)
-    c1 = encoder._least_code(successors)
+    s = len(lengths)
+    for heads in itertools.permutations(reversed(range(n)), n - s):
+        edges = [(p, q, 1) for p, q in enumerate(heads, s)]
+        strings = _one_strings(n, edges)
+        if sorted(map(len, strings)) == list(lengths):
+            break
+    bit = _Encoder(n).bit
+    c1 = sum(bit[p * n + q] for p, q, _ in edges)
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for string in _one_strings(n, encoder.decode(c1)):
+    for string in strings:
         groups.setdefault(len(string), []).append(string)
     return c1, tuple(tuple(groups[length]) for length in sorted(groups))
 

@@ -466,11 +466,16 @@ def vertex_search_code(encoder, edges) -> int:
     for i, j, color in set(edges):
         heads[color - 1][i].append(j)
     one_ends = sum(not row for row in heads[0])
-    # Per color: the row shifts and the (vertex, heads) pairs of its
+    # Per color: the row shifts (a row of tail position p, shifted left by
+    # shift[p], lands in its slots) and the (vertex, heads) pairs of its
     # nonzero rows.
+    total = len(encoder.slots)
     blocks = [
-        (shift, [(v, block[v]) for v in range(n) if block[v]])
-        for shift, block in zip(encoder.row_shift, heads)
+        (
+            [total - (color_block * n + p + 1) * (n - 1) for p in range(n)],
+            [(v, block[v]) for v in range(n) if block[v]],
+        )
+        for color_block, block in enumerate(heads)
     ]
     blocks = [block for block in blocks if block[1]]
     position = [-1] * n

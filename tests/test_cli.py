@@ -38,14 +38,20 @@ from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS, LABELED_COUNTS
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
-def run_cli(*args, stdin: bytes = b"", env_extra: dict | None = None):
+def cli_env(env_extra: dict | None = None) -> dict:
+    """This process's environment without CRYSTALCHECK_THREADS, updated by
+    ``env_extra``."""
     import os
     env = dict(os.environ)
     env.pop("CRYSTALCHECK_THREADS", None)
     env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, stdin: bytes = b"", env_extra: dict | None = None):
     return subprocess.run(
         [sys.executable, "-m", "crystalcheck", *args],
-        input=stdin, capture_output=True, env=env,
+        input=stdin, capture_output=True, env=cli_env(env_extra),
     )
 
 
@@ -231,6 +237,25 @@ def test_enumerate_invalid_threads_env():
     assert result.stdout == b""
     assert b"CRYSTALCHECK_THREADS" in result.stderr
     assert b"Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("env_extra", [{}, {"CRYSTALCHECK_THREADS": "2"}])
+def test_enumerate_into_a_closed_pipe_exits_2(env_extra):
+    # Row 6 is about 700 KB, more than a pipe buffer, so the writer meets
+    # the closed pipe (as under ``| head -1``): one error line, no traceback.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crystalcheck", "enumerate", "--max-vertices", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(env_extra),
+    )
+    assert json.loads(proc.stdout.readline()) == {"vertices": ["v1"], "edges": []}
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in stderr
+    assert stderr.decode().splitlines() == [
+        "crystalcheck: error: stdout was closed before the output was complete"
+    ]
 
 
 def test_enumerate_seven_vertices_output_is_pinned():

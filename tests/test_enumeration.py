@@ -133,6 +133,12 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="max_vertices must be in"):
             GraphStream(max_vertices=bad)
 
+    # A bool only: "no" gave the canonical stream and None the labeled one.
+    @pytest.mark.parametrize("bad", [None, 0, 1, "no"])
+    def test_canonical_must_be_a_bool(self, bad):
+        with pytest.raises(ValueError, match="canonical must be True or False"):
+            GraphStream(max_vertices=3, canonical=bad)
+
     def test_labeled_stream_bound(self):
         # Checked when the stream is made, before any row is enumerated.
         GraphStream(max_vertices=6, canonical=False)
@@ -282,13 +288,16 @@ class TestCanonicalCode:
     def test_one_block_matches_permutation_scan_on_every_forest(self):
         # c1 depends only on the 1-string lengths: one forest per multiset.
         # Its strings come grouped by ascending length, each from its start,
-        # and they cover the positions once and make up c1's 1-edges.
+        # and they cover the positions once and make up c1's 1-edges.  The
+        # n! permutation scan is the oracle up to n = 7, the vertex search
+        # at n = 8 and 9.
         forests = 0
-        for n in range(1, 8):
+        for n in range(1, 10):
             encoder = enumeration._Encoder(n)
+            least_code = brute_canonical_code if n < 8 else vertex_search_code
             for lengths in _partitions(n):
                 c1, groups = enumeration._one_block(n, lengths)
-                assert c1 == brute_canonical_code(encoder, _forest(lengths))
+                assert c1 == least_code(encoder, _forest(lengths))
                 strings = [string for group in groups for string in group]
                 assert [len(string) for string in strings] == list(lengths)
                 assert all(len({len(string) for string in group}) == 1 for group in groups)
@@ -298,7 +307,7 @@ class TestCanonicalCode:
                     (v, w, 1) for string in strings for v, w in zip(string, string[1:])
                 }
                 forests += 1
-        assert forests == 44
+        assert forests == 96
 
     def test_string_search_matches_vertex_search_on_row_classes(self):
         # Rows 1 to 6 are the vertex-search codes of their connected
@@ -322,26 +331,18 @@ class TestCanonicalCode:
         for edges in rng.sample(connected, 500):
             assert vertex_search_code(encoder, edges) in row
 
-    def test_row_six_reaches_the_vertex_search_only_for_one_blocks(self, monkeypatch):
-        # The branch and bound runs only inside ``_one_block``, at most once
-        # per 1-string length multiset, on its forest without 2-edges.
-        forests = []
-        least_code = enumeration._Encoder._least_code
-
-        def counting(encoder, successors):
-            forests.append(successors)
-            return least_code(encoder, successors)
-
-        monkeypatch.setattr(enumeration._Encoder, "_least_code", counting)
+    def test_row_six_builds_one_block_once_per_partition(self):
+        # ``c1`` is built only inside ``_one_block``, one cache miss per
+        # 1-string length multiset; each miss's strings have the lengths
+        # asked for, so every shard joins its 2-edges to the right forest.
         enumeration._one_block.cache_clear()
         assert len(_row_codes(6)) == CANONICAL_COUNTS[6]
-        multisets = set()
-        for successors in forests:
-            edges = tuple((v, w, 1) for v, heads in enumerate(successors) for w in heads)
-            lengths = tuple(sorted(map(len, enumeration._one_strings(len(successors), edges))))
-            assert edges == _forest(lengths)
-            multisets.add(lengths)
-        assert len(multisets) == len(forests) == len(list(_partitions(6)))
+        partitions = list(_partitions(6))
+        assert enumeration._one_block.cache_info().misses == len(partitions) == 11
+        for lengths in partitions:
+            _, groups = enumeration._one_block(6, lengths)
+            assert sorted(len(string) for group in groups for string in group) == list(lengths)
+        assert enumeration._one_block.cache_info().misses == 11
 
     def test_one_ends_come_first(self):
         # Both searches put the 1-ends first: the vertex search in its first
