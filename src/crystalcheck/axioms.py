@@ -15,10 +15,10 @@ and the enumeration oracle verifies it exhaustively on small graphs.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .errors import (
     CentralityError,
@@ -259,84 +259,29 @@ def _b2_markings(
     decomp1: StringDecomposition, decomp2: StringDecomposition
 ) -> Iterator[CentralMarking]:
     """The markings with one central element on each 1-string whose
-    2-strings all read R* C L*, by depth-first search over the slots.
+    2-strings all read R* C L*, in the order of the product of the slot
+    ranges (see ``_classify``), by ``_slot_search``.
 
-    The 1-strings get their element in turn, each at one of its 2L - 1
-    slots (see ``_classify``), smallest slot first, so the markings come in
-    the order of the product of the slot ranges.  Choosing a 1-string's
-    slot fixes the class of each of its vertices; the search drops a
-    partial choice once the known classes along some 2-string are out of
-    the order right < central < left or hold two centrals, and drops a
-    full choice that leaves some 2-string without a central vertex.
-
-    *Nothing valid is dropped.*  A vertex's class depends only on the slot
-    of its own 1-string, so every extension of a partial choice keeps the
-    classes it has fixed.  With one element on every 1-string, (B2) holds
-    exactly when each 2-string's class word is in R* C L*: its central
-    vertices are its vertices of class C, and the ones before and after
-    that vertex must be R and L.  The known classes along a 2-string are a
-    subsequence of its final word, and every subsequence of a word in
-    R* C L* is non-decreasing in R < C < L with at most one C; so a choice
-    whose known classes break that has no extension that (B2) accepts.
-    A full choice fixes every class, and a word that keeps that order and
-    holds exactly one C is in R* C L*, so the leaf check completes the
-    test.  The product of the slot ranges is every marking that (B1)
-    accepts, so the search yields exactly the markings that (B1) and (B2)
-    accept.
-    ``check_global`` still judges each one.
+    With one element on every 1-string, (B2) holds exactly when each
+    2-string's class word is in R* C L*: its central vertices are its
+    vertices of class C, and the ones before and after that vertex must be
+    R and L.  A word is in R* C L* exactly when it does not start with L,
+    does not end with R, and each consecutive pair is RR, RC, CL or LL:
+    those pairs lead from R only to R or C, from C only to L and from L
+    only to L, so such a word is a run of R, one C and a run of L.  These
+    are the constraints ``_slot_search`` reads, so its leaves are exactly
+    the markings (B1) and (B2) accept, and it yields them in slot-product
+    order.  ``check_global`` still judges each one.
     """
     strings = decomp1.strings
-    # Where each vertex of each 1-string sits: (2-string index, offset).
-    spots = [tuple(map(decomp2.position, string)) for string in strings]
-    # An explicit stack, so graph size is not limited by the interpreter's
-    # recursion depth.
-    stack = [((), tuple((-1, len(string), False) for string in decomp2.strings))]
-    while stack:
-        slots, known = stack.pop()
-        depth = len(slots)
-        if depth == len(strings):
-            if all(has_c for _lo, _hi, has_c in known):
-                yield _marking_at(strings, slots)
-            continue
-        # Reversed, so the smallest slot is popped first.
-        for slot in reversed(range(2 * len(strings[depth]) - 1)):
-            extended = _place(known, spots[depth], slot)
-            if extended is not None:
-                stack.append((slots + (slot,), extended))
+    index = {v: k for k, v in enumerate(itertools.chain(*strings))}
+    layout = _slot_layout([[index[v] for v in string] for string in strings])
+    twos = [(index[u], index[v]) for string in decomp2.strings for u, v in zip(string, string[1:])]
+    for domains in _slot_search(layout, twos):
+        yield _marking_at(strings, [mask.bit_length() - 1 for mask in domains])
 
 
-def _place(known: tuple, spots: tuple, slot: int) -> Optional[tuple]:
-    """The 2-strings' known classes once a 1-string, its vertices at
-    ``spots``, has its central element at ``slot``; or None once some
-    2-string no longer reads R* C L*.
-
-    Each 2-string's known classes are kept as (lo, hi, has_c): a right
-    vertex must lie before offset hi (the first known C or L), a left one
-    after offset lo (the last known R or C), and a central one strictly
-    between, with no C known yet.  These pairwise conditions are exactly
-    the order R < C < L with at most one C.
-    """
-    known = list(known)
-    for k, (string_idx, pos) in enumerate(spots):
-        lo, hi, has_c = known[string_idx]
-        if 2 * k > slot:  # right
-            if pos > hi:
-                return None
-            if pos > lo:
-                known[string_idx] = (pos, hi, has_c)
-        elif 2 * k < slot:  # left
-            if pos < lo:
-                return None
-            if pos < hi:
-                known[string_idx] = (lo, pos, has_c)
-        else:  # central
-            if has_c or not lo < pos < hi:
-                return None
-            known[string_idx] = (pos, pos, True)
-    return tuple(known)
-
-
-def _marking_at(strings: tuple[tuple[str, ...], ...], slots: tuple[int, ...]) -> CentralMarking:
+def _marking_at(strings: tuple[tuple[str, ...], ...], slots: list[int]) -> CentralMarking:
     """The marking with its element at the given slot of each 1-string."""
     vertices, edges = [], []
     for string, slot in zip(strings, slots):
@@ -480,7 +425,12 @@ def labels_from_marking(g: ColoredDigraph, marking: CentralMarking) -> Labeling:
     Left vertices map to 0, central vertices to c, right vertices to 1.
     """
     _require_no_violations(check_global(g, marking), "marking violates the global axioms")
-    # check_global has checked the scope and that every 1-string is marked.
+    return _labels_from_marking(g, marking)
+
+
+def _labels_from_marking(g: ColoredDigraph, marking: CentralMarking) -> Labeling:
+    """``labels_from_marking`` on a marking that ``check_global`` accepts,
+    which has checked its scope and that every 1-string is marked."""
     classes, _unmarked = _classify(decompose_strings(g, 1), marking)
     to_label = {LEFT: LABEL_LEFT, CENTRAL: LABEL_CENTRAL, RIGHT: LABEL_RIGHT}
     return Labeling(labels={v: to_label[classes[v]] for v in g.vertices})
@@ -519,13 +469,16 @@ _SUPPORT = {color: tuple(
 ) for color, pairs in _EDGE_CLASS.items()}
 
 
-@functools.cache
-def _endpoint_domain(mask: int) -> int:
-    """The mask of the labels whose needed ports are all in the port ``mask``."""
-    return sum(
+# Per port mask, the mask of the labels whose needed ports are all in it.
+_ENDPOINT_DOMAIN = [
+    sum(
         _LABEL_BIT[value] for value, needs in _ENDPOINT_NEEDS.items()
         if all(mask & _PORT_BIT[port] for _clause, port in needs)
     )
+    for mask in range(16)
+]
+# Per color, the bits of its leaving and its entering port.
+_PORT_BITS = {color: (_PORT_BIT["leaving", color], _PORT_BIT["entering", color]) for color in (1, 2)}
 
 
 def _network(n: int, edges) -> tuple[list[int], list[list[int]]]:
@@ -535,11 +488,12 @@ def _network(n: int, edges) -> tuple[list[int], list[list[int]]]:
     ports = [0] * n
     incident: list[list[int]] = [[] for _ in range(n)]
     for k, (tail, head, color) in enumerate(edges):
-        ports[tail] |= _PORT_BIT["leaving", color]
-        ports[head] |= _PORT_BIT["entering", color]
+        leaving, entering = _PORT_BITS[color]
+        ports[tail] |= leaving
+        ports[head] |= entering
         incident[tail].append(k)
         incident[head].append(k)
-    return [_endpoint_domain(mask) for mask in ports], incident
+    return [_ENDPOINT_DOMAIN[mask] for mask in ports], incident
 
 
 def _propagate(domains: list[int], edges, incident: list[list[int]]) -> bool:
@@ -602,3 +556,114 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
             if domains[open_k] & bit:
                 stack.append(domains[:open_k] + [bit] + domains[open_k + 1:])
     return results
+
+
+# -- marking search -------------------------------------------------------
+
+# A 1-string of L vertices gets a (2L - 1)-bit slot mask, bit s set while
+# its central element may still sit at slot s (see ``_classify``).  Its
+# vertex k is right for the slots in below = (1 << 2k) - 1, right or
+# central for those in upto = (1 << 2k + 1) - 1, and left for the others.
+
+
+def _slot_layout(strings) -> tuple[list[int], list[int], list[int], list[int]]:
+    """For 1-strings over the indices 0..n-1, each index's string, ``below``
+    and ``upto`` masks, and each string's full slot mask."""
+    n = sum(map(len, strings))
+    string_of, below, upto = [0] * n, [0] * n, [0] * n
+    for s, string in enumerate(strings):
+        for k, v in enumerate(string):
+            string_of[v] = s
+            below[v] = (1 << 2 * k) - 1
+            upto[v] = (1 << 2 * k + 1) - 1
+    return string_of, below, upto, [(1 << 2 * len(string) - 1) - 1 for string in strings]
+
+
+def _slot_search(layout, twos) -> Iterator[list[int]]:
+    """Every choice of one slot per 1-string of ``layout`` (``_slot_layout``)
+    under which each 2-string, its 2-edges the (tail, head) index pairs
+    ``twos``, reads R* C L*, as slot masks of one bit each, in the order of
+    the product of the slot ranges.
+
+    The constraints, read off that word shape (see ``_b2_markings``): the
+    first vertex of a 2-string, one without an entering 2-edge, is not
+    left (its string's mask keeps ``upto``), its last is not right (the
+    mask drops ``below``), and a 2-edge's class pair is RR, RC, CL or LL.
+    A 2-edge within one 1-string is one condition on that string's slot,
+    applied once.  A 2-edge (u, v) across two strings is a binary
+    constraint that ``_propagate_slots`` keeps arc consistent: v may be
+    right or central if u may be right, and left if u may be central or
+    left; u may be right if v may be right or central, and central or left
+    if v may be left.  Propagation removes only slots that no choice
+    satisfying every constraint uses, and once every mask has one bit each
+    constraint is checked exactly, so the leaves are exactly the valid
+    choices.  Each search node propagates, then splits the first string
+    with several slots left into one branch per slot, lowest first; so
+    branches below a node share the fixed prefix of strings and are taken
+    in ascending slot order, and the leaves come in lexicographic order.
+    """
+    string_of, below, upto, full = layout
+    domains = list(full)
+    edges, incident = [], [[] for _ in full]
+    entered = left = 0
+    for u, v in twos:
+        entered |= 1 << v
+        left |= 1 << u
+        tail, head = string_of[u], string_of[v]
+        if tail == head:  # u right and v not left, or u not right and v left
+            domains[tail] &= below[u] & upto[v] | ~(below[u] | upto[v])
+        else:
+            incident[tail].append(len(edges))
+            incident[head].append(len(edges))
+            edges.append((tail, head, below[u], upto[v]))
+    for v, s in enumerate(string_of):
+        if not entered >> v & 1:
+            domains[s] &= upto[v]
+        if not left >> v & 1:
+            domains[s] &= ~below[v]
+    if not all(domains):
+        return
+    # An explicit stack, so graph size is not limited by the interpreter's
+    # recursion depth; each entry carries the edges its change requeues.
+    stack = [(domains, list(range(len(edges))))]
+    while stack:
+        domains, pending = stack.pop()
+        if not _propagate_slots(domains, edges, incident, pending):
+            continue
+        open_s = next((s for s, mask in enumerate(domains) if mask & mask - 1), None)
+        if open_s is None:
+            yield domains
+            continue
+        mask = domains[open_s]
+        # Highest first, so the lowest slot is popped first.
+        for slot in reversed(range(mask.bit_length())):
+            if mask >> slot & 1:
+                split = domains[:open_s] + [1 << slot] + domains[open_s + 1:]
+                stack.append((split, list(incident[open_s])))
+
+
+def _propagate_slots(domains: list[int], edges, incident: list[list[int]], pending: list[int]) -> bool:
+    """Prune the slot masks ``domains`` in place to arc consistency along
+    ``edges``, (tail string, head string, tail's ``below``, head's ``upto``)
+    as ``_slot_search`` builds them, from the edge positions ``pending``;
+    False as soon as some mask empties.  A string whose mask shrinks
+    requeues the edges at it."""
+    while pending:
+        tail, head, below, upto = edges[pending.pop()]
+        old_tail, old_head = domains[tail], domains[head]
+        new_head, new_tail = old_head, old_tail
+        if not old_tail & below:  # the tail is never right: the head is left
+            new_head &= ~upto
+        elif old_tail <= below:  # the tail is always right: the head is not left
+            new_head &= upto
+        if not new_head & upto:  # the head is always left: the tail is not right
+            new_tail &= ~below
+        elif new_head <= upto:  # the head is never left: the tail is right
+            new_tail &= below
+        for s, old, new in ((tail, old_tail, new_tail), (head, old_head, new_head)):
+            if new != old:
+                if not new:
+                    return False
+                domains[s] = new
+                pending += incident[s]
+    return True

@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .axioms import Labeling, check_global, check_local, infer_labelings, labels_from_marking
+from .axioms import Labeling, _central_1_edges, _labels_from_marking, check_global, check_local, infer_labelings
 from .documents import GraphDocument, document_from_graph, dumps_document, dumps_position_edges, parse_document
 from .enumeration import (
     GraphStream,
@@ -37,9 +37,9 @@ from .graph import (
 )
 from .predicates import (
     FAILS,
+    _corollary2,
+    _corollary3,
     _status_report,
-    check_corollary2,
-    check_corollary3,
     check_string_words,
 )
 from .violations import CLAUSE_ACYCLICITY, CLAUSE_CONNECTIVITY, CLAUSE_INFERENCE, Violation
@@ -77,8 +77,12 @@ def _cycle_violation(cycle: CycleCertificate) -> dict:
 
 def _predicate_dicts(g: ColoredDigraph, lab: Labeling) -> list[dict]:
     """The three predicate reports for one labeling, with the per-color
-    string-word checks merged into a single report."""
-    reports = [check_corollary2(g, lab), check_corollary3(g, lab)]
+    string-word checks merged into a single report.  The labeling passes
+    the local axioms: the caller has checked or inferred it, or read it off
+    a marking that ``check_global`` accepts (the bijection ``census``
+    re-proves), so the corollaries' own check of it is skipped."""
+    central = _central_1_edges(g, lab)
+    reports = [_corollary2(g, lab, central), _corollary3(g, lab, central)]
     words = [check_string_words(decompose_strings(g, color), lab) for color in (1, 2)]
     # A holding report's witnesses are all its instances, so these are all
     # the instances whenever none fails.
@@ -261,7 +265,7 @@ def _cmd_validate(args) -> int:
             global_report = check_global(g, doc.marking)
             checks.append({"check": "global", "violations": global_report.as_jsonable()})
             if not global_report:
-                derived = labels_from_marking(g, doc.marking)
+                derived = _labels_from_marking(g, doc.marking)
                 result["derived_labels"] = derived.as_jsonable(g)
                 result["predicates"] = _predicate_dicts(g, derived)
         else:

@@ -42,6 +42,8 @@ from .axioms import (
     _b2_markings,
     _network,
     _propagate,
+    _slot_layout,
+    _slot_search,
     check_global,
     infer_labelings,
     labels_from_marking,
@@ -56,7 +58,7 @@ MAX_ENUMERATION_VERTICES = 8
 # A labeled stream holds a whole row before sorting it: 2,866,200 codes at
 # n = 6, and about 60 times as many at n = 7.
 MAX_LABELED_VERTICES = 6
-MAX_CENSUS_VERTICES = 7
+MAX_CENSUS_VERTICES = 8
 
 PositionEdge = tuple[int, int, int]  # (tail position, head position, color)
 
@@ -129,10 +131,10 @@ class _Encoder:
         }
 
 
-def _one_strings(n: int, edges, color: int = 1) -> list[tuple[int, ...]]:
-    """The strings of the color-``color`` position edges among ``edges``,
-    disjoint directed paths over positions 0..n-1, each from its start."""
-    after = {i: j for i, j, c in edges if c == color}
+def _one_strings(n: int, edges) -> list[tuple[int, ...]]:
+    """The 1-strings of the position edges ``edges``, disjoint directed
+    paths over positions 0..n-1, each from its start."""
+    after = {i: j for i, j, color in edges if color == 1}
     heads = set(after.values())
     strings = []
     for v in range(n):
@@ -314,15 +316,23 @@ def _row_codes(
     return sorted(codes)
 
 
+@functools.cache
+def _shard_layout(strings: tuple[tuple[int, ...], ...]) -> tuple:
+    """``_slot_layout`` of a shard's 1-strings over positions, built once
+    per process."""
+    return _slot_layout(strings)
+
+
 def _screen(n: int, edges: tuple[PositionEdge, ...], ones: StringDecomposition) -> bool:
     """Whether the census graph on n positions with these edges and the
     1-strings ``ones`` has a labeling or a marking (exact, see ``census``):
-    propagation on its ports, then, if a domain empties, the marking search."""
+    propagation on its label masks, then, if a domain empties, the slot
+    search of ``_b2_markings`` on its 2-edges."""
     domains, incident = _network(n, edges)
     if _propagate(domains, edges, incident):
         return True
-    twos = StringDecomposition(2, tuple(_one_strings(n, edges, 2)))
-    return next(_b2_markings(ones, twos), None) is not None
+    twos = [(i, j) for i, j, color in edges if color == 2]
+    return next(_slot_search(_shard_layout(ones.strings), twos), None) is not None
 
 
 def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[tuple]:
@@ -415,13 +425,15 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     """Verify exhaustively that valid markings and valid labelings are in
     bijection under the two conversion maps.
 
-    Markings are not searched over all subsets.  ``_b2_markings`` builds
-    them slot by slot, one central element per 1-string as (B1) states, and
-    drops every choice under which some 2-string cannot read R* C L* as
-    (B2) states; its docstring shows that no valid marking is dropped.
-    ``check_global`` judges each marking it builds, and only those it
-    accepts are counted.  Labelings come from ``infer_labelings``, which
-    the tests compare with all 3^n label vectors.
+    Markings are not searched over all subsets.  ``_b2_markings`` puts one
+    central element on each 1-string, as (B1) states, and prunes per-string
+    slot masks until every 2-string reads R* C L*, as (B2) states; its
+    propagation removes no slot a valid marking uses and its leaves pass
+    every constraint, so it yields exactly the valid markings, in slot
+    order (``_slot_search`` carries the argument).  ``check_global`` still
+    judges each, and only those it accepts are counted.  Labelings come
+    from ``infer_labelings``, which the tests compare with all 3^n label
+    vectors.
 
     The conversions must then be mutually inverse between the two valid
     sets, and one pass over the markings shows it.  It maps each valid
@@ -432,8 +444,9 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     that no valid marking hits is the witness of a failure.  Requires a
     degree-valid acyclic graph.
 
-    Where propagation empties a domain and ``_b2_markings`` yields nothing,
-    both sets are empty (0 = 0); ``census`` screens such graphs out unbuilt.
+    Where label propagation empties a domain and the slot search has no
+    leaf, both sets are empty (0 = 0); ``census`` screens such graphs out
+    unbuilt.
     """
     try:
         labelings = tuple(infer_labelings(g))
@@ -525,10 +538,13 @@ def census(
     correspondence is re-verified on every graph the screen keeps; a
     mismatch raises ``CounterexampleError``).  The shards screen each
     class on its position edges (``_screen``), and the screen is exact: an
-    emptied domain means no labeling, by ``infer_labelings``' argument, and
-    no ``_b2_markings`` yield means no marking, by its docstring; such a
-    graph's proposition is 0 = 0.  ``on_corollary_gap`` is invoked for every
-    valid labeling on which a corollary predicate fails, since those
+    emptied label domain means no labeling, by ``infer_labelings``'
+    argument, and a slot search (``_slot_search``, the search of
+    ``_b2_markings``) with no leaf means no marking, by its docstring; such
+    a graph's proposition is 0 = 0.  On rows 1 to 8 the slot search's
+    first propagation alone refutes every class without a marking, so the
+    screen never branches on them.  ``on_corollary_gap`` is invoked for
+    every valid labeling on which a corollary predicate fails, since those
     predicates are not implied by the axioms checked here.  More than one
     worker runs each row's shards in a process pool; the main process then
     builds and checks the survivors in code order, so the output is the

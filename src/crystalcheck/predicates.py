@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .axioms import LABEL_CENTRAL, Labeling, _central_1_edges, _require_local_validity
 from .errors import LabelingError
-from .graph import ColoredDigraph, StringDecomposition
+from .graph import ColoredDigraph, Edge, StringDecomposition
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 
@@ -30,12 +32,22 @@ class PredicateReport:
 
     ``witnesses`` lists the hypothesis instances behind the status: the
     instances verified when the predicate holds, the offending instances
-    when it fails, and nothing when it is vacuous.
+    when it fails, and nothing when it is vacuous.  It is a tuple of frozen
+    copies of the witnesses given: a sequence of vertices becomes a tuple,
+    and a string-words entry a read-only mapping whose "string" is a tuple.
     """
 
     predicate: str
     status: str
     witnesses: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", tuple(map(_frozen, self.witnesses)))
+
+    def __reduce__(self):
+        # A read-only mapping cannot be pickled or deep-copied; its plain
+        # copy can, and the constructor freezes it again.
+        return type(self), (self.predicate, self.status, self.as_jsonable()["witnesses"])
 
     @property
     def ok(self) -> bool:
@@ -45,8 +57,21 @@ class PredicateReport:
         return {
             "predicate": self.predicate,
             "status": self.status,
-            "witnesses": list(self.witnesses),
+            "witnesses": [
+                list(w) if type(w) is tuple else dict(w, string=list(w["string"]))
+                for w in self.witnesses
+            ],
         }
+
+
+def _frozen(witness):
+    """A read-only copy of one witness (see ``PredicateReport``); a witness
+    already frozen, as when one report's witnesses make another's, is kept."""
+    if type(witness) is MappingProxyType and type(witness["string"]) is tuple:
+        return witness
+    if isinstance(witness, Mapping):
+        return MappingProxyType(dict(witness, string=tuple(witness["string"])))
+    return tuple(witness)
 
 
 def _status_report(predicate: str, instances: list, failing: list) -> PredicateReport:
@@ -64,36 +89,50 @@ def check_corollary2(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     """For every central 1-edge (u, v): a 2-edge must enter u from a
     central vertex and a 2-edge must leave v toward a central vertex.
 
-    Witnesses are [u, v] pairs.  Vacuous when no central 1-edge exists.
+    Witnesses are (u, v) pairs.  Vacuous when no central 1-edge exists.
+    Requires a labeling that passes the local axioms.
     """
     _require_local_validity(g, lab)
-    instances, failing = [], []
-    for e in _central_1_edges(g, lab):
-        has_central_in = any(
-            lab.labels[prev.tail] == LABEL_CENTRAL for prev in g.in_edges(e.tail, 2)
-        )
-        has_central_out = any(
-            lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(e.head, 2)
-        )
-        witness = [e.tail, e.head]
-        instances.append(witness)
-        if not (has_central_in and has_central_out):
-            failing.append(witness)
-    return _status_report("corollary2", instances, failing)
+    return _corollary2(g, lab, _central_1_edges(g, lab))
 
 
 def check_corollary3(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     """For every central 1-edge (u, v) with a 2-edge (u, w) leaving u: some
     1-edge (w, w') must exist with w' central.
 
-    Witnesses are [u, v, w] triples.  Vacuous when no central 1-edge has a
-    leaving 2-edge at its tail.
+    Witnesses are (u, v, w) triples.  Vacuous when no central 1-edge has a
+    leaving 2-edge at its tail.  Requires a labeling that passes the local
+    axioms.
     """
     _require_local_validity(g, lab)
+    return _corollary3(g, lab, _central_1_edges(g, lab))
+
+
+def _corollary2(g: ColoredDigraph, lab: Labeling, central: list[Edge]) -> PredicateReport:
+    """``check_corollary2`` on a labeling known to pass the local axioms,
+    with ``central`` its central 1-edges (``_central_1_edges``)."""
     instances, failing = [], []
-    for e in _central_1_edges(g, lab):
+    for e in central:
+        has_central_in = any(
+            lab.labels[prev.tail] == LABEL_CENTRAL for prev in g.in_edges(e.tail, 2)
+        )
+        has_central_out = any(
+            lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(e.head, 2)
+        )
+        witness = (e.tail, e.head)
+        instances.append(witness)
+        if not (has_central_in and has_central_out):
+            failing.append(witness)
+    return _status_report("corollary2", instances, failing)
+
+
+def _corollary3(g: ColoredDigraph, lab: Labeling, central: list[Edge]) -> PredicateReport:
+    """``check_corollary3`` on a labeling known to pass the local axioms,
+    with ``central`` its central 1-edges (``_central_1_edges``)."""
+    instances, failing = [], []
+    for e in central:
         for via in g.out_edges(e.tail, 2):
-            witness = [e.tail, e.head, via.head]
+            witness = (e.tail, e.head, via.head)
             instances.append(witness)
             if not any(lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(via.head, 1)):
                 failing.append(witness)
@@ -111,7 +150,7 @@ def check_string_words(decomp: StringDecomposition, lab: Labeling) -> PredicateR
     This is equivalent to the local axioms restricted to the string: each
     1-string word must match 0^a c 1^b (a,b >= 0) or 0^a 1^b (a,b >= 1),
     and each 2-string word must match 1^a c 0^b (a,b >= 0).  Witnesses
-    identify strings as {"color": ..., "string": [...]}.
+    identify strings as read-only {"color": ..., "string": (...)} mappings.
     """
     for string in decomp.strings:
         for v in string:
@@ -120,7 +159,7 @@ def check_string_words(decomp: StringDecomposition, lab: Labeling) -> PredicateR
     pattern = WORD_PATTERN_1 if decomp.color == 1 else WORD_PATTERN_2
     instances, failing = [], []
     for string in decomp.strings:
-        witness = {"color": decomp.color, "string": list(string)}
+        witness = MappingProxyType({"color": decomp.color, "string": string})
         instances.append(witness)
         if not pattern.fullmatch(string_word(string, lab)):
             failing.append(witness)

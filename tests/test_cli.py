@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from crystalcheck import (
     ColoredDigraph,
     GraphStream,
+    axioms,
     check_corollary2,
     check_corollary3,
     cli,
@@ -332,7 +333,7 @@ def test_census_infinite_budget_is_unbounded():
 
 
 def test_census_bad_max_vertices():
-    assert run_cli("census", "--max-vertices", "8").returncode == 2
+    assert run_cli("census", "--max-vertices", "9").returncode == 2
 
 
 def test_census_invalid_threads_env():
@@ -413,6 +414,23 @@ def test_census_row_7_and_its_corollary_gaps(threads):
     assert len(result.stderr.splitlines()) == 236
     assert hashlib.sha256(result.stdout).hexdigest() == CENSUS_7_STDOUT_SHA256
     assert hashlib.sha256(result.stderr).hexdigest() == CENSUS_7_STDERR_SHA256
+
+
+# SHA-256 of `census --max-vertices 8` stdout (the table) and stderr (its
+# 1,837 gap notes, in order).
+CENSUS_8_STDOUT_SHA256 = "acbc339143a341c58f0c6c78987e25a9967f5efcd31a130899d28ddd85e14a8d"
+CENSUS_8_STDERR_SHA256 = "aa56662648754b9bf1249abe738a67315ad73e4d5b3229715ba0a91b58e97c7f"
+
+
+def test_census_row_8_and_its_corollary_gaps():
+    # On two workers only: a serial row 8 takes about twice as long, and
+    # the row-7 pins already compare the serial and pooled paths.
+    result = run_cli("census", "--max-vertices", "8", env_extra={"CRYSTALCHECK_THREADS": "2"})
+    assert result.returncode == 0
+    assert result.stdout.decode().splitlines()[-1] == "8,348122,3037,3149,3149"
+    assert len(result.stderr.splitlines()) == 1837
+    assert hashlib.sha256(result.stdout).hexdigest() == CENSUS_8_STDOUT_SHA256
+    assert hashlib.sha256(result.stderr).hexdigest() == CENSUS_8_STDERR_SHA256
 
 
 def test_census_gap_notes_name_their_witness_under_validate(tmp_path):
@@ -623,6 +641,27 @@ def test_document_output_is_pinned(name, command):
         stderr.flush()
     digests = [hashlib.sha256(stream.getvalue()).hexdigest() for stream in (out, err)]
     assert (code, *digests) == DOCUMENT_PINS[(name, command)]
+
+
+@pytest.mark.parametrize("name, local_calls, global_calls", [
+    ("valid_labels_path5.json", 1, 0),
+    ("valid_chain4_labels.json", 1, 0),
+    ("valid_centers_path5.json", 0, 1),
+    ("corollary2_gap.json", 1, 0),
+    ("single_vertex.json", 0, 0),
+])
+def test_validate_checks_each_labeling_once(monkeypatch, name, local_calls, global_calls):
+    # The corollaries and the derived labeling do not re-check what the
+    # command has checked, inferred or derived from an accepted marking.
+    calls = Counter()
+    for function in (axioms.check_local, axioms.check_global):
+        def counted(*args, _function=function):
+            calls[_function.__name__] += 1
+            return _function(*args)
+        for module in (axioms, cli):
+            monkeypatch.setattr(module, function.__name__, counted)
+    main_in_process("validate", str(DOCUMENTS / name))
+    assert (calls["check_local"], calls["check_global"]) == (local_calls, global_calls)
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):

@@ -590,6 +590,41 @@ class TestScreen:
             census(5, workers=1)
 
 
+class TestSlotKernel:
+    """``_b2_markings`` and the census screen share one slot-mask kernel,
+    whose root propagation alone refutes every census graph without a
+    marking."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_root_propagation_refutes_every_graph_without_a_marking(self, n, monkeypatch):
+        calls = []
+        propagate = axioms._propagate_slots
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(axioms, "_propagate_slots", counted)
+        refuted = 0
+        for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n)):
+            calls.clear()
+            if not pruned_markings(graph_from_position_edges(n, edges)):
+                # One propagation, or none where the 2-string ends empty a
+                # mask: the search never branched.
+                assert len(calls) <= 1
+                refuted += 1
+        assert refuted == {1: 0, 2: 3, 3: 11, 4: 70, 5: 483, 6: 3893}[n]
+
+    def test_hides_no_counterexample(self, monkeypatch):
+        # With the slot kernel made to refute, no graph has a marking.  The
+        # graphs with a labeling still pass the screen, starting with the
+        # one-vertex graph, and their check fails; a screen or a marking
+        # search that skipped the kernel would print a balanced table.
+        monkeypatch.setattr(axioms, "_propagate_slots", lambda *args: False)
+        with pytest.raises(CounterexampleError, match="1-vertex graph: no valid marking"):
+            census(5, workers=1)
+
+
 def _slow_check(g):
     """``check_proposition``, made to take 0.2 s on each 5-vertex graph."""
     if g.n_vertices == 5:
@@ -718,7 +753,7 @@ class TestCensus:
 
     def test_max_vertices_bound(self):
         with pytest.raises(ValueError):
-            census(8)
+            census(9)
 
     @pytest.mark.parametrize("bad", [2.5, 3.0, True])
     def test_max_vertices_must_be_an_int(self, bad):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +12,7 @@ from crystalcheck import (
     LabelingError,
     Labeling,
     PreconditionError,
+    PredicateReport,
     check_corollary2,
     check_corollary3,
     check_local,
@@ -41,7 +45,7 @@ class TestCorollary2:
         g = chain4()
         report = check_corollary2(g, unique_labeling(g))
         assert report.status == "holds"
-        assert report.witnesses == (["u", "v"],)
+        assert report.witnesses == (("u", "v"),)
         assert report.ok
 
     def test_path5_vacuous(self):
@@ -62,7 +66,7 @@ class TestCorollary2:
         assert lab.vector(g) == ("c", "0", "0", "1", "c")
         report = check_corollary2(g, lab)
         assert report.status == "fails"
-        assert report.witnesses == (["u", "v"],)
+        assert report.witnesses == (("u", "v"),)
         assert not report.ok
 
     def test_rejects_locally_invalid_labeling(self):
@@ -86,7 +90,7 @@ class TestCorollary3:
         assert lab.vector(g) == ("c", "0", "1", "0", "c", "c")
         report = check_corollary3(g, lab)
         assert report.status == "holds"
-        assert report.witnesses == (["u", "v", "w"],)
+        assert report.witnesses == (("u", "v", "w"),)
 
     def test_gap_graph_fails(self):
         g = corollary3_gap_graph()
@@ -94,7 +98,7 @@ class TestCorollary3:
         assert lab.vector(g) == ("c", "0", "1", "0", "0", "c", "c")
         report = check_corollary3(g, lab)
         assert report.status == "fails"
-        assert report.witnesses == (["u", "v", "w"],)
+        assert report.witnesses == (("u", "v", "w"),)
 
     @given(graphs_with_labelings(max_vertices=6))
     @settings(max_examples=100)
@@ -108,6 +112,32 @@ class TestCorollary3:
                 assert report.witnesses == ()
 
 
+class TestFrozenWitnesses:
+    def test_witnesses_cannot_change_in_place(self):
+        g = chain4()
+        corollary = check_corollary2(g, unique_labeling(g))
+        words = check_string_words(decompose_strings(g, 1), unique_labeling(g))
+        assert type(corollary.witnesses[0]) is tuple
+        with pytest.raises(TypeError):
+            words.witnesses[0]["string"] = ["x"]
+        with pytest.raises(AttributeError):
+            words.witnesses[0]["string"].append("x")
+
+    def test_given_witnesses_are_copied(self):
+        witness = {"color": 2, "string": ["a", "b"]}
+        report = PredicateReport("string-words", "fails", [["u", "v"], witness])
+        witness["string"].append("c")
+        assert report.witnesses == (("u", "v"), {"color": 2, "string": ("a", "b")})
+        assert report.as_jsonable()["witnesses"] == [["u", "v"], {"color": 2, "string": ["a", "b"]}]
+
+    def test_report_pickles_and_deep_copies(self):
+        g = chain4()
+        report = check_string_words(decompose_strings(g, 2), unique_labeling(g))
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin == report
+            assert twin.as_jsonable() == report.as_jsonable()
+
+
 class TestStringWords:
     def test_color1_words(self):
         g = graph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
@@ -116,7 +146,7 @@ class TestStringWords:
         assert check_string_words(decomp, labeling(g, ["0", "0", "1"])).status == "holds"
         report = check_string_words(decomp, labeling(g, ["c", "c", "1"]))
         assert report.status == "fails"
-        assert report.witnesses == ({"color": 1, "string": ["a", "b", "c"]},)
+        assert report.witnesses == ({"color": 1, "string": ("a", "b", "c")},)
 
     def test_color2_words(self):
         g = graph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 2)])
