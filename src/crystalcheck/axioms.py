@@ -11,6 +11,12 @@ vertices of strings exclude certain labels.  For finite acyclic graphs
 satisfying the degree axiom the two formulations pick out the same objects;
 ``labels_from_marking`` and ``marking_from_labels`` realize the bijection,
 and the enumeration oracle verifies it exhaustively on small graphs.
+
+Slots: a 1-string of L vertices has 2L - 1 *slots* for its central
+element.  Slot 2k is its k-th vertex and slot 2k + 1 the 1-edge that leaves
+that vertex.  Vertex k is right when the element is below slot 2k, central
+at 2k, and left above it; so a central edge's tail is left and its head is
+right.
 """
 
 from __future__ import annotations
@@ -207,15 +213,15 @@ def _least(strays: list):
         return min(strays, key=lambda stray: (type(stray).__qualname__, repr(stray)))
 
 
-def _check_marking_scope(decomp1: StringDecomposition, marking: CentralMarking) -> None:
-    """Reject a marking naming anything off the 1-string skeleton; the error
-    names the first offender in sorted order.  The 1-strings cover exactly
-    the graph's vertices, and their consecutive pairs are exactly its
-    1-edges."""
-    stray_vertices = [v for v in marking.central_vertices if not decomp1.covers(v)]
+def _check_marking_scope(marking: CentralMarking, covers, consecutive) -> None:
+    """Reject a marking naming a vertex that ``covers`` refuses or an edge
+    that ``consecutive`` refuses; the error names the first offender in
+    sorted order.  A 1-string skeleton's ``covers`` and ``consecutive``
+    accept exactly the graph's vertices and 1-edges."""
+    stray_vertices = [v for v in marking.central_vertices if not covers(v)]
     if stray_vertices:
         raise MarkingError(f"central vertex {_least(stray_vertices)!r} is not in the graph")
-    stray_edges = [pair for pair in marking.central_1_edges if not decomp1.consecutive(*pair)]
+    stray_edges = [pair for pair in marking.central_1_edges if not consecutive(*pair)]
     if stray_edges:
         tail, head = _least(stray_edges)
         raise MarkingError(f"central edge ({tail!r}, {head!r}) is not a 1-edge of the graph")
@@ -225,14 +231,9 @@ def _classify(
     decomp1: StringDecomposition, marking: CentralMarking
 ) -> tuple[dict[str, str], list[tuple[tuple[str, ...], int]]]:
     """Classify the vertices of every 1-string carrying exactly one central
-    element; return the classes and each other 1-string with its count.
-
-    A 1-string of L vertices has 2L - 1 *slots* for its central element:
-    slot 2k is its k-th vertex and slot 2k + 1 the 1-edge leaving that
-    vertex.  With the element at slot s, vertex k is left, central or right
-    as 2k is below, equal to or above s; so a central edge's tail is left
-    and its head is right.  The marking must be in scope, so each element's
-    slot is read off the skeleton.
+    element, by its slot (see the module docstring); return the classes and
+    each other 1-string with its count.  The marking must be in scope, so
+    each element's slot is read off the skeleton.
     """
     position = decomp1.position
     marked: list[list[int]] = [[] for _ in decomp1.strings]
@@ -260,7 +261,7 @@ def _b2_markings(
 ) -> Iterator[CentralMarking]:
     """The markings with one central element on each 1-string whose
     2-strings all read R* C L*, in the order of the product of the slot
-    ranges (see ``_classify``), by ``_slot_search``.
+    ranges (see the module docstring), by ``_slot_search``.
 
     With one element on every 1-string, (B2) holds exactly when each
     2-string's class word is in R* C L*: its central vertices are its
@@ -282,7 +283,8 @@ def _b2_markings(
 
 
 def _marking_at(strings: tuple[tuple[str, ...], ...], slots: list[int]) -> CentralMarking:
-    """The marking with its element at the given slot of each 1-string."""
+    """The marking with its element at the given slot (see the module
+    docstring) of each 1-string."""
     vertices, edges = [], []
     for string, slot in zip(strings, slots):
         k, is_edge = divmod(slot, 2)
@@ -303,7 +305,7 @@ def classify_vertices(decomp1: StringDecomposition, marking: CentralMarking) -> 
     """
     if decomp1.color != 1:
         raise ValueError("classification is defined over the color-1 decomposition")
-    _check_marking_scope(decomp1, marking)
+    _check_marking_scope(marking, decomp1.covers, decomp1.consecutive)
     classes, unmarked = _classify(decomp1, marking)
     if unmarked:
         raise CentralityError(*unmarked[0])
@@ -323,7 +325,7 @@ def check_global(g: ColoredDigraph, marking: CentralMarking) -> ViolationReport:
     first.
     """
     decomp1 = decompose_strings(g, 1)
-    _check_marking_scope(decomp1, marking)
+    _check_marking_scope(marking, decomp1.covers, decomp1.consecutive)
     classes, unmarked = _classify(decomp1, marking)
     violations = [
         Violation(clause=CLAUSE_B1, at=string[0], detail=str(CentralityError(string, count)))
@@ -443,6 +445,11 @@ def marking_from_labels(g: ColoredDigraph, lab: Labeling) -> CentralMarking:
     whose label pair is classed central.
     """
     _require_local_validity(g, lab)
+    return _marking_from_labels(g, lab)
+
+
+def _marking_from_labels(g: ColoredDigraph, lab: Labeling) -> CentralMarking:
+    """``marking_from_labels`` on a labeling that ``check_local`` accepts."""
     central_vertices = frozenset(v for v in g.vertices if lab.labels[v] == LABEL_CENTRAL)
     central_edges = frozenset((e.tail, e.head) for e in _central_1_edges(g, lab))
     return CentralMarking(central_vertices=central_vertices, central_1_edges=central_edges)
@@ -454,6 +461,43 @@ def _central_1_edges(g: ColoredDigraph, lab: Labeling) -> list[Edge]:
         e for e in g.edges_of_color(1)
         if EDGE_CLASS_1.get((lab.labels[e.tail], lab.labels[e.head])) == CENTRAL
     ]
+
+
+# -- the search -----------------------------------------------------------
+
+
+def _search(domains: list[int], propagate, edges, incident: list[list[int]]) -> Iterator[list[int]]:
+    """The choices of one bit per mask of ``domains`` that ``propagate``
+    keeps, each as a list of one-bit masks, in lexicographic order.
+
+    ``propagate(domains, edges, incident, pending)`` prunes the masks in
+    place to arc consistency along ``edges`` from the positions ``pending``,
+    a shrinking mask k requeueing the positions ``incident[k]``, and is
+    False once a mask empties.  Each node propagates, then splits the first
+    mask with several bits into one branch per bit, lowest first; a branch
+    requeues only the constraints on the split mask, since its parent was
+    already arc consistent (Mackworth 1977; Sabin and Freuder 1994).  The
+    fixpoint does not depend on the queue order, and the masks before the
+    split one have one bit each, so the leaves come in lexicographic order.
+    An empty root mask yields nothing.  The stack is explicit, so the depth
+    is not bounded by the interpreter's recursion limit.
+    """
+    if not all(domains):
+        return
+    stack = [(domains, list(range(len(edges))))]
+    while stack:
+        domains, pending = stack.pop()
+        if not propagate(domains, edges, incident, pending):
+            continue
+        k = next((k for k, mask in enumerate(domains) if mask & mask - 1), None)
+        if k is None:
+            yield domains
+            continue
+        mask = domains[k]
+        # Highest first, so the lowest bit is popped first.
+        for bit in reversed(range(mask.bit_length())):
+            if mask >> bit & 1:
+                stack.append((domains[:k] + [1 << bit] + domains[k + 1:], list(incident[k])))
 
 
 # -- label inference ------------------------------------------------------
@@ -496,13 +540,9 @@ def _network(n: int, edges) -> tuple[list[int], list[list[int]]]:
     return [_ENDPOINT_DOMAIN[mask] for mask in ports], incident
 
 
-def _propagate(domains: list[int], edges, incident: list[list[int]]) -> bool:
-    """Prune the label masks ``domains`` in place to arc consistency along
-    ``edges`` (see ``_network``); False as soon as some mask empties (no
-    labeling exists).  An index whose mask shrinks requeues the edges at
-    it, at most twice per index; arc consistency reaches the same fixpoint
-    in any queue order."""
-    pending = list(range(len(edges)))
+def _propagate(domains: list[int], edges, incident: list[list[int]], pending: list[int]) -> bool:
+    """``_search``'s propagation on label masks along ``edges`` (see
+    ``_network``), from the edge positions ``pending``."""
     while pending:
         tail, head, color = edges[pending.pop()]
         heads_of, tails_of = _SUPPORT[color]
@@ -521,54 +561,41 @@ def _propagate(domains: list[int], edges, incident: list[list[int]]) -> bool:
 def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
     """Enumerate every labeling satisfying the local axioms.
 
-    Propagation is the only pruning.  Each search node propagates its
-    domains to arc consistency; if a vertex still has several values, the
-    first such vertex in declared order is fixed to each of them in turn
-    and each copy is propagated again.  Every edge relation is closed under
-    the pointwise maximum for 0 < c < 1, so once propagation leaves no
-    domain empty, the largest value of every domain is a labeling (Jeavons
-    and Cooper, "Tractable constraints on ordered domains", 1995).  A branch
-    with no labeling therefore dies in its first propagation, and every
-    other branch yields at least one labeling.  Results come in
-    lexicographic order of the label vector under declared vertex order
-    with 0 < c < 1.  The search runs on ``_propagate``'s label masks, the
-    k-th vertex in declared order at index k.
+    Propagation is the only pruning: ``_search`` runs on ``_propagate``'s
+    label masks, the k-th vertex in declared order at index k.  Each search
+    node propagates its domains to arc consistency; if a vertex still has
+    several values, the first such vertex is fixed to each of them in turn
+    and each copy is propagated again from the fixed vertex's edges.  Every
+    edge relation is closed under the pointwise maximum for 0 < c < 1, so
+    once propagation leaves no domain empty, the largest value of every
+    domain is a labeling (Jeavons and Cooper, "Tractable constraints on
+    ordered domains", 1995).  A branch with no labeling therefore dies in
+    its first propagation, and every other branch yields at least one
+    labeling.  Results come in lexicographic order of the label vector
+    under declared vertex order with 0 < c < 1.
     """
     _require_degree_axiom(g)
     index = g._vertex_index
     edges = [(index[e.tail], index[e.head], e.color) for e in g.edges]
     root, incident = _network(len(g.vertices), edges)
-    results: list[Labeling] = []
-    # An explicit stack, so graph size is not limited by the interpreter's
-    # recursion depth.
-    stack = [root]
-    while stack:
-        domains = stack.pop()
-        if not _propagate(domains, edges, incident):
-            continue
-        open_k = next((k for k, mask in enumerate(domains) if mask & mask - 1), None)
-        if open_k is None:
-            values = (LABEL_VALUES[mask.bit_length() - 1] for mask in domains)
-            results.append(Labeling(labels=dict(zip(g.vertices, values))))
-            continue
-        # Reversed, so values are popped in LABEL_VALUES order.
-        for bit in reversed(_LABEL_BIT.values()):
-            if domains[open_k] & bit:
-                stack.append(domains[:open_k] + [bit] + domains[open_k + 1:])
-    return results
+    return [
+        Labeling(labels={v: LABEL_VALUES[mask.bit_length() - 1] for v, mask in zip(g.vertices, domains)})
+        for domains in _search(root, _propagate, edges, incident)
+    ]
 
 
 # -- marking search -------------------------------------------------------
 
-# A 1-string of L vertices gets a (2L - 1)-bit slot mask, bit s set while
-# its central element may still sit at slot s (see ``_classify``).  Its
-# vertex k is right for the slots in below = (1 << 2k) - 1, right or
-# central for those in upto = (1 << 2k + 1) - 1, and left for the others.
-
 
 def _slot_layout(strings) -> tuple[list[int], list[int], list[int], list[int]]:
     """For 1-strings over the indices 0..n-1, each index's string, ``below``
-    and ``upto`` masks, and each string's full slot mask."""
+    and ``upto`` masks, and each string's full slot mask.
+
+    A string's slot mask has bit s set while its central element may still
+    sit at slot s (see the module docstring).  So its vertex k is right for
+    the slots in ``below`` = (1 << 2k) - 1, right or central for those in
+    ``upto`` = (1 << 2k + 1) - 1, and left for the others.
+    """
     n = sum(map(len, strings))
     string_of, below, upto = [0] * n, [0] * n, [0] * n
     for s, string in enumerate(strings):
@@ -596,11 +623,8 @@ def _slot_search(layout, twos) -> Iterator[list[int]]:
     left; u may be right if v may be right or central, and central or left
     if v may be left.  Propagation removes only slots that no choice
     satisfying every constraint uses, and once every mask has one bit each
-    constraint is checked exactly, so the leaves are exactly the valid
-    choices.  Each search node propagates, then splits the first string
-    with several slots left into one branch per slot, lowest first; so
-    branches below a node share the fixed prefix of strings and are taken
-    in ascending slot order, and the leaves come in lexicographic order.
+    constraint is checked exactly, so ``_search``'s leaves are exactly the
+    valid choices.
     """
     string_of, below, upto, full = layout
     domains = list(full)
@@ -621,33 +645,13 @@ def _slot_search(layout, twos) -> Iterator[list[int]]:
             domains[s] &= upto[v]
         if not left >> v & 1:
             domains[s] &= ~below[v]
-    if not all(domains):
-        return
-    # An explicit stack, so graph size is not limited by the interpreter's
-    # recursion depth; each entry carries the edges its change requeues.
-    stack = [(domains, list(range(len(edges))))]
-    while stack:
-        domains, pending = stack.pop()
-        if not _propagate_slots(domains, edges, incident, pending):
-            continue
-        open_s = next((s for s, mask in enumerate(domains) if mask & mask - 1), None)
-        if open_s is None:
-            yield domains
-            continue
-        mask = domains[open_s]
-        # Highest first, so the lowest slot is popped first.
-        for slot in reversed(range(mask.bit_length())):
-            if mask >> slot & 1:
-                split = domains[:open_s] + [1 << slot] + domains[open_s + 1:]
-                stack.append((split, list(incident[open_s])))
+    return _search(domains, _propagate_slots, edges, incident)
 
 
 def _propagate_slots(domains: list[int], edges, incident: list[list[int]], pending: list[int]) -> bool:
-    """Prune the slot masks ``domains`` in place to arc consistency along
-    ``edges``, (tail string, head string, tail's ``below``, head's ``upto``)
-    as ``_slot_search`` builds them, from the edge positions ``pending``;
-    False as soon as some mask empties.  A string whose mask shrinks
-    requeues the edges at it."""
+    """``_search``'s propagation on slot masks along ``edges``, (tail
+    string, head string, tail's ``below``, head's ``upto``) as
+    ``_slot_search`` builds them, from the edge positions ``pending``."""
     while pending:
         tail, head, below, upto = edges[pending.pop()]
         old_tail, old_head = domains[tail], domains[head]

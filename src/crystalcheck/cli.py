@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .axioms import Labeling, _central_1_edges, _labels_from_marking, check_global, check_local, infer_labelings
+from .axioms import Labeling, _labels_from_marking, check_global, check_local, infer_labelings
 from .documents import GraphDocument, document_from_graph, dumps_document, dumps_position_edges, parse_document
 from .enumeration import (
     GraphStream,
@@ -37,8 +37,7 @@ from .graph import (
 )
 from .predicates import (
     FAILS,
-    _corollary2,
-    _corollary3,
+    _corollaries,
     _status_report,
     check_string_words,
 )
@@ -81,8 +80,7 @@ def _predicate_dicts(g: ColoredDigraph, lab: Labeling) -> list[dict]:
     the local axioms: the caller has checked or inferred it, or read it off
     a marking that ``check_global`` accepts (the bijection ``census``
     re-proves), so the corollaries' own check of it is skipped."""
-    central = _central_1_edges(g, lab)
-    reports = [_corollary2(g, lab, central), _corollary3(g, lab, central)]
+    reports = [*_corollaries(g, lab)]
     words = [check_string_words(decompose_strings(g, color), lab) for color in (1, 2)]
     # A holding report's witnesses are all its instances, so these are all
     # the instances whenever none fails.

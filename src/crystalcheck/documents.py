@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .axioms import LABEL_VALUES, CentralMarking, Labeling
+from .axioms import LABEL_VALUES, CentralMarking, Labeling, _check_marking_scope, _require_total
 from .errors import DocumentError, GraphError
 from .graph import ColoredDigraph, Edge
 
@@ -219,14 +219,18 @@ def document_from_graph(
     """Build the JSON-ready document for a graph and optional annotations.
 
     All collections follow declared order, so the output is deterministic.
+    A labeling that is not total on ``g`` raises ``LabelingError``, and a
+    marking naming a vertex or 1-edge not in ``g`` raises ``MarkingError``.
     """
     doc: dict = {
         "vertices": list(g.vertices),
         "edges": [{"from": e.tail, "to": e.head, "color": e.color} for e in g.edges],
     }
     if labels is not None:
+        _require_total(g, labels)
         doc["labels"] = labels.as_jsonable(g)
     if marking is not None:
+        _check_marking_scope(marking, g.has_vertex, lambda tail, head: g.has_edge(tail, head, 1))
         doc["centers"] = marking.as_jsonable(g)
     return doc
 

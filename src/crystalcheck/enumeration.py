@@ -40,19 +40,20 @@ from .axioms import (
     CentralMarking,
     Labeling,
     _b2_markings,
+    _labels_from_marking,
+    _marking_from_labels,
     _network,
     _propagate,
     _slot_layout,
     _slot_search,
     check_global,
+    check_local,
     infer_labelings,
-    labels_from_marking,
-    marking_from_labels,
 )
 from .documents import graph_from_position_edges
 from .errors import BudgetError, CounterexampleError, DegreeAxiomError, PreconditionError
-from .graph import ColoredDigraph, CycleCertificate, StringDecomposition, decompose_strings, find_potential
-from .predicates import FAILS, check_corollary2, check_corollary3
+from .graph import ColoredDigraph, CycleCertificate, decompose_strings, find_potential
+from .predicates import FAILS, _corollaries
 
 MAX_ENUMERATION_VERTICES = 8
 # A labeled stream holds a whole row before sorting it: 2,866,200 codes at
@@ -298,41 +299,31 @@ def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[
     return codes
 
 
-def _row_codes(
-    n: int, deadline: float = math.inf, map_shards: Callable = map
-) -> Optional[list[int]]:
+def _row_codes(n: int, map_shards: Callable = map) -> list[int]:
     """The sorted canonical codes of the weakly connected acyclic (B0)
-    graphs on n vertices, or None if a shard passed ``deadline``.
+    graphs on n vertices.
 
     ``map_shards`` runs ``_shard_codes`` over the shards, one per partition
     of n into 1-string lengths: ``map`` in this process, or a process
     pool's ``map``.
     """
     codes: set[int] = set()
-    for shard in map_shards(functools.partial(_shard_codes, n, deadline), _partitions(n)):
-        if shard is None:
-            return None
+    for shard in map_shards(functools.partial(_shard_codes, n, math.inf), _partitions(n)):
         codes |= shard
     return sorted(codes)
 
 
-@functools.cache
-def _shard_layout(strings: tuple[tuple[int, ...], ...]) -> tuple:
-    """``_slot_layout`` of a shard's 1-strings over positions, built once
-    per process."""
-    return _slot_layout(strings)
-
-
-def _screen(n: int, edges: tuple[PositionEdge, ...], ones: StringDecomposition) -> bool:
-    """Whether the census graph on n positions with these edges and the
-    1-strings ``ones`` has a labeling or a marking (exact, see ``census``):
-    propagation on its label masks, then, if a domain empties, the slot
-    search of ``_b2_markings`` on its 2-edges."""
+def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
+    """Whether the census graph on n positions with these edges, its
+    1-strings laid out as ``layout`` (``_slot_layout``), has a labeling or
+    a marking (exact, see ``census``): propagation on its label masks,
+    then, if a domain empties, the slot search of ``_b2_markings`` on its
+    2-edges."""
     domains, incident = _network(n, edges)
-    if _propagate(domains, edges, incident):
+    if _propagate(domains, edges, incident, list(range(len(edges)))):
         return True
     twos = [(i, j) for i, j, color in edges if color == 2]
-    return next(_slot_search(_shard_layout(ones.strings), twos), None) is not None
+    return next(_slot_search(layout, twos), None) is not None
 
 
 def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[tuple]:
@@ -343,11 +334,11 @@ def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional
     if codes is None:
         return None
     _, groups = _one_block(n, lengths)
-    ones = StringDecomposition(1, tuple(itertools.chain(*groups)))
+    layout = _slot_layout(list(itertools.chain(*groups)))
     encoder = _Encoder(n)
     survivors = []
     for code in sorted(codes):
-        if _screen(n, encoder.decode(code), ones):
+        if _screen(n, encoder.decode(code), layout):
             survivors.append(code)
         if time.monotonic() > deadline:
             return None
@@ -430,15 +421,16 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     slot masks until every 2-string reads R* C L*, as (B2) states; its
     propagation removes no slot a valid marking uses and its leaves pass
     every constraint, so it yields exactly the valid markings, in slot
-    order (``_slot_search`` carries the argument).  ``check_global`` still
-    judges each, and only those it accepts are counted.  Labelings come
-    from ``infer_labelings``, which the tests compare with all 3^n label
-    vectors.
+    order (``_slot_search`` carries the argument).  Labelings come from
+    ``infer_labelings``, which the tests compare with all 3^n label
+    vectors.  Each object is judged once: ``check_global`` each marking and
+    ``check_local`` each labeling, and only those accepted are counted.
 
     The conversions must then be mutually inverse between the two valid
     sets, and one pass over the markings shows it.  It maps each valid
-    marking m to a labeling L(m), which must be valid, and back, where
-    M(L(m)) must be m; so L is injective on the valid markings.  Then L is
+    marking m to a labeling L(m), which must be a valid one, and back,
+    where M(L(m)) must be m; so L is injective on the valid markings.  Both
+    maps run unchecked, as their arguments have been judged.  Then L is
     a bijection with inverse M exactly when every valid labeling is hit:
     a hit labeling l = L(m) has M(l) = m valid and L(M(l)) = l.  A labeling
     that no valid marking hits is the witness of a failure.  Requires a
@@ -449,7 +441,7 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
     unbuilt.
     """
     try:
-        labelings = tuple(infer_labelings(g))
+        inferred = infer_labelings(g)
     except DegreeAxiomError:
         raise PreconditionError("proposition check requires the degree axiom") from None
     if isinstance(find_potential(g), CycleCertificate):
@@ -459,6 +451,7 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
         marking for marking in _b2_markings(decompose_strings(g, 1), decompose_strings(g, 2))
         if not check_global(g, marking)
     ]
+    labelings = tuple(lab for lab in inferred if not check_local(g, lab))
     valid_by_vector = {lab.vector(g): lab for lab in labelings}
 
     def result(detail: str = "", marking=None, labeling=None) -> PropositionResult:
@@ -474,11 +467,11 @@ def check_proposition(g: ColoredDigraph) -> PropositionResult:
 
     hit = set()
     for marking in valid_markings:
-        lab = labels_from_marking(g, marking)
+        lab = _labels_from_marking(g, marking)
         vector = lab.vector(g)
         if vector not in valid_by_vector:
             return result("marking maps to a labeling failing the local axioms", marking=marking)
-        if marking_from_labels(g, lab) != marking:
+        if _marking_from_labels(g, lab) != marking:
             return result("marking does not survive the round trip", marking=marking)
         hit.add(vector)
     for vector, lab in valid_by_vector.items():
@@ -598,7 +591,7 @@ def census(
                     n_with_labeling += 1
                 if on_corollary_gap is not None:
                     for lab in result.valid_labelings:
-                        for report in (check_corollary2(g, lab), check_corollary3(g, lab)):
+                        for report in _corollaries(g, lab):
                             if report.status == FAILS:
                                 on_corollary_gap(g, lab, report)
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .axioms import LABEL_CENTRAL, Labeling, _central_1_edges, _require_local_validity
 from .errors import LabelingError
-from .graph import ColoredDigraph, Edge, StringDecomposition
+from .graph import ColoredDigraph, StringDecomposition
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 
@@ -93,7 +93,7 @@ def check_corollary2(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     Requires a labeling that passes the local axioms.
     """
     _require_local_validity(g, lab)
-    return _corollary2(g, lab, _central_1_edges(g, lab))
+    return _corollaries(g, lab)[0]
 
 
 def check_corollary3(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
@@ -105,38 +105,29 @@ def check_corollary3(g: ColoredDigraph, lab: Labeling) -> PredicateReport:
     axioms.
     """
     _require_local_validity(g, lab)
-    return _corollary3(g, lab, _central_1_edges(g, lab))
+    return _corollaries(g, lab)[1]
 
 
-def _corollary2(g: ColoredDigraph, lab: Labeling, central: list[Edge]) -> PredicateReport:
-    """``check_corollary2`` on a labeling known to pass the local axioms,
-    with ``central`` its central 1-edges (``_central_1_edges``)."""
-    instances, failing = [], []
-    for e in central:
-        has_central_in = any(
-            lab.labels[prev.tail] == LABEL_CENTRAL for prev in g.in_edges(e.tail, 2)
-        )
-        has_central_out = any(
-            lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(e.head, 2)
-        )
+def _corollaries(g: ColoredDigraph, lab: Labeling) -> tuple[PredicateReport, PredicateReport]:
+    """``check_corollary2`` and ``check_corollary3`` on a labeling known to
+    pass the local axioms, from one scan for its central 1-edges."""
+    labels = lab.labels
+    instances2, failing2, instances3, failing3 = [], [], [], []
+    for e in _central_1_edges(g, lab):
         witness = (e.tail, e.head)
-        instances.append(witness)
-        if not (has_central_in and has_central_out):
-            failing.append(witness)
-    return _status_report("corollary2", instances, failing)
-
-
-def _corollary3(g: ColoredDigraph, lab: Labeling, central: list[Edge]) -> PredicateReport:
-    """``check_corollary3`` on a labeling known to pass the local axioms,
-    with ``central`` its central 1-edges (``_central_1_edges``)."""
-    instances, failing = [], []
-    for e in central:
+        instances2.append(witness)
+        if not (any(labels[prev.tail] == LABEL_CENTRAL for prev in g.in_edges(e.tail, 2))
+                and any(labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(e.head, 2))):
+            failing2.append(witness)
         for via in g.out_edges(e.tail, 2):
             witness = (e.tail, e.head, via.head)
-            instances.append(witness)
-            if not any(lab.labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(via.head, 1)):
-                failing.append(witness)
-    return _status_report("corollary3", instances, failing)
+            instances3.append(witness)
+            if not any(labels[nxt.head] == LABEL_CENTRAL for nxt in g.out_edges(via.head, 1)):
+                failing3.append(witness)
+    return (
+        _status_report("corollary2", instances2, failing2),
+        _status_report("corollary3", instances3, failing3),
+    )
 
 
 def string_word(string: tuple[str, ...], lab: Labeling) -> str:

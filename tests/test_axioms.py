@@ -86,7 +86,7 @@ def propagate(g, domains: dict) -> bool:
     into ``domains`` as label sets."""
     edges, _, incident = kernel_network(g)
     masks = [sum(1 << LABEL_VALUES.index(value) for value in domains[v]) for v in g.vertices]
-    consistent = _propagate(masks, edges, incident)
+    consistent = _propagate(masks, edges, incident, list(range(len(edges))))
     domains.update((v, labels_in(mask)) for v, mask in zip(g.vertices, masks))
     return consistent
 

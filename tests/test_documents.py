@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from crystalcheck import (
     DocumentError,
+    LabelingError,
+    MarkingError,
     dumps_document,
     document_from_graph,
     parse_document,
     parse_graph,
     serialize_graph,
 )
-from crystalcheck.axioms import CentralMarking
+from crystalcheck.axioms import CentralMarking, Labeling
 from crystalcheck.documents import dumps_position_edges, graph_from_position_edges
 from crystalcheck.enumeration import GraphStream, position_graphs
 
@@ -155,6 +157,22 @@ def test_full_document_round_trip(pair):
     assert doc.graph == g
     assert doc.labels == lab
     assert doc.marking == marking
+
+
+def test_serializing_a_labeling_not_total_on_the_graph_is_a_labeling_error():
+    g = parse_graph(b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":1}]}')
+    with pytest.raises(LabelingError, match=r"missing \['b'\], extraneous \[\]"):
+        serialize_graph(g, labels=Labeling({"a": "0"}))
+    with pytest.raises(LabelingError, match=r"missing \[\], extraneous \['z'\]"):
+        document_from_graph(g, labels=Labeling({"a": "0", "b": "1", "z": "c"}))
+
+
+def test_serializing_a_marking_off_the_graph_is_a_marking_error():
+    g = parse_graph(b'{"vertices":["a","b"],"edges":[{"from":"a","to":"b","color":1}]}')
+    with pytest.raises(MarkingError, match="central vertex 'z' is not in the graph"):
+        serialize_graph(g, marking=CentralMarking(frozenset({"a", "z"}), frozenset()))
+    with pytest.raises(MarkingError, match=r"central edge \('b', 'a'\) is not a 1-edge"):
+        document_from_graph(g, marking=CentralMarking(frozenset(), frozenset({("b", "a")})))
 
 
 def test_dumps_document_compact_and_pretty():

@@ -16,17 +16,17 @@ from crystalcheck import (
     CounterexampleError,
     GraphStream,
     PreconditionError,
-    StringDecomposition,
     census,
     census_rows_to_csv,
     check_global,
+    check_local,
     check_proposition,
     decompose_strings,
     enumerate_graphs,
     serialize_graph,
 )
 from crystalcheck import axioms, enumeration
-from crystalcheck.axioms import CentralMarking, Labeling, _b2_markings
+from crystalcheck.axioms import CentralMarking, Labeling, _b2_markings, _slot_layout
 from crystalcheck.enumeration import (
     PropositionResult,
     _candidates,
@@ -454,7 +454,7 @@ class TestPropositionFailures:
 
     def test_marking_mapped_to_an_invalid_labeling(self, monkeypatch):
         (marking,) = accepted(path5(), pruned_markings(path5()))
-        monkeypatch.setattr(enumeration, "labels_from_marking",
+        monkeypatch.setattr(enumeration, "_labels_from_marking",
                             lambda g, m: Labeling(labels={v: "c" for v in g.vertices}))
         result = check_proposition(path5())
         assert not result.holds
@@ -464,12 +464,24 @@ class TestPropositionFailures:
 
     def test_marking_that_does_not_survive_the_round_trip(self, monkeypatch):
         (marking,) = accepted(path5(), pruned_markings(path5()))
-        monkeypatch.setattr(enumeration, "marking_from_labels",
+        monkeypatch.setattr(enumeration, "_marking_from_labels",
                             lambda g, lab: CentralMarking(frozenset(), frozenset()))
         result = check_proposition(path5())
         assert not result.holds
         assert result.detail == "marking does not survive the round trip"
         assert (result.witness_marking, result.witness_labeling) == (marking, None)
+
+    def test_hit_labeling_that_the_local_axioms_refuse(self, monkeypatch):
+        # check_local judges each inferred labeling once; one it refuses is
+        # not counted, and the marking that maps to it fails the check.
+        (marking,) = accepted(path5(), pruned_markings(path5()))
+        refused = check_local(path5(), Labeling(labels={v: "c" for v in path5().vertices}))
+        monkeypatch.setattr(enumeration, "check_local", lambda g, lab: refused)
+        result = check_proposition(path5())
+        assert not result.holds
+        assert result.detail == "marking maps to a labeling failing the local axioms"
+        assert (result.witness_marking, result.witness_labeling) == (marking, None)
+        assert (result.n_valid_markings, result.n_valid_labelings) == (1, 0)
 
     def test_labeling_that_no_marking_hits(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_b2_markings", lambda decomp1, decomp2: iter(()))
@@ -576,8 +588,8 @@ class TestScreen:
         encoder = enumeration._Encoder(7)
         for code in random.Random(20261019).sample(_row_codes(7), 2000):
             edges = encoder.decode(code)
-            ones = StringDecomposition(1, tuple(_one_strings(7, edges)))
-            assert _screen(7, edges, ones) == _counts_anything(7, code)
+            layout = _slot_layout(_one_strings(7, edges))
+            assert _screen(7, edges, layout) == _counts_anything(7, code)
 
     def test_hides_no_counterexample(self, monkeypatch):
         # With propagation made to fail, no graph has a labeling.  The graphs
@@ -585,7 +597,7 @@ class TestScreen:
         # graph, and their check fails; a screen that read labelability
         # alone would print a table of zeros.
         for module in (axioms, enumeration):
-            monkeypatch.setattr(module, "_propagate", lambda domains, edges, incident: False)
+            monkeypatch.setattr(module, "_propagate", lambda domains, edges, incident, pending: False)
         with pytest.raises(CounterexampleError, match="1-vertex graph"):
             census(5, workers=1)
 
@@ -657,6 +669,24 @@ class TestCensus:
         for row in census(4):
             assert row.labelings == row.markings
 
+    def test_judges_each_marking_and_each_labeling_once(self, monkeypatch):
+        # One check_global per valid marking and one check_local per
+        # inferred labeling, the corollary gaps included: neither the
+        # conversions nor the corollaries judge an object again.
+        calls = {"check_global": 0, "check_local": 0}
+        for name in calls:
+            def counted(g, value, judge=getattr(axioms, name), name=name):
+                calls[name] += 1
+                return judge(g, value)
+
+            for module in (axioms, enumeration):
+                monkeypatch.setattr(module, name, counted)
+        gaps = []
+        rows = census(6, workers=1, on_corollary_gap=lambda g, lab, report: gaps.append(report))
+        assert sum(row.markings for row in rows) == sum(row.labelings for row in rows) == 121
+        assert calls == {"check_global": 121, "check_local": 121}
+        assert len(gaps) == 31
+
     def test_csv_rendering(self):
         assert census_rows_to_csv(census(2)) == (
             "n,graphs,graphs_with_labeling,labelings,markings\n"
@@ -679,8 +709,7 @@ class TestCensus:
         # candidate drawn.
         passed = time.monotonic() - 1.0
         assert _shard_codes(6, passed, (3, 3)) is None
-        assert _row_codes(6, passed) is None
-        assert len(drawn) == 2
+        assert len(drawn) == 1
         # The deadline is read before each candidate: the shard of row 6
         # with two 1-strings of length 3 holds 810 candidates, and it stops
         # after the tenth, which ends past the deadline.
