@@ -136,17 +136,20 @@ class CentralMarking:
     """Distinguished central vertices and central 1-edges.
 
     Both fields are frozenset copies of the collections the marking was
-    built from, with each edge as a (tail, head) tuple; an edge that is not
-    a pair raises ``MarkingError``.
+    built from, with each edge as a (tail, head) tuple; a str as either
+    field, or an edge that is a str or not a pair, raises ``MarkingError``.
     """
 
     central_vertices: frozenset[str]
     central_1_edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        edges = [tuple(edge) for edge in self.central_1_edges]
+        # A str would split into characters: "v1" into {"v", "1"}.
+        if isinstance(self.central_vertices, str) or isinstance(self.central_1_edges, str):
+            raise MarkingError("central vertices and central edges are collections, not a str")
+        edges = [edge if isinstance(edge, str) else tuple(edge) for edge in self.central_1_edges]
         for edge in edges:
-            if len(edge) != 2:
+            if isinstance(edge, str) or len(edge) != 2:
                 raise MarkingError(f"central edge {edge!r} is not a (tail, head) pair")
         object.__setattr__(self, "central_vertices", frozenset(self.central_vertices))
         object.__setattr__(self, "central_1_edges", frozenset(edges))

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes partition the outcomes: 0 success, 1 axiom violations or
-predicate failures, 2 input/parse/config errors or a closed stdout, 3
-census budget exceeded.
+predicate failures, 2 input/parse/config errors or a closed stdout or
+stderr, 3 census budget exceeded.
 Output is byte-identical across runs on identical input.
 """
 
@@ -404,10 +404,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         _error(str(exc))
         return EXIT_INPUT
     except BrokenPipeError:
-        # The reader closed stdout (``| head``).  Pointing it at devnull
-        # keeps the interpreter's final flush from raising again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _error("stdout was closed before the output was complete")
+        # The reader closed stdout (``| head``) or stderr.  Devnull in its
+        # place keeps the final flush from raising again; the error line
+        # goes out only while stderr is open, and then stdout closed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            _error("stdout was closed before the output was complete")
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         return EXIT_INPUT
 
 

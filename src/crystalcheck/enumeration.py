@@ -20,8 +20,8 @@ connected candidates under Aut(λ), the swaps of equal-length 1-strings.
 One sweep over the candidates records each orbit once, by its least
 2-block.  A canonical stream emits these minimal encodings; a labeled
 stream emits all their relabelings, which are exactly the row's labeled
-graphs.  A census shard hands back only its classes with a labeling or a
-marking.
+graphs.  A census shard screens each class on the candidate that finds it
+and hands back only the classes with a labeling or a marking.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ def _one_strings(n: int, edges) -> list[tuple[int, ...]]:
 
 
 @functools.cache
-def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+def _one_block(n: int, lengths: tuple[int, ...]) -> tuple:
     """``c1``, the least code of 1-strings with these ``lengths`` on n
-    positions and no 2-edges, and ``c1``'s 1-strings, each as its positions
-    from start to end, grouped by length in ascending order.
+    positions and no 2-edges; its 1-edges, in ``decode``'s order; and its
+    1-strings, each as its positions from start to end, grouped by length.
 
     A 1-end, a position without a 1-head, has an all-zero 1-row, and every
     other position has a 1-row with one bit, at its head; the 1-rows are
@@ -181,7 +181,7 @@ def _one_block(n: int, lengths: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple
     groups: dict[int, list[tuple[int, ...]]] = {}
     for string in strings:
         groups.setdefault(len(string), []).append(string)
-    return c1, tuple(tuple(groups[length]) for length in sorted(groups))
+    return c1, tuple(edges), tuple(tuple(groups[length]) for length in sorted(groups))
 
 
 def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -205,8 +205,7 @@ def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge
     v (v included), refuses a 2-edge (p, j) with p in ``reach[j]``, which
     would close a cycle.
     """
-    c1, _ = _one_block(n, lengths)
-    ones = _Encoder(n).decode(c1)
+    _, ones, _ = _one_block(n, lengths)
     reach = [1 << v for v in range(n)]
     for i, j, _ in ones:
         reach = [r | reach[j] if r >> i & 1 else r for r in reach]
@@ -226,12 +225,12 @@ def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge
             stack.append((p + 1, reach, free, edges))
 
 
-def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[set[int]]:
-    """The canonical codes of row n's classes whose 1-strings have these
-    ``lengths`` λ, one per orbit of Aut(λ) on the connected ``_candidates``;
-    the lengths are an isomorphism invariant, so no class spans two shards.
-    Returns None once ``time.monotonic()``, read before each candidate,
-    passes ``deadline``.
+def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -> Iterator[tuple]:
+    """The canonical code of each of row n's classes whose 1-strings have
+    these ``lengths`` λ, one per orbit of Aut(λ) on the connected
+    ``_candidates``, and the candidate that finds it; the lengths are an
+    isomorphism invariant, so no class spans two shards.  Stops once
+    ``time.monotonic()``, read before each candidate, passes ``deadline``.
 
     Aut(λ) is the swaps of equal-length 1-strings of ``c1`` (``_one_block``),
     applied offset by offset; this is the orbit method of isomorph
@@ -255,7 +254,7 @@ def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[
     recorded.  A disconnected one is skipped unmarked: its whole orbit is
     disconnected, and each member costs one connectivity sweep.
     """
-    c1, groups = _one_block(n, lengths)
+    c1, _, groups = _one_block(n, lengths)
     bit = _Encoder(n).bit[n * n:]  # bit[i * n + j] is the bit of 2-edge (i, j)
     automorphisms = []
     for choice in itertools.product(*map(itertools.permutations, groups)):
@@ -270,10 +269,9 @@ def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[
     everyone = (1 << len(strings)) - 1
     ones = n - len(strings)
     seen: set[int] = set()
-    codes = set()
     for edges in _candidates(n, lengths):
         if time.monotonic() > deadline:
-            return None
+            return
         twos = edges[ones:]
         if sum(bit[i * n + j] for i, j, _ in twos) in seen:
             continue
@@ -295,22 +293,24 @@ def _shard_codes(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[
             for position in automorphisms
         }
         seen |= orbit
-        codes.add(c1 | min(orbit))
-    return codes
+        yield c1 | min(orbit), edges
+
+
+def _stream_shard(n: int, lengths: tuple[int, ...]) -> list[int]:
+    """The codes of ``_shard_codes``, as a stream's row takes them."""
+    return [code for code, _ in _shard_codes(n, lengths)]
 
 
 def _row_codes(n: int, map_shards: Callable = map) -> list[int]:
     """The sorted canonical codes of the weakly connected acyclic (B0)
     graphs on n vertices.
 
-    ``map_shards`` runs ``_shard_codes`` over the shards, one per partition
-    of n into 1-string lengths: ``map`` in this process, or a process
-    pool's ``map``.
+    ``map_shards`` runs ``_stream_shard`` over the shards, one per
+    partition of n into 1-string lengths: ``map`` in this process, or a
+    process pool's ``map``.
     """
-    codes: set[int] = set()
-    for shard in map_shards(functools.partial(_shard_codes, n, math.inf), _partitions(n)):
-        codes |= shard
-    return sorted(codes)
+    shards = map_shards(functools.partial(_stream_shard, n), _partitions(n))
+    return sorted(itertools.chain.from_iterable(shards))
 
 
 def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
@@ -327,22 +327,19 @@ def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
 
 
 def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[tuple]:
-    """The count of ``_shard_codes``' classes and the sorted codes that
-    ``_screen`` keeps, each with the 1-strings of ``c1``; or None once the
-    deadline passes, read before each candidate and after each screen."""
-    codes = _shard_codes(n, deadline, lengths)
-    if codes is None:
-        return None
-    _, groups = _one_block(n, lengths)
+    """The count of ``_shard_codes``' classes and the codes that ``_screen``
+    keeps, unsorted, each screened on the candidate that finds it; or None
+    once the deadline passes, read before each candidate and at the end."""
+    _, _, groups = _one_block(n, lengths)
     layout = _slot_layout(list(itertools.chain(*groups)))
-    encoder = _Encoder(n)
-    survivors = []
-    for code in sorted(codes):
-        if _screen(n, encoder.decode(code), layout):
+    graphs, survivors = 0, []
+    for code, edges in _shard_codes(n, lengths, deadline):
+        graphs += 1
+        if _screen(n, edges, layout):
             survivors.append(code)
-        if time.monotonic() > deadline:
-            return None
-    return len(codes), survivors
+    if time.monotonic() > deadline:
+        return None
+    return graphs, survivors
 
 
 @contextlib.contextmanager
@@ -529,21 +526,22 @@ def census(
 
     The labeling/marking totals of each row must agree (the exhaustive
     correspondence is re-verified on every graph the screen keeps; a
-    mismatch raises ``CounterexampleError``).  The shards screen each
-    class on its position edges (``_screen``), and the screen is exact: an
-    emptied label domain means no labeling, by ``infer_labelings``'
-    argument, and a slot search (``_slot_search``, the search of
-    ``_b2_markings``) with no leaf means no marking, by its docstring; such
-    a graph's proposition is 0 = 0.  On rows 1 to 8 the slot search's
-    first propagation alone refutes every class without a marking, so the
-    screen never branches on them.  ``on_corollary_gap`` is invoked for
-    every valid labeling on which a corollary predicate fails, since those
-    predicates are not implied by the axioms checked here.  More than one
-    worker runs each row's shards in a process pool; the main process then
-    builds and checks the survivors in code order, so the output is the
-    same for any worker count.  The budget is one deadline, read before
-    each enumeration candidate, after each screened code and after each
-    graph is checked; passing it raises ``BudgetError``.  A
+    mismatch raises ``CounterexampleError``).  The shards screen each class
+    on the candidate that finds it (``_screen``); whether a graph has a
+    labeling or a marking is an isomorphism invariant, and the screen is
+    exact: an emptied label domain means no labeling, by
+    ``infer_labelings``' argument, and a slot search (``_slot_search``, the
+    search of ``_b2_markings``) with no leaf means no marking, by its
+    docstring; such a graph's proposition is 0 = 0.  On rows 1 to 8 the slot
+    search's first propagation alone refutes every class without a marking,
+    so the screen never branches on them.  ``on_corollary_gap`` is invoked
+    for every valid labeling on which a corollary predicate fails, since
+    those predicates are not implied by the axioms checked here.  More than
+    one worker runs each row's shards in a process pool; the main process
+    then decodes, builds and checks the survivors in code order, so the
+    output is the same for any worker count.  The budget is one deadline,
+    read before each enumeration candidate, at the end of each shard and
+    after each graph is checked; passing it raises ``BudgetError``.  A
     ``max_vertices`` or worker count that is not an int, a budget that is
     not an int or float or is NaN or negative, or fewer than one worker,
     raises ``ValueError``.

@@ -299,6 +299,17 @@ class TestCheckGlobal:
         with pytest.raises(MarkingError):
             marking(edges=[("u",)])
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ("v1", [], "not a str"),
+        ([], "ab", "not a str"),
+        ([], ["ab"], r"^central edge 'ab' is not a \(tail, head\) pair$"),
+    ])
+    def test_a_str_is_refused_where_a_collection_is_due(self, vertices, edges, message):
+        # A str would split into its characters: the vertices "v1" into
+        # {"v", "1"}, the edge "ab" into ("a", "b").
+        with pytest.raises(MarkingError, match=message):
+            CentralMarking(central_vertices=vertices, central_1_edges=edges)
+
     def test_strays_of_mixed_types_are_marking_errors(self):
         # Strays that do not compare with each other are still reported by
         # one fixed order, by both entry points.

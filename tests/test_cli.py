@@ -259,6 +259,25 @@ def test_enumerate_into_a_closed_pipe_exits_2(env_extra):
     ]
 
 
+@pytest.mark.parametrize("merged", [False, True])
+def test_census_into_a_closed_stderr_exits_2(merged):
+    # The reader closes stderr after the first gap note, alone or merged
+    # with stdout (``2>&1 | head -1``); rows 6 and 7 write more notes.  A
+    # closed stderr is not "violations found", and the error line, which
+    # has nowhere to go, must not turn into a traceback or a second error.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crystalcheck", "census", "--max-vertices", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT if merged else subprocess.PIPE,
+        env=cli_env(),
+    )
+    notes = proc.stdout if merged else proc.stderr
+    assert notes.readline().startswith(b"note: ")
+    notes.close()
+    stdout = b"" if merged else proc.stdout.read()
+    assert proc.wait(timeout=60) == 2
+    assert stdout == b""
+
+
 def test_enumerate_seven_vertices_output_is_pinned():
     result = run_cli("enumerate", "--max-vertices", "7")
     assert result.returncode == 0

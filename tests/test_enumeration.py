@@ -296,7 +296,7 @@ class TestCanonicalCode:
             encoder = enumeration._Encoder(n)
             least_code = brute_canonical_code if n < 8 else vertex_search_code
             for lengths in _partitions(n):
-                c1, groups = enumeration._one_block(n, lengths)
+                c1, _, groups = enumeration._one_block(n, lengths)
                 assert c1 == least_code(encoder, _forest(lengths))
                 strings = [string for group in groups for string in group]
                 assert [len(string) for string in strings] == list(lengths)
@@ -340,7 +340,7 @@ class TestCanonicalCode:
         partitions = list(_partitions(6))
         assert enumeration._one_block.cache_info().misses == len(partitions) == 11
         for lengths in partitions:
-            _, groups = enumeration._one_block(6, lengths)
+            _, _, groups = enumeration._one_block(6, lengths)
             assert sorted(len(string) for group in groups for string in group) == list(lengths)
         assert enumeration._one_block.cache_info().misses == 11
 
@@ -367,7 +367,7 @@ class TestSkeletonCandidates:
         encoder = enumeration._Encoder(n)
         edge_sets = b0_edge_sets(n)
         for lengths in _partitions(n):
-            c1, _ = enumeration._one_block(n, lengths)
+            c1, _, _ = enumeration._one_block(n, lengths)
             ones = set(encoder.decode(c1))
             expected = {
                 frozenset(edges) for edges in edge_sets
@@ -407,7 +407,7 @@ class TestSkeletonCandidates:
         for lengths in _partitions(n):
             connected = sum(_weakly_connected(n, edges) for edges in _candidates(n, lengths))
             orbits = 0
-            for code in _shard_codes(n, math.inf, lengths):
+            for code, _ in _shard_codes(n, lengths):
                 edges = set(encoder.decode(code))
                 automorphisms = sum(
                     {(perm[i], perm[j], color) for i, j, color in edges} == edges
@@ -579,10 +579,10 @@ class TestScreen:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking(self, n):
         for lengths in _partitions(n):
-            codes = _shard_codes(n, math.inf, lengths)
+            codes = [code for code, _ in _shard_codes(n, lengths)]
             graphs, survivors = _census_shard(n, math.inf, lengths)
             assert graphs == len(codes)
-            assert survivors == sorted(code for code in codes if _counts_anything(n, code))
+            assert sorted(survivors) == sorted(code for code in codes if _counts_anything(n, code))
 
     def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking_on_row_seven(self):
         encoder = enumeration._Encoder(7)
@@ -687,6 +687,22 @@ class TestCensus:
         assert calls == {"check_global": 121, "check_local": 121}
         assert len(gaps) == 31
 
+    def test_decodes_only_the_graphs_it_checks(self, monkeypatch):
+        # The shards screen the candidates they already hold and take c1's
+        # 1-edges from ``_one_block``, so a code is decoded only to build a
+        # graph the screen kept: 120 over rows 1 to 6, not one per class.
+        decoded = []
+        decode = enumeration._Encoder.decode
+
+        def counted(self, code):
+            decoded.append(code)
+            return decode(self, code)
+
+        monkeypatch.setattr(enumeration._Encoder, "decode", counted)
+        rows = census(6, workers=1)
+        assert len(decoded) == len(set(decoded)) == 120
+        assert sum(row.graphs for row in rows) == 4580
+
     def test_csv_rendering(self):
         assert census_rows_to_csv(census(2)) == (
             "n,graphs,graphs_with_labeling,labelings,markings\n"
@@ -708,14 +724,14 @@ class TestCensus:
         # A deadline already passed stops a shard, and its row, at the first
         # candidate drawn.
         passed = time.monotonic() - 1.0
-        assert _shard_codes(6, passed, (3, 3)) is None
+        assert _census_shard(6, passed, (3, 3)) is None
         assert len(drawn) == 1
         # The deadline is read before each candidate: the shard of row 6
         # with two 1-strings of length 3 holds 810 candidates, and it stops
         # after the tenth, which ends past the deadline.
         drawn.clear()
         assert sum(1 for _ in _candidates(6, (3, 3))) == 810
-        assert _shard_codes(6, time.monotonic() + 0.05, (3, 3)) is None
+        assert _census_shard(6, time.monotonic() + 0.05, (3, 3)) is None
         assert len(drawn) == 10
 
     def test_budget_stops_pool_before_row_finishes(self, monkeypatch):
@@ -730,9 +746,9 @@ class TestCensus:
         assert time.monotonic() - start < 2.0
 
     def test_budget_stops_the_screen_between_codes(self, monkeypatch):
-        # Each screened code takes 50 ms; the deadline is read after each,
-        # so a 0.5 s budget screens at most 11 codes, and rows 1 to 4 alone
-        # hold 91.
+        # Each screened code takes 50 ms; the deadline is read before the
+        # candidate that finds the next, so a 0.5 s budget screens at most
+        # 11 codes, and rows 1 to 4 alone hold 91.
         screened = []
         screen = enumeration._screen
 
@@ -749,8 +765,8 @@ class TestCensus:
 
     def test_budget_stops_pool_shards_mid_row(self):
         # The census to n = 7 takes about 1.5 s on two workers.  The deadline
-        # is read before each enumeration candidate, after each screened
-        # code and after each graph, so the run stops soon after it,
+        # is read before each enumeration candidate, at the end of each
+        # shard and after each graph, so the run stops soon after it,
         # whichever stage it is in.
         start = time.monotonic()
         with pytest.raises(BudgetError):
