@@ -37,6 +37,7 @@ from .graph import (
     ColoredDigraph,
     Edge,
     StringDecomposition,
+    _hash_read_only,
     _reduce_read_only,
     check_degree_axiom,
     decompose_strings,
@@ -118,9 +119,7 @@ class Labeling:
                 )
         object.__setattr__(self, "labels", MappingProxyType(labels))
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.labels.items()))
-
+    __hash__ = _hash_read_only
     __reduce__ = _reduce_read_only
 
     def vector(self, g: ColoredDigraph) -> tuple[str, ...]:
@@ -137,7 +136,8 @@ class CentralMarking:
 
     Both fields are frozenset copies of the collections the marking was
     built from, with each edge as a (tail, head) tuple; a str as either
-    field, or an edge that is a str or not a pair, raises ``MarkingError``.
+    field, or an edge that is not a tuple or list of two items, raises
+    ``MarkingError``.
     """
 
     central_vertices: frozenset[str]
@@ -147,12 +147,14 @@ class CentralMarking:
         # A str would split into characters: "v1" into {"v", "1"}.
         if isinstance(self.central_vertices, str) or isinstance(self.central_1_edges, str):
             raise MarkingError("central vertices and central edges are collections, not a str")
-        edges = [edge if isinstance(edge, str) else tuple(edge) for edge in self.central_1_edges]
+        # An ordered pair only: a set or a dict would read in hash order, a
+        # str split into characters.
+        edges = list(self.central_1_edges)
         for edge in edges:
-            if isinstance(edge, str) or len(edge) != 2:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise MarkingError(f"central edge {edge!r} is not a (tail, head) pair")
         object.__setattr__(self, "central_vertices", frozenset(self.central_vertices))
-        object.__setattr__(self, "central_1_edges", frozenset(edges))
+        object.__setattr__(self, "central_1_edges", frozenset(map(tuple, edges)))
 
     def as_jsonable(self, g: ColoredDigraph) -> dict:
         return {
@@ -174,6 +176,7 @@ class VertexClass:
     def __post_init__(self):
         object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
 
+    __hash__ = _hash_read_only
     __reduce__ = _reduce_read_only
 
 

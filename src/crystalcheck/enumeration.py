@@ -17,11 +17,12 @@ one per partition, which a census or a stream may hand to a process pool.
 A shard's candidates are the 1-strings of ``c1`` joined with every acyclic
 partial injection of 2-edges, and its classes are the orbits of the
 connected candidates under Aut(λ), the swaps of equal-length 1-strings.
-One sweep over the candidates records each orbit once, by its least
-2-block.  A canonical stream emits these minimal encodings; a labeled
-stream emits all their relabelings, which are exactly the row's labeled
-graphs.  A census shard screens each class on the candidate that finds it
-and hands back only the classes with a labeling or a marking.
+One sweep in ascending encoding order meets each orbit first at its least
+member, and the shards run in ascending ``c1``, so each row comes out in
+order.  A canonical stream emits these minimal encodings; a labeled stream
+emits all their relabelings, which are exactly the row's labeled graphs.
+A census shard screens each class on the candidate that finds it and
+hands back the edges of those with a labeling or a marking.
 """
 
 from __future__ import annotations
@@ -203,21 +204,23 @@ def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge
     The 2-edges are chosen tail position by tail position, each an unused
     head or none.  ``reach[v]``, the bitmask of the positions reachable from
     v (v included), refuses a 2-edge (p, j) with p in ``reach[j]``, which
-    would close a cycle.
+    would close a cycle.  The candidates come in ascending code order: the
+    2-rows are the least significant rows, in position order, and each
+    takes none first, then heads n - 1 down to 0, whose bits rise in turn.
     """
     _, ones, _ = _one_block(n, lengths)
     reach = [1 << v for v in range(n)]
     for i, j, _ in ones:
         reach = [r | reach[j] if r >> i & 1 else r for r in reach]
 
-    # A stack of (position, reach, free heads, edges); choices pop in order.
+    # A stack of (position, reach, free heads, edges); the last pushed pops first.
     stack = [(0, reach, (1 << n) - 1, ones)]
     while stack:
         p, reach, free, edges = stack.pop()
         if p == n:
             yield edges
             continue
-        for j in reversed(range(n)):
+        for j in range(n):
             if free >> j & 1 and not reach[j] >> p & 1:
                 joined = [r | reach[j] if r >> p & 1 else r for r in reach]
                 stack.append((p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),)))
@@ -248,7 +251,8 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
       that reach ``c1`` send each 1-string onto a string of ``c1`` with the
       same length, offset by offset; on a candidate they are Aut(λ).  So
       the canonical code is ``c1`` joined with the least 2-block over the
-      orbit.
+      orbit.  ``_candidates`` yields the shard in ascending code order, so
+      the first member of an orbit met is that least, and codes ascend.
 
     A candidate whose 2-block is in ``seen`` lies in an orbit already
     recorded.  A disconnected one is skipped unmarked: its whole orbit is
@@ -273,7 +277,8 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
         if time.monotonic() > deadline:
             return
         twos = edges[ones:]
-        if sum(bit[i * n + j] for i, j, _ in twos) in seen:
+        block = sum(bit[i * n + j] for i, j, _ in twos)
+        if block in seen:
             continue
         # Weak connectivity: the 2-edges must join the 1-strings.
         links = [0] * len(strings)
@@ -288,12 +293,17 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
                     grown |= link
         if reach != everyone:
             continue
-        orbit = {
+        seen.update(
             sum(bit[position[i] * n + position[j]] for i, j, _ in twos)
             for position in automorphisms
-        }
-        seen |= orbit
-        yield c1 | min(orbit), edges
+        )
+        yield c1 | block, edges
+
+
+def _shards(n: int) -> list[tuple[int, ...]]:
+    """The partitions of n into 1-string lengths, one per shard, by
+    ascending ``c1``: the most significant block of each code of its shard."""
+    return sorted(_partitions(n), key=lambda lengths: _one_block(n, lengths)[0])
 
 
 def _stream_shard(n: int, lengths: tuple[int, ...]) -> list[int]:
@@ -301,16 +311,13 @@ def _stream_shard(n: int, lengths: tuple[int, ...]) -> list[int]:
     return [code for code, _ in _shard_codes(n, lengths)]
 
 
-def _row_codes(n: int, map_shards: Callable = map) -> list[int]:
-    """The sorted canonical codes of the weakly connected acyclic (B0)
-    graphs on n vertices.
-
-    ``map_shards`` runs ``_stream_shard`` over the shards, one per
-    partition of n into 1-string lengths: ``map`` in this process, or a
-    process pool's ``map``.
-    """
-    shards = map_shards(functools.partial(_stream_shard, n), _partitions(n))
-    return sorted(itertools.chain.from_iterable(shards))
+def _row_codes(n: int, map_shards: Callable = map) -> Iterator[int]:
+    """The canonical codes of the weakly connected acyclic (B0) graphs on
+    n vertices, in ascending order: ``_stream_shard`` over ``_shards(n)``,
+    run in order by ``map_shards``, either ``map`` in this process, which
+    sweeps a shard when its first code is asked for, or a pool's ``map``."""
+    shards = map_shards(functools.partial(_stream_shard, n), _shards(n))
+    return itertools.chain.from_iterable(shards)
 
 
 def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
@@ -327,16 +334,17 @@ def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
 
 
 def _census_shard(n: int, deadline: float, lengths: tuple[int, ...]) -> Optional[tuple]:
-    """The count of ``_shard_codes``' classes and the codes that ``_screen``
-    keeps, unsorted, each screened on the candidate that finds it; or None
-    once the deadline passes, read before each candidate and at the end."""
+    """The count of ``_shard_codes``' classes and, in code order, the edges
+    of those that ``_screen`` keeps, each screened on the candidate that
+    finds it; or None once the deadline passes, read before each candidate
+    and at the end."""
     _, _, groups = _one_block(n, lengths)
     layout = _slot_layout(list(itertools.chain(*groups)))
     graphs, survivors = 0, []
-    for code, edges in _shard_codes(n, lengths, deadline):
+    for _, edges in _shard_codes(n, lengths, deadline):
         graphs += 1
         if _screen(n, edges, layout):
-            survivors.append(code)
+            survivors.append(edges)
     if time.monotonic() > deadline:
         return None
     return graphs, survivors
@@ -357,36 +365,26 @@ def _shard_map(workers: int) -> Iterator[Callable]:
         pool.shutdown(cancel_futures=True)
 
 
-def _position_graphs_exactly(
-    n: int, stream: GraphStream, map_shards: Callable = map
-) -> Iterator[tuple[PositionEdge, ...]]:
-    """The stream's edge sets on exactly n positions, in ascending encoding
-    order, the row's shards run by ``map_shards``.  A labeled stream is the
-    relabelings of the row's canonical codes, so the whole row is held
-    before it is sorted."""
-    encoder = _Encoder(n)
-    codes = _row_codes(n, map_shards=map_shards)
-    if not stream.canonical:
-        codes = sorted({relabeled for code in codes for relabeled in encoder.relabelings(code)})
-    for code in codes:
-        yield encoder.decode(code)
-
-
 def position_graphs(stream: GraphStream) -> Iterator[tuple[int, tuple[PositionEdge, ...]]]:
     """The stream's graphs as (n, position edges) on 1..max_vertices
     positions, by increasing n and, within one n, in ascending encoding
     order; two runs yield identical streams.  With ``canonical`` set,
     exactly one representative per isomorphism class is emitted, namely the
-    one with minimal encoding.  The stream reads CRYSTALCHECK_THREADS when
-    it starts (``resolve_workers``, which raises ``ValueError`` for a bad
-    value); with more than one worker each row's shards run in one process
-    pool, shut down when the stream ends or is closed.  The stream is the
-    same for any worker count.
+    one with minimal encoding, and a row streams shard by shard.  A labeled
+    row is the relabelings of those, held whole before it is sorted.  The
+    stream reads CRYSTALCHECK_THREADS when it starts (``resolve_workers``,
+    which raises ``ValueError`` for a bad value); with more than one worker
+    each row's shards run in one process pool, shut down when the stream
+    ends or is closed.  The stream is the same for any worker count.
     """
     with _shard_map(resolve_workers()) as map_shards:
         for n in range(1, stream.max_vertices + 1):
-            for edges in _position_graphs_exactly(n, stream, map_shards):
-                yield n, edges
+            encoder = _Encoder(n)
+            codes = _row_codes(n, map_shards)
+            if not stream.canonical:
+                codes = sorted({image for code in codes for image in encoder.relabelings(code)})
+            for code in codes:
+                yield n, encoder.decode(code)
 
 
 def enumerate_graphs(stream: GraphStream) -> Iterator[ColoredDigraph]:
@@ -537,10 +535,11 @@ def census(
     so the screen never branches on them.  ``on_corollary_gap`` is invoked
     for every valid labeling on which a corollary predicate fails, since
     those predicates are not implied by the axioms checked here.  More than
-    one worker runs each row's shards in a process pool; the main process
-    then decodes, builds and checks the survivors in code order, so the
-    output is the same for any worker count.  The budget is one deadline,
-    read before each enumeration candidate, at the end of each shard and
+    one worker runs each row's shards in a process pool; the shards return
+    their survivors' edges in code order and in ``_shards`` order, so the
+    main process builds and checks them in code order, unsorted and
+    undecoded, for any worker count.  The budget is one deadline, read
+    before each enumeration candidate, at the end of each shard and
     after each graph is checked; passing it raises ``BudgetError``.  A
     ``max_vertices`` or worker count that is not an int, a budget that is
     not an int or float or is NaN or negative, or fewer than one worker,
@@ -565,15 +564,14 @@ def census(
     with _shard_map(workers) as map_shards:
         for n in range(1, max_vertices + 1):
             graphs, survivors = 0, []
-            for shard in map_shards(functools.partial(_census_shard, n, deadline), _partitions(n)):
+            for shard in map_shards(functools.partial(_census_shard, n, deadline), _shards(n)):
                 if shard is None:
                     raise BudgetError(budget_seconds, len(rows))
                 graphs += shard[0]
                 survivors += shard[1]
-            encoder = _Encoder(n)
             n_with_labeling = n_labelings = n_markings = 0
-            for code in sorted(survivors):
-                g = graph_from_position_edges(n, encoder.decode(code))
+            for edges in survivors:
+                g = graph_from_position_edges(n, edges)
                 result = check_proposition(g)
                 if time.monotonic() > deadline:
                     raise BudgetError(budget_seconds, len(rows))

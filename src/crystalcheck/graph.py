@@ -188,6 +188,12 @@ def _reduce_read_only(value):
     return (type(value), (dict(getattr(value, name)),))
 
 
+def _hash_read_only(value) -> int:
+    """``__hash__`` for such a dataclass: the hash of its mapping's items."""
+    (name,) = value.__dataclass_fields__
+    return hash(frozenset(getattr(value, name).items()))
+
+
 @dataclass(frozen=True)
 class Potential:
     """An integer vertex function strictly increasing along every edge;
@@ -198,6 +204,7 @@ class Potential:
     def __post_init__(self):
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
+    __hash__ = _hash_read_only
     __reduce__ = _reduce_read_only
 
 

@@ -303,10 +303,15 @@ class TestCheckGlobal:
         ("v1", [], "not a str"),
         ([], "ab", "not a str"),
         ([], ["ab"], r"^central edge 'ab' is not a \(tail, head\) pair$"),
+        ([], [{"v1", "v2"}], r"^central edge \{'v[12]', 'v[12]'\} is not a \(tail, head\) pair$"),
+        ([], [frozenset({"v1", "v2"})], r"^central edge frozenset\(.*\) is not a \(tail,"),
+        ([], [{"v1": "v2"}], r"^central edge \{'v1': 'v2'\} is not a \(tail, head\) pair$"),
     ])
     def test_a_str_is_refused_where_a_collection_is_due(self, vertices, edges, message):
         # A str would split into its characters: the vertices "v1" into
-        # {"v", "1"}, the edge "ab" into ("a", "b").
+        # {"v", "1"}, the edge "ab" into ("a", "b").  An edge must be an
+        # ordered pair: a set would read in hash order, which varies from
+        # run to run, and a dict as its keys.
         with pytest.raises(MarkingError, match=message):
             CentralMarking(central_vertices=vertices, central_1_edges=edges)
 
@@ -378,6 +383,13 @@ class TestClassification:
         copied = VertexClass(classes=source)
         source["a"] = "right"
         assert copied.classes == {"a": "left"}
+
+    def test_equal_classes_hash_equal(self):
+        # A read-only view is unhashable; the hash is that of the items.
+        first = VertexClass(classes={"a": "left", "b": "right"})
+        second = VertexClass(classes={"b": "right", "a": "left"})
+        assert hash(first) == hash(second)
+        assert len({first, second, VertexClass(classes={"a": "right"})}) == 2
 
     def test_unbalanced_string_raises_with_string(self):
         decomp = decompose_strings(path5(), 1)

@@ -32,12 +32,13 @@ from crystalcheck.enumeration import (
     _candidates,
     _census_shard,
     _partitions,
-    _position_graphs_exactly,
     _one_strings,
     _row_codes,
     _screen,
     _shard_codes,
+    _shards,
     graph_from_position_edges,
+    position_graphs,
     resolve_workers,
 )
 
@@ -107,6 +108,12 @@ def _forest(lengths) -> tuple[tuple[int, int, int], ...]:
 
 def exactly_n(stream: GraphStream, n: int):
     return [g for g in enumerate_graphs(stream) if g.n_vertices == n]
+
+
+def _row(n: int, canonical: bool = True) -> list:
+    """The position edges of row n of the stream to n vertices."""
+    stream = GraphStream(max_vertices=n, canonical=canonical)
+    return [edges for m, edges in position_graphs(stream) if m == n]
 
 
 def _count_candidates(monkeypatch, slow: int = 0) -> list:
@@ -207,8 +214,7 @@ class TestEnumerate:
             key=encoding,
         )
         assert len(expected) == LABELED_COUNTS[n]
-        labeled = GraphStream(max_vertices=n, canonical=False)
-        assert list(_position_graphs_exactly(n, labeled)) == expected
+        assert _row(n, canonical=False) == expected
 
     def test_stream_is_reproducible(self):
         stream = GraphStream(max_vertices=3)
@@ -336,7 +342,7 @@ class TestCanonicalCode:
         # 1-string length multiset; each miss's strings have the lengths
         # asked for, so every shard joins its 2-edges to the right forest.
         enumeration._one_block.cache_clear()
-        assert len(_row_codes(6)) == CANONICAL_COUNTS[6]
+        assert len(list(_row_codes(6))) == CANONICAL_COUNTS[6]
         partitions = list(_partitions(6))
         assert enumeration._one_block.cache_info().misses == len(partitions) == 11
         for lengths in partitions:
@@ -351,12 +357,66 @@ class TestCanonicalCode:
         # without a 1-head.
         checked = 0
         for n in range(1, 7):
-            for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n)):
+            for edges in _row(n):
                 tails = {i for i, _, color in edges if color == 1}
                 s = n - len(tails)
                 assert all(i >= s for i in tails)
                 checked += 1
         assert checked == sum(CANONICAL_COUNTS.values())
+
+
+class TestCodeOrder:
+    """The sweep meets each orbit first at its least member, and the shards
+    run in ascending ``c1``, so a row comes out in code order unsorted."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_shard_yields_strictly_ascending_codes(self, n):
+        for lengths in _partitions(n):
+            codes = [code for code, _ in _shard_codes(n, lengths)]
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_shards_run_in_strictly_ascending_c1(self, n):
+        shards = _shards(n)
+        c1s = [enumeration._one_block(n, lengths)[0] for lengths in shards]
+        assert all(a < b for a, b in zip(c1s, c1s[1:]))
+        assert sorted(shards) == sorted(_partitions(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_row_comes_out_in_code_order_unsorted(self, n, monkeypatch):
+        # The only sort left is ``_shards``' of the partitions; ``c1`` is
+        # cached first, so its scan sorts nothing here.
+        partitions = len(_shards(n))
+        sorts = []
+
+        def counted(items, **kwargs):
+            items = list(items)
+            sorts.append(len(items))
+            return sorted(items, **kwargs)
+
+        monkeypatch.setattr(enumeration, "sorted", counted, raising=False)
+        codes = list(_row_codes(n))
+        assert codes == sorted(codes)
+        assert sorts == [partitions]
+
+    def test_a_canonical_stream_sweeps_one_shard_before_its_first_graph(self, monkeypatch):
+        # Row 6 has 11 shards; a serial stream sweeps the first before it
+        # yields the row's first graph, and the rest as it is read.
+        monkeypatch.delenv("CRYSTALCHECK_THREADS", raising=False)
+        swept = []
+        stream_shard = enumeration._stream_shard
+
+        def counted(n, lengths):
+            swept.append(n)
+            return stream_shard(n, lengths)
+
+        monkeypatch.setattr(enumeration, "_stream_shard", counted)
+        stream = position_graphs(GraphStream(max_vertices=6))
+        for n, _ in stream:
+            if n == 6:
+                break
+        stream.close()
+        assert swept.count(6) == 1
 
 
 class TestSkeletonCandidates:
@@ -394,8 +454,7 @@ class TestSkeletonCandidates:
             total += math.factorial(n) // _string_automorphisms(lengths) * connected
         assert total == {**LABELED_COUNTS, **SKELETON_LABELED_COUNTS}[n]
         if n == 5:
-            labeled = GraphStream(max_vertices=5, canonical=False)
-            assert sum(1 for _ in _position_graphs_exactly(5, labeled)) == total
+            assert len(_row(5, canonical=False)) == total
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orbit_stabilizer_per_partition(self, n):
@@ -498,7 +557,7 @@ def oracle_graphs():
     """The 594 graphs of the n <= 5 universe and a fixed sample of 100 of
     the 3,986 six-vertex ones."""
     universe = list(enumerate_graphs(GraphStream(max_vertices=5)))
-    six = list(_position_graphs_exactly(6, GraphStream(max_vertices=6)))
+    six = _row(6)
     sample = random.Random(20261018).sample(six, 100)
     return universe + [graph_from_position_edges(6, edges) for edges in sample]
 
@@ -579,14 +638,14 @@ class TestScreen:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking(self, n):
         for lengths in _partitions(n):
-            codes = [code for code, _ in _shard_codes(n, lengths)]
+            swept = list(_shard_codes(n, lengths))
             graphs, survivors = _census_shard(n, math.inf, lengths)
-            assert graphs == len(codes)
-            assert sorted(survivors) == sorted(code for code in codes if _counts_anything(n, code))
+            assert graphs == len(swept)
+            assert survivors == [edges for code, edges in swept if _counts_anything(n, code)]
 
     def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking_on_row_seven(self):
         encoder = enumeration._Encoder(7)
-        for code in random.Random(20261019).sample(_row_codes(7), 2000):
+        for code in random.Random(20261019).sample(list(_row_codes(7)), 2000):
             edges = encoder.decode(code)
             layout = _slot_layout(_one_strings(7, edges))
             assert _screen(7, edges, layout) == _counts_anything(7, code)
@@ -618,7 +677,7 @@ class TestSlotKernel:
 
         monkeypatch.setattr(axioms, "_propagate_slots", counted)
         refuted = 0
-        for edges in _position_graphs_exactly(n, GraphStream(max_vertices=n)):
+        for edges in _row(n):
             calls.clear()
             if not pruned_markings(graph_from_position_edges(n, edges)):
                 # One propagation, or none where the 2-string ends empty a
@@ -687,10 +746,10 @@ class TestCensus:
         assert calls == {"check_global": 121, "check_local": 121}
         assert len(gaps) == 31
 
-    def test_decodes_only_the_graphs_it_checks(self, monkeypatch):
-        # The shards screen the candidates they already hold and take c1's
-        # 1-edges from ``_one_block``, so a code is decoded only to build a
-        # graph the screen kept: 120 over rows 1 to 6, not one per class.
+    def test_decodes_no_code(self, monkeypatch):
+        # The shards screen the candidates they already hold and hand back
+        # the edges of those the screen keeps, in code order, so no code is
+        # decoded, not even for the 120 graphs checked over rows 1 to 6.
         decoded = []
         decode = enumeration._Encoder.decode
 
@@ -700,7 +759,7 @@ class TestCensus:
 
         monkeypatch.setattr(enumeration._Encoder, "decode", counted)
         rows = census(6, workers=1)
-        assert len(decoded) == len(set(decoded)) == 120
+        assert decoded == []
         assert sum(row.graphs for row in rows) == 4580
 
     def test_csv_rendering(self):

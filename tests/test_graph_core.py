@@ -317,6 +317,13 @@ class TestPotential:
         for twin in (pickle.loads(pickle.dumps(found)), copy.deepcopy(found)):
             assert twin == found == potential
 
+    def test_equal_potentials_hash_equal(self):
+        # A read-only view is unhashable; the hash is that of the items.
+        found = find_potential(graph(["a", "b"], [("a", "b", 1)]))
+        same = Potential(values={"b": found.values["b"], "a": found.values["a"]})
+        assert hash(found) == hash(same)
+        assert len({found, same, Potential(values={"a": 0})}) == 2
+
     def test_long_path_without_recursion(self):
         n = 20_000
         g = graph([f"v{k}" for k in reversed(range(n))],
