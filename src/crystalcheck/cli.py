@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -49,8 +50,17 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _note(line: str) -> None:
+    """Write one line to stderr.  Started with stderr closed (``2>&-``),
+    the process has ``sys.stderr`` None, where ``print`` would write to
+    stdout; the line fails as on a closed descriptor instead."""
+    if sys.stderr is None:
+        raise OSError(errno.EBADF, "stderr is closed")
+    print(line, file=sys.stderr)
+
+
 def _error(message: str) -> None:
-    print(f"crystalcheck: error: {message}", file=sys.stderr)
+    _note(f"crystalcheck: error: {message}")
 
 
 def _read_input(path: str) -> bytes:
@@ -335,7 +345,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_census(args) -> int:
     def report_gap(g: ColoredDigraph, lab: Labeling, report) -> None:
         doc = dumps_document(document_from_graph(g, labels=lab), compact=True)
-        print(f"note: {report.predicate} fails on {doc}", file=sys.stderr)
+        _note(f"note: {report.predicate} fails on {doc}")
 
     try:
         rows = census(
@@ -398,21 +408,26 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CrystalCheckError as exc:
-        # Anything not handled closer to its source is an input problem.
-        _error(str(exc))
-        return EXIT_INPUT
-    except BrokenPipeError:
-        # The reader closed stdout (``| head``) or stderr.  Devnull in its
-        # place keeps the final flush from raising again; the error line
-        # goes out only while stderr is open, and then stdout closed.
+        try:
+            return args.func(args)
+        except CrystalCheckError as exc:
+            # Anything not handled closer to its source is an input problem.
+            _error(str(exc))
+            return EXIT_INPUT
+    except OSError as exc:
+        # The reader closed stdout (``| head``) or stderr (``2>&-`` or a
+        # pipe); any other OSError is no output problem.  Devnull in place
+        # of stdout keeps the final flush from raising again; the error
+        # line goes out only while stderr is open, and then stdout closed.
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         try:
             _error("stdout was closed before the output was complete")
-        except BrokenPipeError:
-            os.dup2(devnull, sys.stderr.fileno())
+        except OSError:
+            if sys.stderr is not None:
+                os.dup2(devnull, sys.stderr.fileno())
         return EXIT_INPUT
 
 

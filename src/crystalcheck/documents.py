@@ -15,6 +15,7 @@ kind plus a location, so callers can report precisely what was wrong.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -245,15 +246,25 @@ def graph_from_position_edges(n: int, edges) -> ColoredDigraph:
     )
 
 
+@functools.cache
+def _position_text(n: int) -> tuple[str, dict[tuple[int, int, int], str]]:
+    """The head of ``dumps_position_edges``' line on n positions, up to the
+    edge list, and the text of each edge (i, j, color) a graph on them can
+    have."""
+    vertices = ",".join(f'"v{k + 1}"' for k in range(n))
+    items = {
+        (i, j, color): f'{{"from":"v{i + 1}","to":"v{j + 1}","color":{color}}}'
+        for i in range(n) for j in range(n) if i != j for color in (1, 2)
+    }
+    return f'{{"vertices":[{vertices}],"edges":[', items
+
+
 def dumps_position_edges(n: int, edges) -> str:
     """The line ``dumps_document(document_from_graph(g), compact=True)``
     gives for ``g = graph_from_position_edges(n, edges)``, written without
     building the graph."""
-    vertices = ",".join(f'"v{k + 1}"' for k in range(n))
-    items = ",".join(
-        f'{{"from":"v{i + 1}","to":"v{j + 1}","color":{color}}}' for i, j, color in edges
-    )
-    return f'{{"vertices":[{vertices}],"edges":[{items}]}}'
+    head, items = _position_text(n)
+    return head + ",".join(map(items.__getitem__, edges)) + "]}"
 
 
 def dumps_document(doc: dict, compact: bool = False) -> str:

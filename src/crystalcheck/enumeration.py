@@ -15,14 +15,16 @@ disjoint directed paths, so a graph's 1-system is fixed, up to isomorphism,
 by the partition λ of n into its 1-string lengths.  A row runs in shards,
 one per partition, which a census or a stream may hand to a process pool.
 A shard's candidates are the 1-strings of ``c1`` joined with every acyclic
-partial injection of 2-edges, and its classes are the orbits of the
-connected candidates under Aut(λ), the swaps of equal-length 1-strings.
-One sweep in ascending encoding order meets each orbit first at its least
-member, and the shards run in ascending ``c1``, so each row comes out in
-order.  A canonical stream emits these minimal encodings; a labeled stream
-emits all their relabelings, which are exactly the row's labeled graphs.
-A census shard screens each class on the candidate that finds it and
-hands back the edges of those with a labeling or a marking.
+partial injection of 2-edges that makes one weak component; a branch that
+cannot reach one is cut as soon as too few positions are left to join its
+parts.  Its classes are the orbits of the candidates under Aut(λ), the
+swaps of equal-length 1-strings.  One sweep in ascending encoding order
+meets each orbit first at its least member, and the shards run in
+ascending ``c1``, so each row comes out in order.  A canonical stream emits
+these minimal encodings, as the edges the sweep drew them with; a labeled
+stream emits all their relabelings, which are exactly the row's labeled
+graphs.  A census shard screens each class on the candidate that finds it
+and hands back the edges of those with a labeling or a marking.
 """
 
 from __future__ import annotations
@@ -133,6 +135,13 @@ class _Encoder:
         }
 
 
+@functools.cache
+def _two_bits(n: int) -> list[int]:
+    """``bit[i * n + j]``, the bit of the 2-edge (i, j) in a code on n
+    positions."""
+    return _Encoder(n).bit[n * n:]
+
+
 def _one_strings(n: int, edges) -> list[tuple[int, ...]]:
     """The 1-strings of the position edges ``edges``, disjoint directed
     paths over positions 0..n-1, each from its start."""
@@ -195,45 +204,75 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ..
             yield rest + (part,)
 
 
-def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[PositionEdge, ...]]:
-    """Row n's candidates whose 1-strings have these ``lengths``: the
-    1-edges of ``c1`` (``_one_block``), to which those of every such graph
-    are isomorphic, with every partial injection of 2-edges that closes no
-    cycle and leaves at least n - 1 edges, the fewest a connected graph has.
+def _candidates(n: int, lengths: tuple[int, ...]) -> Iterator[tuple[int, tuple[PositionEdge, ...]]]:
+    """Row n's weakly connected candidates whose 1-strings have these
+    ``lengths``: the 1-edges of ``c1`` (``_one_block``), to which those of
+    every such graph are isomorphic, with every partial injection of
+    2-edges that closes no cycle and joins the 1-strings into one weak
+    component; each as its 2-block, the 2-rows of its code, and its edges.
 
     The 2-edges are chosen tail position by tail position, each an unused
     head or none.  ``reach[v]``, the bitmask of the positions reachable from
     v (v included), refuses a 2-edge (p, j) with p in ``reach[j]``, which
-    would close a cycle.  The candidates come in ascending code order: the
-    2-rows are the least significant rows, in position order, and each
-    takes none first, then heads n - 1 down to 0, whose bits rise in turn.
+    would close a cycle.  ``part[v]`` is the bitmask of v's weak component
+    and ``parts`` their number.  Each position still undecided has one
+    2-edge at most, which joins two parts at most, so a node at position p
+    with ``parts - 1 > n - p`` has no connected leaf and is cut: a child
+    that joins no parts is made only while ``parts <= n - p``, and every
+    leaf has one part.  The children of position n - 1 are leaves, yielded
+    in the order they would pop.  The candidates come in ascending code
+    order: the 2-rows are the least significant rows, in position order,
+    and each takes none first, then heads n - 1 down to 0, whose bits rise
+    in turn.
     """
     _, ones, _ = _one_block(n, lengths)
+    bit = _two_bits(n)
     reach = [1 << v for v in range(n)]
     for i, j, _ in ones:
         reach = [r | reach[j] if r >> i & 1 else r for r in reach]
+    # v's part is its 1-string, the reach of the string's start: the
+    # largest reach that holds v.
+    part = [max(r for r in reach if r >> v & 1) for v in range(n)]
 
-    # A stack of (position, reach, free heads, edges); the last pushed pops first.
-    stack = [(0, reach, (1 << n) - 1, ones)]
+    # A stack of (position, reach, free heads, part, parts, 2-block, edges);
+    # the last pushed pops first.
+    stack = [(0, reach, (1 << n) - 1, part, n - len(ones), 0, ones)]
     while stack:
-        p, reach, free, edges = stack.pop()
-        if p == n:
-            yield edges
+        p, reach, free, part, parts, block, edges = stack.pop()
+        spare = parts <= n - p  # a child may join no parts
+        if p == n - 1:  # the children are leaves, yielded as they would pop
+            if parts == 1:
+                yield block, edges
+            for j in reversed(range(n)):
+                if free >> j & 1 and not reach[j] >> p & 1 and (spare or not part[p] >> j & 1):
+                    yield block | bit[p * n + j], edges + ((p, j, 2),)
             continue
         for j in range(n):
             if free >> j & 1 and not reach[j] >> p & 1:
+                within = part[p] >> j & 1
+                if within and not spare:
+                    continue
                 joined = [r | reach[j] if r >> p & 1 else r for r in reach]
-                stack.append((p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),)))
-        if len(edges) >= p:  # n - 1 edges stay reachable without one at p
-            stack.append((p + 1, reach, free, edges))
+                if within:
+                    kept, left = part, parts
+                else:
+                    merged = part[p] | part[j]
+                    kept, left = [merged if q & merged else q for q in part], parts - 1
+                stack.append(
+                    (p + 1, joined, free ^ 1 << j, kept, left, block | bit[p * n + j],
+                     edges + ((p, j, 2),))
+                )
+        if spare:
+            stack.append((p + 1, reach, free, part, parts, block, edges))
 
 
 def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -> Iterator[tuple]:
     """The canonical code of each of row n's classes whose 1-strings have
-    these ``lengths`` λ, one per orbit of Aut(λ) on the connected
-    ``_candidates``, and the candidate that finds it; the lengths are an
-    isomorphism invariant, so no class spans two shards.  Stops once
-    ``time.monotonic()``, read before each candidate, passes ``deadline``.
+    these ``lengths`` λ, one per orbit of Aut(λ) on ``_candidates``, and
+    the edges of the candidate that finds it, which are the code's slots in
+    ``_Encoder.decode``'s order; the lengths are an isomorphism invariant,
+    so no class spans two shards.  Stops once ``time.monotonic()``, read
+    before each candidate, passes ``deadline``.
 
     Aut(λ) is the swaps of equal-length 1-strings of ``c1`` (``_one_block``),
     applied offset by offset; this is the orbit method of isomorph
@@ -242,10 +281,9 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
       both have the 1-edges of ``c1``.  So it maps each 1-string of ``c1``
       onto one of the same length, offset by offset: it lies in Aut(λ).
     - Aut(λ) maps the 1-edges of ``c1`` onto themselves and the 2-edges
-      one to one, so it keeps acyclicity, the 2-edges' partial injection,
-      the edge count and weak connectivity.  Every orbit lies inside the
-      shard, and the orbits of the connected candidates are exactly its
-      classes.
+      one to one, so it keeps acyclicity, the 2-edges' partial injection
+      and weak connectivity.  Every orbit lies inside the shard, and the
+      orbits of the candidates, all connected, are exactly its classes.
     - The 1-rows are the most significant rows and encode exactly the
       1-edges, so every minimal code starts with ``c1``.  The permutations
       that reach ``c1`` send each 1-string onto a string of ``c1`` with the
@@ -255,11 +293,12 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
       the first member of an orbit met is that least, and codes ascend.
 
     A candidate whose 2-block is in ``seen`` lies in an orbit already
-    recorded.  A disconnected one is skipped unmarked: its whole orbit is
-    disconnected, and each member costs one connectivity sweep.
+    recorded.  The sweep draws each candidate once, so ``seen`` takes the
+    images under every automorphism but the identity, and a shard whose
+    Aut(λ) is trivial keeps none.
     """
     c1, _, groups = _one_block(n, lengths)
-    bit = _Encoder(n).bit[n * n:]  # bit[i * n + j] is the bit of 2-edge (i, j)
+    bit = _two_bits(n)
     automorphisms = []
     for choice in itertools.product(*map(itertools.permutations, groups)):
         position = [0] * n
@@ -268,35 +307,20 @@ def _shard_codes(n: int, lengths: tuple[int, ...], deadline: float = math.inf) -
                 for p, q in zip(string, image):
                     position[p] = q
         automorphisms.append(position)
-    strings = [string for group in groups for string in group]
-    string_of = {p: k for k, string in enumerate(strings) for p in string}
-    everyone = (1 << len(strings)) - 1
-    ones = n - len(strings)
+    del automorphisms[0]  # the identity: every group's strings in order
+    ones = n - sum(map(len, groups))
     seen: set[int] = set()
-    for edges in _candidates(n, lengths):
+    for block, edges in _candidates(n, lengths):
         if time.monotonic() > deadline:
             return
-        twos = edges[ones:]
-        block = sum(bit[i * n + j] for i, j, _ in twos)
         if block in seen:
             continue
-        # Weak connectivity: the 2-edges must join the 1-strings.
-        links = [0] * len(strings)
-        for i, j, _ in twos:
-            links[string_of[i]] |= 1 << string_of[j]
-            links[string_of[j]] |= 1 << string_of[i]
-        reach, grown = 0, 1
-        while grown != reach:
-            reach = grown
-            for k, link in enumerate(links):
-                if reach >> k & 1:
-                    grown |= link
-        if reach != everyone:
-            continue
-        seen.update(
-            sum(bit[position[i] * n + position[j]] for i, j, _ in twos)
-            for position in automorphisms
-        )
+        if automorphisms:
+            twos = edges[ones:]
+            seen.update(
+                sum(bit[position[i] * n + position[j]] for i, j, _ in twos)
+                for position in automorphisms
+            )
         yield c1 | block, edges
 
 
@@ -307,17 +331,26 @@ def _shards(n: int) -> list[tuple[int, ...]]:
 
 
 def _stream_shard(n: int, lengths: tuple[int, ...]) -> list[int]:
-    """The codes of ``_shard_codes``, as a stream's row takes them."""
+    """The codes of ``_shard_codes``, as a pool's worker hands a shard back."""
     return [code for code, _ in _shard_codes(n, lengths)]
 
 
-def _row_codes(n: int, map_shards: Callable = map) -> Iterator[int]:
+def _row_codes(n: int, map_shards: Callable = map) -> Iterator[tuple]:
     """The canonical codes of the weakly connected acyclic (B0) graphs on
-    n vertices, in ascending order: ``_stream_shard`` over ``_shards(n)``,
-    run in order by ``map_shards``, either ``map`` in this process, which
-    sweeps a shard when its first code is asked for, or a pool's ``map``."""
-    shards = map_shards(functools.partial(_stream_shard, n), _shards(n))
-    return itertools.chain.from_iterable(shards)
+    n vertices, in ascending order, each with its position edges: the
+    shards of ``_shards(n)``, run in order by ``map_shards``.  The builtin
+    ``map`` sweeps each shard in this process as its codes are read, and
+    yields the sweep's own edges.  A pool's workers send codes alone, which
+    are decoded here: the workers set the pace, and a row's edges waiting
+    in this process would double its memory."""
+    shards = _shards(n)
+    if map_shards is map:
+        return itertools.chain.from_iterable(map(functools.partial(_shard_codes, n), shards))
+    decode = _Encoder(n).decode
+    return (
+        (code, decode(code))
+        for shard in map_shards(functools.partial(_stream_shard, n), shards) for code in shard
+    )
 
 
 def _screen(n: int, edges: tuple[PositionEdge, ...], layout: tuple) -> bool:
@@ -370,8 +403,9 @@ def position_graphs(stream: GraphStream) -> Iterator[tuple[int, tuple[PositionEd
     positions, by increasing n and, within one n, in ascending encoding
     order; two runs yield identical streams.  With ``canonical`` set,
     exactly one representative per isomorphism class is emitted, namely the
-    one with minimal encoding, and a row streams shard by shard.  A labeled
-    row is the relabelings of those, held whole before it is sorted.  The
+    one with minimal encoding, and a row streams shard by shard, each graph
+    as ``_row_codes`` gives its edges.  A labeled row is the relabelings of
+    those codes, held whole before it is sorted and decoded.  The
     stream reads CRYSTALCHECK_THREADS when it starts (``resolve_workers``,
     which raises ``ValueError`` for a bad value); with more than one worker
     each row's shards run in one process pool, shut down when the stream
@@ -379,11 +413,13 @@ def position_graphs(stream: GraphStream) -> Iterator[tuple[int, tuple[PositionEd
     """
     with _shard_map(resolve_workers()) as map_shards:
         for n in range(1, stream.max_vertices + 1):
+            row = _row_codes(n, map_shards)
+            if stream.canonical:
+                for _, edges in row:
+                    yield n, edges
+                continue
             encoder = _Encoder(n)
-            codes = _row_codes(n, map_shards)
-            if not stream.canonical:
-                codes = sorted({image for code in codes for image in encoder.relabelings(code)})
-            for code in codes:
+            for code in sorted({image for code, _ in row for image in encoder.relabelings(code)}):
                 yield n, encoder.decode(code)
 
 

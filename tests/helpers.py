@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
 
@@ -30,6 +30,7 @@ from crystalcheck import (
     Labeling,
     Potential,
     check_global,
+    enumeration,
 )
 from crystalcheck.axioms import (
     LABEL_VALUES,
@@ -546,6 +547,31 @@ def _weakly_connected(n: int, edges) -> bool:
     for i, j, _color in edges:
         parent[root(i)] = root(j)
     return len({root(v) for v in range(n)}) == 1
+
+
+def acyclic_candidates(n: int, lengths) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Every acyclic candidate of row n with these 1-string ``lengths``,
+    connected or not: the 1-edges of ``c1`` with every partial injection of
+    2-edges that closes no cycle and leaves at least n - 1 edges, in
+    ascending code order.  It cuts no branch for connectivity, so it is an
+    oracle for the connected-only ``_candidates``."""
+    _, ones, _ = enumeration._one_block(n, lengths)
+    reach = [1 << v for v in range(n)]
+    for i, j, _ in ones:
+        reach = [r | reach[j] if r >> i & 1 else r for r in reach]
+
+    stack = [(0, reach, (1 << n) - 1, ones)]
+    while stack:
+        p, reach, free, edges = stack.pop()
+        if p == n:
+            yield edges
+            continue
+        for j in range(n):
+            if free >> j & 1 and not reach[j] >> p & 1:
+                joined = [r | reach[j] if r >> p & 1 else r for r in reach]
+                stack.append((p + 1, joined, free ^ 1 << j, edges + ((p, j, 2),)))
+        if len(edges) >= p:  # n - 1 edges stay reachable without one at p
+            stack.append((p + 1, reach, free, edges))
 
 
 def b0_edge_sets(n: int, connected: bool = False) -> list[tuple[tuple[int, int, int], ...]]:

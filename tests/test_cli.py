@@ -278,6 +278,20 @@ def test_census_into_a_closed_stderr_exits_2(merged):
     assert stdout == b""
 
 
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+def test_census_started_with_stderr_closed_exits_2(redirect):
+    # Fd 2 closed leaves ``sys.stderr`` None, where the gap notes went to
+    # stdout with exit 0; fd 2 open for reading only made the first note
+    # raise EBADF, which exited 1.  Both are a closed stderr.
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m crystalcheck census --max-vertices 5 {redirect}',
+         sys.executable],
+        stdout=subprocess.PIPE, env=cli_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+
+
 def test_enumerate_seven_vertices_output_is_pinned():
     result = run_cli("enumerate", "--max-vertices", "7")
     assert result.returncode == 0

@@ -19,7 +19,7 @@ from crystalcheck import (
     serialize_graph,
 )
 from crystalcheck.axioms import CentralMarking, Labeling
-from crystalcheck.documents import dumps_position_edges, graph_from_position_edges
+from crystalcheck.documents import _position_text, dumps_position_edges, graph_from_position_edges
 from crystalcheck.enumeration import GraphStream, position_graphs
 
 from helpers import (
@@ -194,6 +194,23 @@ def test_position_edge_lines_are_the_compact_documents(canonical, counts):
         assert dumps_position_edges(n, edges) == expected
         lines += 1
     assert lines == sum(counts.values())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_position_edge_text_table_is_the_compact_documents(n):
+    # Every edge a graph on n positions can have, alone on them, as
+    # ``enumerate`` writes it from the per-n text table.
+    _, items = _position_text(n)
+    assert set(items) == {
+        (i, j, color) for i in range(n) for j in range(n) if i != j for color in (1, 2)
+    }
+    for edge in items:
+        g = graph_from_position_edges(n, [edge])
+        expected = dumps_document(document_from_graph(g), compact=True)
+        assert dumps_position_edges(n, [edge]) == expected
+    assert dumps_position_edges(n, []) == dumps_document(
+        document_from_graph(graph_from_position_edges(n, [])), compact=True
+    )
 
 
 # -- the parser against the one-loop oracle ----------------------------------

@@ -46,6 +46,7 @@ from helpers import (
     CANONICAL_COUNTS,
     LABELED_COUNTS,
     _weakly_connected,
+    acyclic_candidates,
     b0_edge_sets,
     b0_graphs,
     b1_markings,
@@ -77,11 +78,21 @@ def _in_row(n: int, edges) -> bool:
     )
 
 
+def _codes(n: int) -> list[int]:
+    """The canonical codes of row n, in the order ``_row_codes`` yields them."""
+    return [code for code, _ in _row_codes(n)]
+
+
+def _connected_candidates(n: int, lengths) -> list:
+    """The weakly connected members of ``acyclic_candidates``, in its order."""
+    return [edges for edges in acyclic_candidates(n, lengths) if _weakly_connected(n, edges)]
+
+
 def _row_members(n: int, edge_sets) -> set[int]:
     """The permutation-scan codes of the edge sets in row n, each checked:
     an edge set is in the row exactly when its code is a row code."""
     encoder = enumeration._Encoder(n)
-    row = set(_row_codes(n))
+    row = set(_codes(n))
     members = set()
     for edges in edge_sets:
         code = brute_canonical_code(encoder, edges)
@@ -123,11 +134,11 @@ def _count_candidates(monkeypatch, slow: int = 0) -> list:
     candidates = enumeration._candidates
 
     def counting(n, lengths):
-        for edges in candidates(n, lengths):
-            drawn.append(edges)
+        for candidate in candidates(n, lengths):
+            drawn.append(candidate)
             if len(drawn) == slow:
                 time.sleep(0.1)
-            yield edges
+            yield candidate
 
     monkeypatch.setattr(enumeration, "_candidates", counting)
     return drawn
@@ -252,14 +263,14 @@ class TestCanonicalCode:
             edges for size in range(len(slots) + 1)
             for edges in itertools.combinations(slots, size)
         ]
-        assert _row_members(n, subsets) == set(_row_codes(n))
+        assert _row_members(n, subsets) == set(_codes(n))
 
     # (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, edge_sets", [(1, 1), (2, 16), (3, 324), (4, 11_664)])
     def test_matches_permutation_scan_on_every_b0_edge_set(self, n, edge_sets):
         all_edge_sets = b0_edge_sets(n)
         assert len(all_edge_sets) == edge_sets
-        assert _row_members(n, all_edge_sets) == set(_row_codes(n))
+        assert _row_members(n, all_edge_sets) == set(_codes(n))
 
     # Seeded (B0) edge sets, 2-cycles and disconnected ones included.
     @pytest.mark.parametrize("n, samples", [(5, 500), (6, 200)])
@@ -316,24 +327,23 @@ class TestCanonicalCode:
         assert forests == 96
 
     def test_string_search_matches_vertex_search_on_row_classes(self):
-        # Rows 1 to 6 are the vertex-search codes of their connected
-        # candidates, which checks both the dedup and the minimum; each of
-        # 500 seeded connected candidates of row 7 has its code in row 7.
+        # Rows 1 to 6 are the vertex-search codes of the connected members
+        # of the unpruned candidates (``acyclic_candidates``), which checks
+        # the connectivity cut, the dedup and the minimum; each of 500
+        # seeded connected candidates of row 7 has its code in row 7.
         for n in range(1, 7):
             encoder = enumeration._Encoder(n)
             expected = {
                 vertex_search_code(encoder, edges)
-                for lengths in _partitions(n) for edges in _candidates(n, lengths)
-                if _weakly_connected(n, edges)
+                for lengths in _partitions(n) for edges in _connected_candidates(n, lengths)
             }
-            assert set(_row_codes(n)) == expected
+            assert set(_codes(n)) == expected
         rng = random.Random(20261018)
         connected = [
-            edges for lengths in _partitions(7) for edges in _candidates(7, lengths)
-            if _weakly_connected(7, edges)
+            edges for lengths in _partitions(7) for edges in _connected_candidates(7, lengths)
         ]
         encoder = enumeration._Encoder(7)
-        row = set(_row_codes(7))
+        row = set(_codes(7))
         for edges in rng.sample(connected, 500):
             assert vertex_search_code(encoder, edges) in row
 
@@ -395,22 +405,22 @@ class TestCodeOrder:
             return sorted(items, **kwargs)
 
         monkeypatch.setattr(enumeration, "sorted", counted, raising=False)
-        codes = list(_row_codes(n))
+        codes = _codes(n)
         assert codes == sorted(codes)
         assert sorts == [partitions]
 
     def test_a_canonical_stream_sweeps_one_shard_before_its_first_graph(self, monkeypatch):
-        # Row 6 has 11 shards; a serial stream sweeps the first before it
-        # yields the row's first graph, and the rest as it is read.
+        # Row 6 has 11 shards; a serial stream starts sweeping the first
+        # before it yields the row's first graph, and the rest as it is read.
         monkeypatch.delenv("CRYSTALCHECK_THREADS", raising=False)
         swept = []
-        stream_shard = enumeration._stream_shard
+        shard_codes = enumeration._shard_codes
 
         def counted(n, lengths):
             swept.append(n)
-            return stream_shard(n, lengths)
+            return shard_codes(n, lengths)
 
-        monkeypatch.setattr(enumeration, "_stream_shard", counted)
+        monkeypatch.setattr(enumeration, "_shard_codes", counted)
         stream = position_graphs(GraphStream(max_vertices=6))
         for n, _ in stream:
             if n == 6:
@@ -419,11 +429,32 @@ class TestCodeOrder:
         assert swept.count(6) == 1
 
 
+    def test_a_canonical_stream_decodes_no_code(self, monkeypatch):
+        # A canonical row is printed from the edges the sweep drew each
+        # class with.  A labeled row decodes each class once to relabel it
+        # and each labeled graph once to print it.
+        monkeypatch.delenv("CRYSTALCHECK_THREADS", raising=False)
+        decoded = []
+        decode = enumeration._Encoder.decode
+
+        def counted(self, code):
+            decoded.append(code)
+            return decode(self, code)
+
+        monkeypatch.setattr(enumeration._Encoder, "decode", counted)
+        assert sum(1 for _ in position_graphs(GraphStream(max_vertices=6))) == 4580
+        assert decoded == []
+        labeled = list(position_graphs(GraphStream(max_vertices=3, canonical=False)))
+        assert len(labeled) == sum(LABELED_COUNTS[n] for n in (1, 2, 3))
+        assert len(decoded) == len(labeled) + sum(CANONICAL_COUNTS[n] for n in (1, 2, 3))
+
+
 class TestSkeletonCandidates:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_are_every_acyclic_b0_edge_set_on_the_one_block(self, n):
         # Per partition: the (B0) edge sets whose 1-edges are those of c1,
-        # acyclic and with at least n - 1 edges, each once.
+        # acyclic and with at least n - 1 edges, each once, are the oracle's
+        # candidates; the weakly connected ones are ``_candidates``'.
         encoder = enumeration._Encoder(n)
         edge_sets = b0_edge_sets(n)
         for lengths in _partitions(n):
@@ -434,14 +465,39 @@ class TestSkeletonCandidates:
                 if {edge for edge in edges if edge[2] == 1} == ones and len(edges) >= n - 1
                 and kahn_is_acyclic(graph_from_position_edges(n, edges))
             }
-            candidates = [frozenset(edges) for edges in _candidates(n, lengths)]
+            oracle = [frozenset(edges) for edges in acyclic_candidates(n, lengths)]
+            assert len(oracle) == len(set(oracle))
+            assert set(oracle) == expected
+            candidates = [frozenset(edges) for _, edges in _candidates(n, lengths)]
             assert len(candidates) == len(set(candidates))
-            assert set(candidates) == expected
+            assert set(candidates) == {edges for edges in expected if _weakly_connected(n, edges)}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_are_the_connected_oracle_candidates_in_order(self, n):
+        # The part-count cut drops exactly the disconnected candidates and
+        # keeps the order.  Each 2-block is the 2-rows of the candidate's
+        # code, and the edges are that code's slots in ``decode``'s order,
+        # which the canonical stream prints undecoded.
+        encoder = enumeration._Encoder(n)
+        index = {slot: s for s, slot in enumerate(encoder.slots)}
+        top = len(encoder.slots) - 1
+        for lengths in _partitions(n):
+            c1, _, _ = enumeration._one_block(n, lengths)
+            candidates = list(_candidates(n, lengths))
+            assert [edges for _, edges in candidates] == _connected_candidates(n, lengths)
+            for block, edges in candidates:
+                assert block == sum(
+                    1 << (top - index[edge]) for edge in edges if edge[2] == 2
+                )
+                assert encoder.decode(c1 | block) == edges
 
     def test_row_seven_has_fewer_candidates_than_pairs_of_injections(self):
-        # The pairs of forward partial injections numbered 616,115.
+        # The pairs of forward partial injections numbered 616,115; the
+        # oracle draws 126,740 candidates, 98,817 of them connected.
+        oracle = sum(1 for lengths in _partitions(7) for _ in acyclic_candidates(7, lengths))
+        assert oracle == 126_740
         candidates = sum(1 for lengths in _partitions(7) for _ in _candidates(7, lengths))
-        assert candidates == 126_740
+        assert candidates == 98_817
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_count_the_labeled_row(self, n):
@@ -450,7 +506,7 @@ class TestSkeletonCandidates:
         # candidate.
         total = 0
         for lengths in _partitions(n):
-            connected = sum(_weakly_connected(n, edges) for edges in _candidates(n, lengths))
+            connected = len(_connected_candidates(n, lengths))
             total += math.factorial(n) // _string_automorphisms(lengths) * connected
         assert total == {**LABELED_COUNTS, **SKELETON_LABELED_COUNTS}[n]
         if n == 5:
@@ -464,7 +520,7 @@ class TestSkeletonCandidates:
         # dropped one would miss its orbit.
         encoder = enumeration._Encoder(n)
         for lengths in _partitions(n):
-            connected = sum(_weakly_connected(n, edges) for edges in _candidates(n, lengths))
+            connected = len(_connected_candidates(n, lengths))
             orbits = 0
             for code, _ in _shard_codes(n, lengths):
                 edges = set(encoder.decode(code))
@@ -645,7 +701,7 @@ class TestScreen:
 
     def test_keeps_exactly_the_graphs_with_a_labeling_or_a_marking_on_row_seven(self):
         encoder = enumeration._Encoder(7)
-        for code in random.Random(20261019).sample(list(_row_codes(7)), 2000):
+        for code in random.Random(20261019).sample(_codes(7), 2000):
             edges = encoder.decode(code)
             layout = _slot_layout(_one_strings(7, edges))
             assert _screen(7, edges, layout) == _counts_anything(7, code)
@@ -786,10 +842,10 @@ class TestCensus:
         assert _census_shard(6, passed, (3, 3)) is None
         assert len(drawn) == 1
         # The deadline is read before each candidate: the shard of row 6
-        # with two 1-strings of length 3 holds 810 candidates, and it stops
+        # with two 1-strings of length 3 holds 786 candidates, and it stops
         # after the tenth, which ends past the deadline.
         drawn.clear()
-        assert sum(1 for _ in _candidates(6, (3, 3))) == 810
+        assert sum(1 for _ in _candidates(6, (3, 3))) == 786
         assert _census_shard(6, time.monotonic() + 0.05, (3, 3)) is None
         assert len(drawn) == 10
 
