@@ -376,26 +376,33 @@ def check_local(g: ColoredDigraph, lab: Labeling) -> ViolationReport:
     admissible per-color list; endpoint clauses forbid label 1 without an
     entering 1-edge or a leaving 2-edge, and label 0 without a leaving
     1-edge or an entering 2-edge.  One violation is recorded per clause
-    instance.
+    instance.  One sweep over the graph's index skeleton checks the edges
+    and collects each vertex's port mask, which ``_ENDPOINT_DOMAIN`` reads.
     """
     _require_total(g, lab)
     labels = lab.labels
+    bits = [_LABEL_BIT[labels[v]] for v in g.vertices]
+    ports = [0] * len(bits)
     violations: list[Violation] = []
 
-    for e in g.edges:
-        pair = (labels[e.tail], labels[e.head])
-        if pair not in _EDGE_CLASS[e.color]:
+    for e, tail, head, color in zip(g.edges, *g._skeleton):
+        leaving, entering = _PORT_BITS[color]
+        ports[tail] |= leaving
+        ports[head] |= entering
+        if not _SUPPORT[color][0][bits[tail]] & bits[head]:
+            pair = (labels[e.tail], labels[e.head])
             violations.append(Violation(
-                clause=_EDGE_CLAUSE[e.color],
+                clause=_EDGE_CLAUSE[color],
                 at=e,
-                detail=f"{e.color}-edge {tuple(e)} has label pair {pair}, not an admissible pair",
+                detail=f"{color}-edge {tuple(e)} has label pair {pair}, not an admissible pair",
             ))
 
-    ports = {"leaving": g._out, "entering": g._in}
-    for v in g.vertices:
+    for v, bit, mask in zip(g.vertices, bits, ports):
+        if bit & _ENDPOINT_DOMAIN[mask]:
+            continue
         value = labels[v]
         for clause, (direction, color) in _ENDPOINT_NEEDS[value]:
-            if (color, v) not in ports[direction]:
+            if not mask & _PORT_BIT[direction, color]:
                 violations.append(Violation(
                     clause=clause,
                     at=v,
@@ -578,11 +585,11 @@ def infer_labelings(g: ColoredDigraph) -> list[Labeling]:
     ordered domains", 1995).  A branch with no labeling therefore dies in
     its first propagation, and every other branch yields at least one
     labeling.  Results come in lexicographic order of the label vector
-    under declared vertex order with 0 < c < 1.
+    under declared vertex order with 0 < c < 1.  The search's edges are the
+    index skeleton's rows.
     """
     _require_degree_axiom(g)
-    index = g._vertex_index
-    edges = [(index[e.tail], index[e.head], e.color) for e in g.edges]
+    edges = list(zip(*g._skeleton))
     root, incident = _network(len(g.vertices), edges)
     return [
         Labeling(labels={v: LABEL_VALUES[mask.bit_length() - 1] for v, mask in zip(g.vertices, domains)})

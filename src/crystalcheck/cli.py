@@ -50,17 +50,19 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _note(line: str) -> None:
-    """Write one line to stderr.  Started with stderr closed (``2>&-``),
-    the process has ``sys.stderr`` None, where ``print`` would write to
-    stdout; the line fails as on a closed descriptor instead."""
-    if sys.stderr is None:
-        raise OSError(errno.EBADF, "stderr is closed")
-    print(line, file=sys.stderr)
+def _stream(name: str = "stdout"):
+    """``sys.stdout`` or ``sys.stderr``.  Started with that fd closed
+    (``>&-``, ``2>&-``), the process has the stream None, where ``print``
+    would write nothing or, for stderr, write to stdout; this raises as on
+    a closed descriptor instead."""
+    out = getattr(sys, name)
+    if out is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return out
 
 
 def _error(message: str) -> None:
-    _note(f"crystalcheck: error: {message}")
+    print(f"crystalcheck: error: {message}", file=_stream("stderr"))
 
 
 def _read_input(path: str) -> bytes:
@@ -304,9 +306,9 @@ def _cmd_validate(args) -> int:
     result["ok"] = not any_violation and not predicate_fail
 
     if args.format == "json":
-        print(_dumps_indented(result))
+        print(_dumps_indented(result), file=_stream())
     else:
-        print(_render_text(result))
+        print(_render_text(result), file=_stream())
     return EXIT_OK if result["ok"] else EXIT_VIOLATIONS
 
 
@@ -318,11 +320,12 @@ def _cmd_infer(args) -> int:
     g = doc.graph
     for check in _structural_checks(g):
         if check["violations"]:
-            print(_dumps_indented({"command": "infer", "violations": check["violations"]}))
+            report = {"command": "infer", "violations": check["violations"]}
+            print(_dumps_indented(report), file=_stream())
             return EXIT_VIOLATIONS
 
     for lab in infer_labelings(g):
-        print(json.dumps(lab.as_jsonable(g), separators=(",", ":")))
+        print(json.dumps(lab.as_jsonable(g), separators=(",", ":")), file=_stream())
     return EXIT_OK
 
 
@@ -335,17 +338,18 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         _error(str(exc))
         return EXIT_INPUT
+    out = _stream()
     # Closed first if stdout breaks, so a process pool shuts down.
     with contextlib.closing(position_graphs(stream)) as positions:
         for n, edges in positions:
-            print(dumps_position_edges(n, edges))
+            print(dumps_position_edges(n, edges), file=out)
     return EXIT_OK
 
 
 def _cmd_census(args) -> int:
     def report_gap(g: ColoredDigraph, lab: Labeling, report) -> None:
         doc = dumps_document(document_from_graph(g, labels=lab), compact=True)
-        _note(f"note: {report.predicate} fails on {doc}")
+        print(f"note: {report.predicate} fails on {doc}", file=_stream("stderr"))
 
     try:
         rows = census(
@@ -362,7 +366,7 @@ def _cmd_census(args) -> int:
     except CounterexampleError as exc:
         _error(str(exc))
         return EXIT_VIOLATIONS
-    sys.stdout.write(census_rows_to_csv(rows))
+    _stream().write(census_rows_to_csv(rows))
     return EXIT_OK
 
 
@@ -416,13 +420,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_INPUT
     except OSError as exc:
         # The reader closed stdout (``| head``) or stderr (``2>&-`` or a
-        # pipe); any other OSError is no output problem.  Devnull in place
-        # of stdout keeps the final flush from raising again; the error
-        # line goes out only while stderr is open, and then stdout closed.
+        # pipe), or the process started without stdout (``>&-``); any other
+        # OSError is no output problem.  Devnull in place of an open stdout
+        # keeps the final flush from raising again; the error line goes out
+        # only while stderr is open, and then stdout closed.
         if exc.errno not in (errno.EPIPE, errno.EBADF):
             raise
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(devnull, sys.stdout.fileno())
         try:
             _error("stdout was closed before the output was complete")
         except OSError:

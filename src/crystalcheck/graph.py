@@ -1,21 +1,26 @@
 """Finite 2-edge-colored directed graphs and their string structure.
 
 Everything here is immutable after construction and safe to share between
-threads or processes.  An ``Edge`` is its (tail, head, color) triple, and
-the graph constructor's one pass over the edges checks the invariants,
-builds the port index and records the (B0) breaches that later checks
-read.  A graph's string decompositions are computed on first use and kept
-on the graph, so every check reads the same string skeleton.  All derived
-orderings (string lists, components, cycle certificates) follow the
-declared vertex/edge order of the input, so repeated runs yield identical
-output.
+threads or processes.  An ``Edge`` is its (tail, head, color) triple.  The
+graph constructor maps each edge's ends to vertex positions once and keeps
+the *index skeleton*, the int columns (tail position, head position,
+color); its invariant checks, its (B0) record and the readers below are
+passes over those columns.  A graph's string decompositions are computed
+on first use and kept on the graph, so every check reads the same string
+skeleton.  All derived orderings (string lists, components, cycle
+certificates) follow the declared vertex/edge order of the input, so
+repeated runs yield identical output.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import DegreeAxiomError, GraphError, MonochromaticCycleError
 from .violations import CLAUSE_B0, Violation, ViolationReport
@@ -29,6 +34,10 @@ class Edge(NamedTuple):
     tail: str
     head: str
     color: int
+
+
+# By name, so an edge that is a plain tuple is refused.
+_TAIL, _HEAD, _COLOR = map(operator.attrgetter, Edge._fields)
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,9 @@ class ColoredDigraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     _vertex_index: dict = field(init=False, repr=False, compare=False)
-    _edge_index: dict = field(init=False, repr=False, compare=False)
-    # The port index: (color, vertex) -> the edges leaving (``_out``) or
-    # entering (``_in``) the vertex in that color, in declared edge order.
-    _out: dict = field(init=False, repr=False, compare=False)
-    _in: dict = field(init=False, repr=False, compare=False)
+    # The index skeleton: (tail positions, head positions, colors), one
+    # entry per edge in declared edge order.
+    _skeleton: tuple = field(init=False, repr=False, compare=False)
     # The (B0) breaches: (direction, color, vertex, edge count) for each port
     # holding more than one edge; empty exactly when (B0) holds.
     _breaches: tuple = field(init=False, repr=False, compare=False)
@@ -63,44 +70,19 @@ class ColoredDigraph:
         # a list or set given by the caller cannot change under the graph.
         vertices = tuple(self.vertices)
         edges = tuple(self.edges)
-        # Each vertex, then each edge, is checked once and in order, so the
-        # error names the first fault.
-        vertex_index: dict[str, int] = {}
-        for pos, v in enumerate(vertices):
-            if v in vertex_index:
-                raise GraphError("duplicate-vertex", pos, v, f"duplicate vertex id {v!r}")
-            vertex_index[v] = pos
-        if not vertex_index:
-            raise GraphError("empty-vertex-set", None, None, "graph must have at least one vertex")
-
-        edge_index: dict[tuple[str, str, int], int] = {}
-        claim = edge_index.setdefault
-        for pos, e in enumerate(edges):
-            triple = tail, head, color = e.tail, e.head, e.color
-            # An int only: True and 1.0 compare equal to 1 but serialize otherwise.
-            if type(color) is not int or color not in COLORS:
-                message = f"edge {triple} has color outside {COLORS}"
-                raise GraphError("unknown-color", pos, color, message)
-            if tail not in vertex_index or head not in vertex_index:
-                end = head if tail in vertex_index else tail
-                message = f"edge {triple} has an undeclared endpoint"
-                raise GraphError("dangling-endpoint", pos, end, message)
-            if tail == head:
-                raise GraphError("self-loop", pos, tail, f"self-loop at {tail!r}")
-            if claim(triple, pos) != pos:
-                raise GraphError("duplicate-edge", pos, triple, f"duplicate edge {triple}")
-
-        # Each edge is its triple, so transposing gives the columns.
-        tails, heads, colors = tuple(zip(*edges)) or ((), (), ())
-        out, leaving = _ports(colors, tails, edges, "leaving")
-        into, entering = _ports(colors, heads, edges, "entering")
+        try:
+            indexed = _index(vertices, edges)
+        except (AttributeError, KeyError, TypeError):
+            # A non-edge, an undeclared endpoint, or an id that has no hash.
+            indexed = None
+        if indexed is None:
+            _raise_first_fault(vertices, edges)
+        vertex_index, skeleton, breaches = indexed
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_index", vertex_index)
-        object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", into)
-        object.__setattr__(self, "_breaches", leaving + entering)
+        object.__setattr__(self, "_skeleton", skeleton)
+        object.__setattr__(self, "_breaches", breaches)
         object.__setattr__(self, "_strings", {})
 
     # -- basic accessors -------------------------------------------------
@@ -122,28 +104,98 @@ class ColoredDigraph:
         return (tail, head, color) in self._edge_index
 
     def out_edges(self, v: str, color: int) -> tuple[Edge, ...]:
-        return self._out.get((color, v), ())
+        return self._ports[0].get((color, self._vertex_index.get(v)), ())
 
     def in_edges(self, v: str, color: int) -> tuple[Edge, ...]:
-        return self._in.get((color, v), ())
+        return self._ports[1].get((color, self._vertex_index.get(v)), ())
 
     def edges_of_color(self, color: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.color == color)
 
+    @functools.cached_property
+    def _edge_index(self) -> dict:
+        """Each edge's position, keyed by its triple; built on first use."""
+        return dict(zip(self.edges, range(len(self.edges))))
 
-def _ports(colors: tuple, ends: tuple, edges: tuple, direction: str) -> tuple[dict, tuple]:
-    """Map each (color, vertex) port to its edges, in edge order, and list
-    each port holding more than one edge as (direction, color, vertex, edge
-    count).  Under (B0) no two edges share a port, and each port is a
-    1-tuple made in one sweep; otherwise the edges are grouped."""
+    @functools.cached_property
+    def _ports(self) -> tuple[dict, dict]:
+        """The port index, built on first use: (color, vertex position) ->
+        the edges leaving, and the edges entering, the vertex in that color,
+        in declared edge order."""
+        tails, heads, colors = self._skeleton
+        return _group(colors, tails, self.edges), _group(colors, heads, self.edges)
+
+
+def _index(vertices: tuple, edges: tuple) -> Optional[tuple[dict, tuple, tuple]]:
+    """The vertex index, the index skeleton and the (B0) breaches; None, or
+    an error, when the graph breaks an invariant.  Each check is one pass
+    over a column."""
+    vertex_index = dict(zip(vertices, range(len(vertices))))
+    if not vertices or len(vertex_index) < len(vertices):
+        return None
+    colors = tuple(map(_COLOR, edges))
+    # Exact ints, checked before any color is hashed, as [1] has no hash.
+    if not {*map(type, colors)} <= {int} or not {*colors} <= {*COLORS}:
+        return None
+    tails = tuple(map(vertex_index.__getitem__, map(_TAIL, edges)))
+    heads = tuple(map(vertex_index.__getitem__, map(_HEAD, edges)))
+    if any(map(operator.eq, tails, heads)):
+        return None
+    leaving = _crowded("leaving", colors, tails, vertices)
+    # Edges that share no leaving port are distinct triples.
+    if leaving and len(set(zip(tails, heads, colors))) < len(edges):
+        return None
+    return vertex_index, (tails, heads, colors), leaving + _crowded("entering", colors, heads, vertices)
+
+
+def _raise_first_fault(vertices: tuple, edges: tuple) -> None:
+    """Raise the ``GraphError`` for the first fault: each vertex, then each
+    edge, is checked once and in order.  Runs only on a graph that ``_index``
+    refused, to name what it found."""
+    vertex_index: dict = {}
+    for pos, v in enumerate(vertices):
+        if v in vertex_index:
+            raise GraphError("duplicate-vertex", pos, v, f"duplicate vertex id {v!r}")
+        vertex_index[v] = pos
+    if not vertex_index:
+        raise GraphError("empty-vertex-set", None, None, "graph must have at least one vertex")
+    claim = {}.setdefault
+    for pos, e in enumerate(edges):
+        triple = tail, head, color = e.tail, e.head, e.color
+        # An int only: True and 1.0 compare equal to 1 but serialize otherwise.
+        if type(color) is not int or color not in COLORS:
+            raise GraphError("unknown-color", pos, color, f"edge {triple} has color outside {COLORS}")
+        if tail not in vertex_index or head not in vertex_index:
+            end = head if tail in vertex_index else tail
+            raise GraphError("dangling-endpoint", pos, end, f"edge {triple} has an undeclared endpoint")
+        # By position, as the columns compare them.
+        if vertex_index[tail] == vertex_index[head]:
+            raise GraphError("self-loop", pos, tail, f"self-loop at {tail!r}")
+        if claim(triple, pos) != pos:
+            raise GraphError("duplicate-edge", pos, triple, f"duplicate edge {triple}")
+    raise AssertionError("the column checks refused a graph the ordered scan accepts")
+
+
+def _crowded(direction: str, colors: tuple, ends: tuple, vertices: tuple) -> tuple:
+    """Each (color, end) port holding more than one edge, as (direction,
+    color, vertex, edge count), in the order the ports are first met."""
+    if len(set(zip(colors, ends))) == len(ends):
+        return ()
+    counts = Counter(zip(colors, ends))
+    return tuple((direction, color, vertices[v], count) for (color, v), count in counts.items() if count > 1)
+
+
+def _group(colors: tuple, ends: tuple, edges: tuple) -> dict:
+    """Map each (color, end) port to the tuple of its edges, in edge order.
+    Under (B0) no two edges share a port, and each entry is a 1-tuple made
+    in one sweep."""
     ports = dict(zip(zip(colors, ends), zip(edges)))
     if len(ports) == len(edges):
-        return ports, ()
+        return ports
     grouped: dict = {}
     for key, e in zip(zip(colors, ends), edges):
         grouped.setdefault(key, []).append(e)
-    crowded = tuple((direction, *key, len(port)) for key, port in grouped.items() if len(port) > 1)
-    return {key: tuple(port) for key, port in grouped.items()}, crowded
+    return {key: tuple(port) for key, port in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -156,14 +208,15 @@ class StringDecomposition:
 
     color: int
     strings: tuple[tuple[str, ...], ...]
-    _position: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def _position(self) -> dict:
+        """Each vertex's (string index, offset), built on first use."""
         position = {}
         for string_idx, string in enumerate(self.strings):
             for pos, v in enumerate(string):
                 position[v] = (string_idx, pos)
-        object.__setattr__(self, "_position", position)
+        return position
 
     def string_of(self, v: str) -> tuple[str, ...]:
         return self.strings[self._position[v][0]]
@@ -239,6 +292,9 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
     those conditions the decomposition is unique.  It is computed once per
     graph and color; a graph violating the requirements raises every time.
     A color other than the int 1 or 2 raises ``ValueError``.
+
+    Under (B0) the color's edges map each tail position to its head, so a
+    string starts at each position no such edge enters and follows that map.
     """
     # Before the memo, whose lookup would hash the color or take 1.0 for 1.
     if type(color) is not int or color not in COLORS:
@@ -253,34 +309,29 @@ def decompose_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
             f"vertex {v!r} violates (B0) in color {color}; strings are undefined"
         )
 
+    tails, heads, colors = g._skeleton
+    mine = list(map(color.__eq__, colors))
+    after = dict(zip(itertools.compress(tails, mine), itertools.compress(heads, mine)))
+    entered = set(itertools.compress(heads, mine))
+    vertices = g.vertices
     strings = []
-    covered = set()
-    for start in g.vertices:
-        if g.in_edges(start, color) or start in covered:
-            continue
-        string = [start]
-        covered.add(start)
-        current = start
-        while True:
-            out = g.out_edges(current, color)
-            if not out:
-                break
-            current = out[0].head
-            string.append(current)
-            covered.add(current)
+    for v in itertools.filterfalse(entered.__contains__, range(len(vertices))):
+        string = [vertices[v]]
+        while v in after:
+            v = after[v]
+            string.append(vertices[v])
         strings.append(tuple(string))
 
-    if len(covered) != g.n_vertices:
-        # Every uncovered vertex lies on a monochromatic cycle; report the
-        # first one in declared order.
-        start = next(v for v in g.vertices if v not in covered)
+    if sum(map(len, strings)) < len(vertices):
+        # Every vertex off the strings lies on a monochromatic cycle; report
+        # the first one in declared order.
+        covered = set(itertools.chain.from_iterable(strings))
+        start = g.vertex_index(next(itertools.filterfalse(covered.__contains__, vertices)))
         cycle = [start]
-        current = g.out_edges(start, color)[0].head
-        while current != start:
-            cycle.append(current)
-            current = g.out_edges(current, color)[0].head
+        while after[cycle[-1]] != start:
+            cycle.append(after[cycle[-1]])
         cycle.append(start)
-        raise MonochromaticCycleError(color, tuple(cycle))
+        raise MonochromaticCycleError(color, tuple(map(vertices.__getitem__, cycle)))
 
     decomp = StringDecomposition(color=color, strings=tuple(strings))
     g._strings[color] = decomp
@@ -294,62 +345,60 @@ def find_potential(g: ColoredDigraph) -> Union[Potential, CycleCertificate]:
     [0, |V|-1] with pi(u) < pi(v) on every edge.  A graph admits such a
     function exactly when it is acyclic.
 
-    One in-degree (Kahn) sweep over the port index places each vertex once
-    all its in-edges are placed, when its depth is final.  A vertex left
-    unplaced lies on or behind a cycle; only then does a depth-first search
-    run, to name the cycle.
+    One in-degree (Kahn) sweep over the index skeleton places each vertex
+    once all its in-edges are placed, when its depth is final.  A vertex
+    left unplaced lies on or behind a cycle; only then does a depth-first
+    search run, to name the cycle.
     """
-    out_get = g._out.get
-    waiting = dict.fromkeys(g.vertices, 0)
-    for (_, head), edges in g._in.items():
-        waiting[head] += len(edges)
-    depth = dict.fromkeys(g.vertices, 0)
-    placed = [v for v, count in waiting.items() if not count]
+    tails, heads, colors = g._skeleton
+    n = len(g.vertices)
+    # Each vertex's heads along its 1-edges, then its 2-edges, in edge order.
+    successors: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for color in COLORS:
+        for tail, head in itertools.compress(zip(tails, heads), map(color.__eq__, colors)):
+            successors[tail].append(head)
+            waiting[head] += 1
+    depth = [0] * n
+    placed = list(itertools.compress(range(n), map(operator.not_, waiting)))
     for v in placed:  # grows while it is read
         d = depth[v] + 1
-        for e in out_get((1, v), ()) + out_get((2, v), ()):
-            w = e.head
+        for w in successors[v]:
             if depth[w] < d:
                 depth[w] = d
-            count = waiting[w] - 1
-            waiting[w] = count
-            if not count:
+            waiting[w] -= 1
+            if not waiting[w]:
                 placed.append(w)
-    if len(placed) < len(depth):
-        return _first_cycle(g)
-    return Potential(values=depth)
+    if len(placed) < n:
+        return _first_cycle(g.vertices, successors)
+    return Potential(values=dict(zip(g.vertices, depth)))
 
 
-def _first_cycle(g: ColoredDigraph) -> CycleCertificate:
-    """The first cycle a depth-first search meets, roots and successors
-    taken in declared order."""
+def _first_cycle(vertices: tuple, successors: list[list[int]]) -> CycleCertificate:
+    """The first cycle a depth-first search meets, roots in declared order
+    and successors in the order listed."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    state = {v: WHITE for v in g.vertices}
-
-    def successors(v: str) -> list[str]:
-        return [e.head for e in g.out_edges(v, 1) + g.out_edges(v, 2)]
-
-    for root in g.vertices:
+    state = [WHITE] * len(vertices)
+    for root in range(len(vertices)):
         if state[root] != WHITE:
             continue
         # Iterative DFS; each stack frame tracks its unvisited successors.
-        stack: list[tuple[str, list[str]]] = [(root, successors(root))]
+        stack = [(root, iter(successors[root]))]
         state[root] = GRAY
         while stack:
             v, pending = stack[-1]
-            if pending:
-                nxt = pending.pop(0)
-                if state[nxt] == GRAY:
-                    # Back edge: the gray stack from nxt up to v is a cycle.
-                    path = [frame[0] for frame in stack]
-                    cycle = path[path.index(nxt):] + [nxt]
-                    return CycleCertificate(vertices=tuple(cycle))
-                if state[nxt] == WHITE:
-                    state[nxt] = GRAY
-                    stack.append((nxt, successors(nxt)))
-            else:
+            nxt = next(pending, None)
+            if nxt is None:
                 stack.pop()
                 state[v] = BLACK
+            elif state[nxt] == GRAY:
+                # Back edge: the gray stack from nxt up to v is a cycle.
+                path = [frame[0] for frame in stack]
+                cycle = path[path.index(nxt):] + [nxt]
+                return CycleCertificate(vertices=tuple(map(vertices.__getitem__, cycle)))
+            elif state[nxt] == WHITE:
+                state[nxt] = GRAY
+                stack.append((nxt, iter(successors[nxt])))
     raise AssertionError("the in-degree sweep left a vertex unplaced in an acyclic graph")
 
 
@@ -358,23 +407,23 @@ def weak_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
 
     Components are ordered by their first vertex in declared order, and each
     component lists its vertices in declared order.  One union-find sweep
-    over the edges (with path halving) joins their ends; reading the
-    vertices in declared order then lists each component as its roots are
-    met, so nothing is sorted.
+    over the skeleton's edges (with path halving) joins their ends; reading
+    the positions in order then lists each component as its roots are met,
+    so nothing is sorted.
     """
-    root = dict(zip(g.vertices, g.vertices))
-    for e in g.edges:
-        a, b = e.tail, e.head
+    tails, heads, _colors = g._skeleton
+    root = list(range(len(g.vertices)))
+    for a, b in zip(tails, heads):
         while root[a] != a:
             root[a] = a = root[root[a]]
         while root[b] != b:
             root[b] = b = root[root[b]]
         if a != b:
             root[b] = a
-    components: dict[str, list[str]] = {}
-    for v in g.vertices:
+    components: dict[int, list[str]] = {}
+    for v, name in enumerate(g.vertices):
         r = v
         while root[r] != r:
             root[r] = r = root[root[r]]
-        components.setdefault(r, []).append(v)
+        components.setdefault(r, []).append(name)
     return tuple(map(tuple, components.values()))

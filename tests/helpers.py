@@ -1,9 +1,10 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite.
 
 The oracles here (Kahn cycle test, depth-first potential, neighbor-set
-components, the one-loop document parser, (B0) by a scan of every port,
-round-robin arc consistency, labelings among all 3^n label vectors,
-permutation isomorphism test, minimal encoding over all vertex
+components, the ordered scan that names a graph's first fault, potentials,
+components and strings over name-keyed port dicts, the one-loop document
+parser, (B0) by a scan of every port, round-robin arc consistency,
+labelings among all 3^n label vectors, permutation isomorphism test, minimal encoding over all vertex
 permutations and by a vertex-by-vertex search, least breadth-first
 renumbering over all roots, every (B0) edge set, the (B1) slot product,
 valid markings among all subsets) are kept independent of the library's
@@ -24,10 +25,12 @@ from crystalcheck import (
     CentralMarking,
     ColoredDigraph,
     CycleCertificate,
+    DegreeAxiomError,
     DocumentError,
     Edge,
     GraphDocument,
     Labeling,
+    MonochromaticCycleError,
     Potential,
     check_global,
     enumeration,
@@ -248,6 +251,136 @@ def neighbor_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
         seen |= component
         components.append(tuple(v for v in g.vertices if v in component))
     return tuple(components)
+
+
+def graph_fault(vertices, edges):
+    """The (kind, index, value) of the ``GraphError`` that ``ColoredDigraph``
+    must raise on these vertices and edges, or None when it must accept
+    them: one ordered scan, each vertex and then each edge checked once, so
+    the first fault in input order is named.  An edge is read by field
+    name, so a plain tuple raises ``AttributeError`` where the scan meets
+    it."""
+    index = {}
+    for pos, v in enumerate(vertices):
+        if v in index:
+            return "duplicate-vertex", pos, v
+        index[v] = pos
+    if not index:
+        return "empty-vertex-set", None, None
+    seen = set()
+    for pos, e in enumerate(edges):
+        tail, head, color = e.tail, e.head, e.color
+        if type(color) is not int or color not in (1, 2):
+            return "unknown-color", pos, color
+        if tail not in index:
+            return "dangling-endpoint", pos, tail
+        if head not in index:
+            return "dangling-endpoint", pos, head
+        if tail == head:
+            return "self-loop", pos, tail
+        if (tail, head, color) in seen:
+            return "duplicate-edge", pos, (tail, head, color)
+        seen.add((tail, head, color))
+    return None
+
+
+def name_ports(g: ColoredDigraph) -> tuple[dict, dict]:
+    """(color, vertex name) -> the edges leaving, and entering, the vertex in
+    that color, in edge order: a port index keyed by names, built from the
+    edge list alone."""
+    out, into = {}, {}
+    for e in g.edges:
+        out.setdefault((e.color, e.tail), []).append(e)
+        into.setdefault((e.color, e.head), []).append(e)
+    return out, into
+
+
+def dict_potential(g: ColoredDigraph):
+    """``find_potential`` over name-keyed port dicts: a Kahn sweep, and on
+    a vertex left unplaced the first cycle a depth-first search meets
+    (roots in declared order, successors along 1-edges then 2-edges)."""
+    out, into = name_ports(g)
+    waiting = dict.fromkeys(g.vertices, 0)
+    for (_, head), edges in into.items():
+        waiting[head] += len(edges)
+    depth = dict.fromkeys(g.vertices, 0)
+    placed = [v for v, count in waiting.items() if not count]
+    for v in placed:
+        for e in out.get((1, v), []) + out.get((2, v), []):
+            depth[e.head] = max(depth[e.head], depth[v] + 1)
+            waiting[e.head] -= 1
+            if not waiting[e.head]:
+                placed.append(e.head)
+    if len(placed) == len(depth):
+        return Potential(values=depth)
+    state = dict.fromkeys(g.vertices, 0)  # 0 unvisited, 1 on the stack, 2 done
+    for root in g.vertices:
+        if state[root]:
+            continue
+        stack = [(root, [e.head for e in out.get((1, root), []) + out.get((2, root), [])])]
+        state[root] = 1
+        while stack:
+            v, pending = stack[-1]
+            if not pending:
+                stack.pop()
+                state[v] = 2
+                continue
+            nxt = pending.pop(0)
+            if state[nxt] == 1:
+                path = [frame[0] for frame in stack]
+                return CycleCertificate(vertices=tuple(path[path.index(nxt):] + [nxt]))
+            if not state[nxt]:
+                state[nxt] = 1
+                stack.append((nxt, [e.head for e in out.get((1, nxt), []) + out.get((2, nxt), [])]))
+    raise AssertionError("no cycle behind an unplaced vertex")
+
+
+def dict_components(g: ColoredDigraph) -> tuple[tuple[str, ...], ...]:
+    """``weak_components`` by union-find over a name-keyed root dict."""
+    root = dict(zip(g.vertices, g.vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in g.edges:
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            root[b] = a
+    components: dict = {}
+    for v in g.vertices:
+        components.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, components.values()))
+
+
+def dict_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
+    """``decompose_strings`` over name-keyed port dicts: the (B0) error for
+    the first crowded vertex in declared order, else the strings walked from
+    each vertex no ``color``-edge enters, else the cycle through the first
+    vertex they miss."""
+    out, into = name_ports(g)
+    for v in g.vertices:
+        if len(out.get((color, v), [])) > 1 or len(into.get((color, v), [])) > 1:
+            raise DegreeAxiomError(
+                f"vertex {v!r} violates (B0) in color {color}; strings are undefined"
+            )
+    strings, covered = [], set()
+    for start in g.vertices:
+        if (color, start) in into:
+            continue
+        string = [start]
+        while (color, string[-1]) in out:
+            string.append(out[color, string[-1]][0].head)
+        covered.update(string)
+        strings.append(tuple(string))
+    missed = [v for v in g.vertices if v not in covered]
+    if missed:
+        cycle = [missed[0]]
+        while out[color, cycle[-1]][0].head != missed[0]:
+            cycle.append(out[color, cycle[-1]][0].head)
+        raise MonochromaticCycleError(color, tuple(cycle + [missed[0]]))
+    return StringDecomposition(color=color, strings=tuple(strings))
 
 
 def parse_document_oracle(data) -> GraphDocument:

@@ -292,6 +292,20 @@ def test_census_started_with_stderr_closed_exits_2(redirect):
     assert result.stdout == b""
 
 
+@pytest.mark.parametrize("command", ["census", "enumerate"])
+def test_started_with_stdout_closed_exits_2(command):
+    # Fd 1 closed leaves ``sys.stdout`` None: census raised AttributeError
+    # and exited 1, and enumerate printed into nothing and exited 0.
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m crystalcheck {command} --max-vertices 3 >&-', sys.executable],
+        stderr=subprocess.PIPE, env=cli_env(),
+    )
+    assert result.returncode == 2
+    assert result.stderr.decode().splitlines() == [
+        "crystalcheck: error: stdout was closed before the output was complete"
+    ]
+
+
 def test_enumerate_seven_vertices_output_is_pinned():
     result = run_cli("enumerate", "--max-vertices", "7")
     assert result.returncode == 0

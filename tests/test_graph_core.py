@@ -29,11 +29,16 @@ from helpers import (
     b0_graphs,
     colored_digraphs,
     dfs_potential,
+    dict_components,
+    dict_potential,
+    dict_strings,
     graph,
+    graph_fault,
     kahn_is_acyclic,
     neighbor_components,
     path5,
     port_scan_b0,
+    random_b0_edge_set,
 )
 
 
@@ -61,6 +66,48 @@ def every_small_edge_set():
             yield vertices, [(t, h, 1) for t, h in chosen] + [(t, h, 2) for t, h in other]
 
 
+# Each fault ``faulty_inputs`` plants, by the error kind it should raise;
+# "unknown-color" replaces a color by one of BAD_COLORS.
+FAULT_KINDS = (
+    "duplicate-vertex", "empty-vertex-set", "dangling-endpoint", "self-loop",
+    "duplicate-edge", "unknown-color",
+)
+BAD_COLORS = (True, 1.0, 0, 3, "1", [1])
+
+
+def faulty_inputs(count: int, seed: int):
+    """Seeded (vertices, edges, planted) inputs: a random valid graph on up
+    to 7 vertices, declared in shuffled order, with 0 to 3 faults planted
+    at random places; ``planted`` lists their kinds in planting order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        names = [f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        slots = [(t, h, c) for t in names for h in names if t != h for c in (1, 2)]
+        edges = [Edge(*slot) for slot in rng.sample(slots, min(len(slots), rng.randint(0, 10)))]
+        vertices = list(names)
+        planted = [rng.choice(FAULT_KINDS) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        for kind in planted:
+            v = rng.choice(names)
+            at = rng.randint(0, len(edges))
+            if kind == "duplicate-vertex":
+                vertices.insert(rng.randint(0, len(vertices)), v)
+            elif kind == "empty-vertex-set":
+                vertices = []
+            elif kind == "dangling-endpoint":
+                ends = [v, "ghost"] if rng.random() < 0.5 else ["ghost", v]
+                edges.insert(at, Edge(*ends, rng.choice((1, 2))))
+            elif kind == "self-loop":
+                edges.insert(at, Edge(v, v, rng.choice((1, 2))))
+            elif kind == "duplicate-edge" and edges:
+                edges.insert(at, rng.choice(edges))
+            elif kind == "unknown-color" and edges:
+                k = rng.randrange(len(edges))
+                edges[k] = edges[k]._replace(color=rng.choice(BAD_COLORS))
+        yield vertices, edges, planted
+
+
 class TestEdge:
     def test_edge_is_its_triple(self):
         e = Edge("a", "b", 1)
@@ -83,8 +130,16 @@ class TestEdge:
             assert type(twin) is Edge and twin == e and repr(twin) == repr(e)
 
     def test_graph_refuses_a_plain_tuple_edge(self):
-        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'tail'"):
-            ColoredDigraph(vertices=("a", "b"), edges=(("a", "b", 1),))
+        for edges in ([("a", "b", 1)], [Edge("a", "b", 1), ("b", "a", 2)], [("a", "b", 1), Edge("a", "b", 3)]):
+            with pytest.raises(AttributeError, match="'tuple' object has no attribute 'tail'"):
+                ColoredDigraph(vertices=("a", "b"), edges=edges)
+            with pytest.raises(AttributeError):
+                graph_fault(("a", "b"), edges)
+        # A fault before the plain tuple is named first, as the scan meets it.
+        edges = [Edge("a", "b", 3), ("a", "b", 1)]
+        with pytest.raises(GraphError) as err:
+            ColoredDigraph(vertices=("a", "b"), edges=edges)
+        assert (err.value.kind, err.value.index, err.value.value) == graph_fault(("a", "b"), edges)
 
 
 class TestDegreeAxiom:
@@ -249,6 +304,56 @@ class TestStringSkeleton:
         assert repr(g) == before == repr(twin)
 
 
+def reader_graphs():
+    """The 594 graphs of the n <= 5 census universe, then 1,200 seeded
+    random edge sets on 1 to 9 vertices, declared in shuffled order and
+    listed in shuffled order: every other one a (B0) edge set, which may
+    hold monochromatic cycles, the rest any edge set at a random density,
+    most of them breaking (B0)."""
+    yield from enumerate_graphs(GraphStream(max_vertices=5))
+    rng = random.Random(2031)
+    for k in range(1200):
+        n = rng.randint(1, 9)
+        if k % 2:
+            slots = random_b0_edge_set(rng, n)
+        else:
+            density = rng.uniform(0.0, 0.35)
+            slots = [(i, j, c) for i in range(n) for j in range(n) if i != j for c in (1, 2)
+                     if rng.random() < density]
+        vertices = [f"v{i}" for i in range(n)]
+        edges = [(vertices[i], vertices[j], c) for i, j, c in slots]
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        yield graph(vertices, edges)
+
+
+def string_outcome(g, color, decompose):
+    """The decomposition, or the class, text and cycle of its error."""
+    try:
+        return decompose(g, color)
+    except (DegreeAxiomError, MonochromaticCycleError) as err:
+        return type(err), str(err), getattr(err, "cycle", None)
+
+
+class TestReadersMatchTheNamePortOracles:
+    def test_on_census_and_random_graphs(self):
+        kinds = {"graphs": 0, "breaks-b0": 0, "cyclic": 0, "monochromatic-cycle": 0, "components": 0}
+        for g in reader_graphs():
+            potential = find_potential(g)
+            assert potential == dict_potential(g)
+            assert weak_components(g) == dict_components(g)
+            for color in (1, 2):
+                outcome = string_outcome(g, color, decompose_strings)
+                assert outcome == string_outcome(g, color, dict_strings)
+                kinds["monochromatic-cycle"] += type(outcome) is tuple and outcome[0] is MonochromaticCycleError
+            kinds["graphs"] += 1
+            kinds["breaks-b0"] += bool(check_degree_axiom(g))
+            kinds["cyclic"] += isinstance(potential, CycleCertificate)
+            kinds["components"] += len(weak_components(g)) > 1
+        assert kinds["graphs"] == 594 + 1200
+        assert min(kinds.values()) >= 150, kinds
+
+
 class TestPotential:
     def test_single_edge(self):
         g = graph(["a", "b"], [("a", "b", 1)])
@@ -387,11 +492,14 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             graph([], [])
 
-    @pytest.mark.parametrize("color", [True, 1.0])
+    @pytest.mark.parametrize("color", BAD_COLORS)
     def test_color_must_be_an_int(self, color):
-        # Both compare equal to 1, but would serialize as true and 1.0.
-        with pytest.raises(ValueError, match="color outside"):
-            ColoredDigraph(vertices=("a", "b"), edges=(Edge("a", "b", color),))
+        # True and 1.0 compare equal to 1, but would serialize as true and
+        # 1.0; [1] cannot be hashed.
+        edges = (Edge("a", "b", 1), Edge("b", "a", color))
+        with pytest.raises(ValueError, match="color outside") as err:
+            ColoredDigraph(vertices=("a", "b"), edges=edges)
+        assert (err.value.kind, err.value.index, err.value.value) == ("unknown-color", 1, color)
 
     @pytest.mark.parametrize("vertices, edges, kind, index, value", [
         ([], [], "empty-vertex-set", None, None),
@@ -413,6 +521,30 @@ class TestGraphInvariants:
         with pytest.raises(GraphError) as err:
             graph(["a", "a"], [("a", "a", 7)])
         assert err.value.kind == "duplicate-vertex"
+
+    def test_faults_are_named_as_the_ordered_scan_names_them(self):
+        # The constructor's column checks decide whether there is a fault;
+        # the error must still name the first one in input order.
+        named = {kind: 0 for kind in FAULT_KINDS}
+        accepted = several = 0
+        for vertices, edges, planted in faulty_inputs(4000, seed=31):
+            expected = graph_fault(vertices, edges)
+            try:
+                ColoredDigraph(vertices=vertices, edges=edges)
+            except GraphError as err:
+                assert (err.kind, err.index, err.value) == expected, (vertices, edges)
+                named[err.kind] += 1
+                several += len(planted) > 1
+            else:
+                assert expected is None, (vertices, edges)
+                accepted += 1
+        assert min(named.values()) >= 200 and accepted >= 500 and several >= 1000, (named, accepted, several)
+
+    def test_an_unhashable_id_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ColoredDigraph(vertices=(["a"],), edges=())
+        with pytest.raises(TypeError):
+            ColoredDigraph(vertices=("a",), edges=(Edge(["a"], "a", 1),))
 
     def test_ports_group_edges_sharing_a_port_in_edge_order(self):
         g = graph(["a", "b", "c"], [("a", "b", 1), ("c", "b", 2), ("a", "c", 1), ("a", "b", 2)])
