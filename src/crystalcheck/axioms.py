@@ -112,11 +112,12 @@ class Labeling:
 
     def __post_init__(self):
         labels = dict(self.labels)
-        for v, value in labels.items():
-            if value not in LABEL_VALUES:
-                raise LabelingError(
-                    f"label of vertex {v!r} is {value!r}, not one of {list(LABEL_VALUES)}"
-                )
+        # One pass over the values; the first bad one is named only on refusal.
+        if not all(map(LABEL_VALUES.__contains__, labels.values())):
+            v, value = next((v, value) for v, value in labels.items() if value not in LABEL_VALUES)
+            raise LabelingError(
+                f"label of vertex {v!r} is {value!r}, not one of {list(LABEL_VALUES)}"
+            )
         object.__setattr__(self, "labels", MappingProxyType(labels))
 
     __hash__ = _hash_read_only

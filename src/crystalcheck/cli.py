@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import gc
 import json
 import os
 import sys
@@ -411,6 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's data are acyclic trees (decoded JSON, edges, reports) that
+    # reference counting frees, so the cyclic collector's passes over them
+    # would find nothing.  It is paused for the command, and back on exit
+    # only if it was on at entry.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args) -> int:
+    """Run the parsed command; its exit code."""
     try:
         try:
             return args.func(args)

@@ -16,7 +16,9 @@ kind plus a location, so callers can report precisely what was wrong.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -29,6 +31,8 @@ _TOP_LEVEL_KEYS = ("vertices", "edges", "labels", "centers")
 # The code points UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _EDGE_KEYS = {"from", "to", "color"}
+_EDGE_FIELDS = operator.itemgetter("from", "to", "color")
+_TAIL, _HEAD = operator.itemgetter(0), operator.itemgetter(1)
 _CENTERS_KEYS = {"vertices", "edges_1"}
 
 
@@ -42,7 +46,7 @@ class GraphDocument:
 
 
 def _require_str_list(value, kind: str, location: str) -> list[str]:
-    if not isinstance(value, list) or any(not isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, itertools.repeat(str))):
         raise DocumentError(kind, location, "expected an array of strings")
     return value
 
@@ -69,6 +73,35 @@ def _graph(vertices, edges) -> ColoredDigraph:
             text.format(exc.value, exc.index) for text in _GRAPH_FAULTS[exc.kind]
         )
         raise DocumentError(exc.kind, location, message) from exc
+
+
+def _edge_column(raw_edges: list) -> Optional[tuple[Edge, ...]]:
+    """The edge of each item, or None when some item has the wrong shape.
+    Each check is one pass over a column: the items' exact types, their
+    lengths, their three fields and the types of their ends."""
+    if not {*map(type, raw_edges)} <= {dict} or not {*map(len, raw_edges)} <= {3}:
+        return None
+    try:
+        # A three-key item without one of the three fields raises here.
+        edges = tuple(map(tuple.__new__, itertools.repeat(Edge), map(_EDGE_FIELDS, raw_edges)))
+    except KeyError:
+        return None
+    ends = {*map(type, map(_TAIL, edges)), *map(type, map(_HEAD, edges))}
+    return edges if ends <= {str} else None
+
+
+def _raise_edge_fault(vertices: list, raw_edges: list) -> None:
+    """Raise the ``DocumentError`` for the first edge item of the wrong
+    shape, or for a graph fault ahead of it.  Runs only on an edge list that
+    ``_edge_column`` refused, to name what it found."""
+    edges: list[Edge] = []
+    for i, item in enumerate(raw_edges):
+        fault = _edge_shape_fault(item)
+        if fault is not None:
+            _graph(vertices, edges)
+            raise DocumentError("invalid-structure", f"edges[{i}]", fault)
+        edges.append(Edge(item["from"], item["to"], item["color"]))
+    raise AssertionError("the column checks refused an edge list the ordered scan accepts")
 
 
 def _edge_shape_fault(item) -> Optional[str]:
@@ -126,13 +159,9 @@ def parse_document(data: Union[bytes, str]) -> GraphDocument:
     if not isinstance(raw_edges, list):
         _graph(vertices, ())
         raise DocumentError("invalid-structure", "edges", "expected an array of edge objects")
-    edges: list[Edge] = []
-    for i, item in enumerate(raw_edges):
-        fault = _edge_shape_fault(item)
-        if fault is not None:
-            _graph(vertices, edges)
-            raise DocumentError("invalid-structure", f"edges[{i}]", fault)
-        edges.append(Edge(item["from"], item["to"], item["color"]))
+    edges = _edge_column(raw_edges)
+    if edges is None:
+        _raise_edge_fault(vertices, raw_edges)
     graph = _graph(vertices, edges)
 
     labels = None
@@ -147,6 +176,10 @@ def parse_document(data: Union[bytes, str]) -> GraphDocument:
 def _parse_labels(raw, graph: ColoredDigraph) -> Labeling:
     if not isinstance(raw, dict):
         raise DocumentError("invalid-labels", "labels", "expected an object mapping vertex to label")
+    # The keys are the declared vertices and each value a label: two
+    # whole-column checks, and the ordered scan below names the first fault.
+    if raw.keys() == graph._vertex_index.keys() and all(map(LABEL_VALUES.__contains__, raw.values())):
+        return Labeling(labels=dict(zip(graph.vertices, map(raw.__getitem__, graph.vertices))))
     for v, value in raw.items():
         if not graph.has_vertex(v):
             raise DocumentError("invalid-labels", f"labels.{v}", f"label for undeclared vertex {v!r}")
@@ -160,7 +193,7 @@ def _parse_labels(raw, graph: ColoredDigraph) -> Labeling:
         raise DocumentError(
             "invalid-labels", "labels", f"labels must cover every vertex; missing {missing}"
         )
-    return Labeling(labels={v: raw[v] for v in graph.vertices})
+    raise AssertionError("the column checks refused labels the ordered scan accepts")
 
 
 def _parse_centers(raw, graph: ColoredDigraph) -> CentralMarking:

@@ -9,6 +9,7 @@ predicate's hypothesis is never instantiated.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -132,7 +133,7 @@ def _corollaries(g: ColoredDigraph, lab: Labeling) -> tuple[PredicateReport, Pre
 
 def string_word(string: tuple[str, ...], lab: Labeling) -> str:
     """The label word read along a string."""
-    return "".join(lab.labels[v] for v in string)
+    return "".join(map(lab.labels.__getitem__, string))
 
 
 def check_string_words(decomp: StringDecomposition, lab: Labeling) -> PredicateReport:
@@ -143,10 +144,11 @@ def check_string_words(decomp: StringDecomposition, lab: Labeling) -> PredicateR
     and each 2-string word must match 1^a c 0^b (a,b >= 0).  Witnesses
     identify strings as read-only {"color": ..., "string": (...)} mappings.
     """
-    for string in decomp.strings:
-        for v in string:
-            if v not in lab.labels:
-                raise LabelingError(f"labeling does not cover vertex {v!r}")
+    labels = lab.labels
+    if not all(map(labels.__contains__, itertools.chain.from_iterable(decomp.strings))):
+        # Named on refusal only: the first uncovered vertex in string order.
+        v = next(v for string in decomp.strings for v in string if v not in labels)
+        raise LabelingError(f"labeling does not cover vertex {v!r}")
     pattern = WORD_PATTERN_1 if decomp.color == 1 else WORD_PATTERN_2
     instances, failing = [], []
     for string in decomp.strings:

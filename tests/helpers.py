@@ -41,7 +41,7 @@ from crystalcheck.axioms import (
     _network,
     _require_degree_axiom,
 )
-from crystalcheck.documents import _parse_centers, _parse_labels
+from crystalcheck.documents import _parse_centers
 from crystalcheck.graph import StringDecomposition
 
 
@@ -385,8 +385,8 @@ def dict_strings(g: ColoredDigraph, color: int) -> StringDecomposition:
 
 def parse_document_oracle(data) -> GraphDocument:
     """The document parser as one loop that checks every vertex and edge in
-    document order, shape and graph checks interleaved; labels and centers
-    are read by the library's own readers."""
+    document order, shape and graph checks interleaved; labels are read by
+    one loop over the items, and centers by the library's own reader."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -455,9 +455,30 @@ def parse_document_oracle(data) -> GraphDocument:
         edges.append(Edge(tail=tail, head=head, color=color))
 
     g = ColoredDigraph(vertices=tuple(vertices), edges=tuple(edges))
-    labels = _parse_labels(raw["labels"], g) if "labels" in raw else None
+    labels = _oracle_labels(raw["labels"], g) if "labels" in raw else None
     marking = _parse_centers(raw["centers"], g) if "centers" in raw else None
     return GraphDocument(graph=g, labels=labels, marking=marking)
+
+
+def _oracle_labels(raw, g: ColoredDigraph) -> Labeling:
+    """A document's labels, read by checking each item in document order
+    and then the cover."""
+    if not isinstance(raw, dict):
+        raise DocumentError("invalid-labels", "labels", "expected an object mapping vertex to label")
+    for v, value in raw.items():
+        if not g.has_vertex(v):
+            raise DocumentError("invalid-labels", f"labels.{v}", f"label for undeclared vertex {v!r}")
+        if value not in LABEL_VALUES:
+            raise DocumentError(
+                "invalid-labels", f"labels.{v}",
+                f"label must be one of {list(LABEL_VALUES)}, got {value!r}",
+            )
+    missing = [v for v in g.vertices if v not in raw]
+    if missing:
+        raise DocumentError(
+            "invalid-labels", "labels", f"labels must cover every vertex; missing {missing}"
+        )
+    return Labeling(labels={v: raw[v] for v in g.vertices})
 
 
 @dataclass(frozen=True)

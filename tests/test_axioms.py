@@ -134,6 +134,14 @@ class TestLabelingValue:
         with pytest.raises(LabelingError, match="not one of"):
             Labeling(labels={"a": "c", "b": value})
 
+    @pytest.mark.parametrize("value", [[1], 1, "2"])
+    def test_labeling_names_the_first_bad_vertex_in_mapping_order(self, value):
+        labels = {"z": "c", "b": value, "a": "x", "y": "0"}
+        message = f"label of vertex 'b' is {value!r}, not one of ['0', 'c', '1']"
+        with pytest.raises(LabelingError) as info:
+            Labeling(labels=labels)
+        assert str(info.value) == message
+
 
 class TestCentralMarkingValue:
     def test_marking_copies_its_sources(self):

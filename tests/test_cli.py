@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -33,6 +34,7 @@ from crystalcheck import (
     parse_graph,
 )
 from crystalcheck.cli import _dumps_indented
+from crystalcheck.errors import CrystalCheckError
 
 from helpers import CANONICAL_COUNTS, HOSTILE_DOCUMENTS, LABELED_COUNTS
 
@@ -729,6 +731,64 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
     assert main_in_process(*defaults) == fresh
     assert main_in_process("infer", str(path)) == (0, '{"a":"c","b":"c"}\n')
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _raise(exc):
+    def raising(*args):
+        raise exc
+    return raising
+
+
+# A way out of ``main`` per exit code: the file, the module attributes to
+# patch, and whether stdout is closed.
+_EXITS = {
+    "ok": (0, "valid_labels_path5.json", {}, False),
+    "violations": (1, "local_cc_edge.json", {}, False),
+    "library-error": (2, "valid_labels_path5.json",
+                      {"weak_components": _raise(CrystalCheckError("refused"))}, False),
+    "missing-file": (2, "no_such_file.json", {}, False),
+    "closed-stdout": (2, "valid_labels_path5.json", {}, True),
+}
+
+
+@pytest.mark.parametrize("exit_name", sorted(_EXITS))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_paused_for_a_command_and_restored(monkeypatch, exit_name, enabled):
+    # Paused while the command runs, and on again after it only if it was
+    # on before, whichever way the command exits.
+    exit_code, name, patches, closed = _EXITS[exit_name]
+    seen = []
+    read_input = cli._read_input
+    monkeypatch.setattr(cli, "_read_input", lambda path: seen.append(gc.isenabled()) or read_input(path))
+    for attribute, patch in patches.items():
+        monkeypatch.setattr(cli, attribute, patch)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(sys, "stdout", None if closed else io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["validate", str(DOCUMENTS / name)])
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (code, after, seen) == (exit_code, enabled, [False])
+
+
+def test_the_collector_is_restored_when_a_command_raises(monkeypatch):
+    monkeypatch.setattr(cli, "weak_components", _raise(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        main_in_process("validate", str(DOCUMENTS / "valid_labels_path5.json"))
+    assert gc.isenabled()
+
+
+def test_document_commands_leave_no_cyclic_garbage():
+    # What the paused collector would have found: nothing, once the first
+    # call has filled the caches that live as long as the process.
+    main_in_process("validate", str(DOCUMENTS / "valid_labels_path5.json"))
+    for path in sorted(DOCUMENTS.glob("*.json")):
+        for command in DOCUMENT_COMMANDS.values():
+            gc.collect()
+            main_in_process(*command, str(path))
+            assert gc.collect() == 0, (path.name, command)
 
 
 def labelable_pieces() -> list[tuple[ColoredDigraph, dict, bool]]:

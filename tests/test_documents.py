@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crystalcheck import (
     DocumentError,
+    Edge,
     LabelingError,
     MarkingError,
     dumps_document,
@@ -18,6 +19,7 @@ from crystalcheck import (
     parse_graph,
     serialize_graph,
 )
+from crystalcheck import documents
 from crystalcheck.axioms import CentralMarking, Labeling
 from crystalcheck.documents import _position_text, dumps_position_edges, graph_from_position_edges
 from crystalcheck.enumeration import GraphStream, position_graphs
@@ -222,15 +224,21 @@ _BAD_EDGES = [
     {"from": "a", "to": "b", "color": 1, "weight": 0},
     {"from": 1, "to": "a", "color": 1},
     {"from": "a", "to": None, "color": 2},
+    # Three keys, one misnamed: the right length, the wrong fields.
+    {"from": "a", "to": "b", "colour": 1},
+    {"from": "a", "tail": "b", "color": 1},
 ]
 _BAD_COLORS = [0, 3, -1, True, False, 1.0, 2.0, "1", None, [1]]
+_BAD_LABELS = ["2", [1], None]
 
 
 @st.composite
 def faulty_documents(draw) -> bytes:
     """A graph document over a few names with up to five injected faults:
     a bad edge shape, a bad color, a dangling endpoint, a self-loop, a
-    duplicate edge or vertex, a lone surrogate, a bad vertex or edge list."""
+    duplicate edge or vertex, a lone surrogate, a bad vertex or edge list;
+    its labels, when it has them, may carry up to two more: an undeclared
+    vertex, a value outside the alphabet, a missing vertex."""
     vertices = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5, unique=True))
     edge = st.fixed_dictionaries({
         "from": st.sampled_from(vertices),
@@ -272,7 +280,17 @@ def faulty_documents(draw) -> bytes:
             edges = draw(st.sampled_from([{}, "edges", 1]))
     doc: dict = {"vertices": vertices, "edges": edges}
     if draw(st.booleans()) and type(vertices) is list:
-        doc["labels"] = {v: draw(st.sampled_from(["0", "c", "1"])) for v in vertices}
+        labels = [(v, draw(st.sampled_from(["0", "c", "1"]))) for v in vertices]
+        for fault in draw(st.lists(st.sampled_from(["undeclared", "value", "missing"]), max_size=2)):
+            if fault == "undeclared":
+                insert(labels, ("zz", "0"))
+            elif labels:
+                k = draw(st.integers(0, len(labels) - 1))
+                if fault == "value":
+                    labels[k] = (labels[k][0], draw(st.sampled_from(_BAD_LABELS)))
+                else:
+                    del labels[k]
+        doc["labels"] = dict(labels)
     return json.dumps(doc).encode("utf-8")
 
 
@@ -287,3 +305,23 @@ def _outcome(parse, data):
 @given(faulty_documents())
 def test_parser_matches_the_one_loop_oracle(data):
     assert _outcome(parse_document, data) == _outcome(parse_document_oracle, data)
+
+
+def test_the_ordered_edge_scan_runs_only_on_a_refused_edge_list(monkeypatch):
+    scanned = []
+    shape_fault = documents._edge_shape_fault
+    monkeypatch.setattr(
+        documents, "_edge_shape_fault", lambda item: scanned.append(item) or shape_fault(item)
+    )
+    edges = [{"from": "a", "to": "b", "color": 1}, {"from": "b", "to": "c", "color": 2}]
+    g = parse_graph(doc_bytes({"vertices": ["a", "b", "c"], "edges": edges}))
+    assert all(type(e) is Edge for e in g.edges) and g.edges == (("a", "b", 1), ("b", "c", 2))
+    # A graph fault in well-shaped items is the constructor's to name.
+    with pytest.raises(DocumentError, match="undeclared vertex 'c'"):
+        parse_graph(doc_bytes({"vertices": ["a", "b"], "edges": edges}))
+    assert scanned == []
+    misnamed = {"from": "b", "to": "c", "colour": 2}
+    with pytest.raises(DocumentError) as info:
+        parse_graph(doc_bytes({"vertices": ["a", "b", "c"], "edges": [edges[0], misnamed]}))
+    assert (info.value.kind, info.value.location) == ("invalid-structure", "edges[1]")
+    assert scanned == [edges[0], misnamed]

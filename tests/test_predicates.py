@@ -160,6 +160,16 @@ class TestStringWords:
         with pytest.raises(LabelingError):
             check_string_words(decompose_strings(g, 1), Labeling(labels={"v1": "c"}))
 
+    def test_names_the_first_uncovered_vertex_in_string_order(self):
+        # String order d, b, c, a differs from declared and sorted order.
+        g = graph(["d", "c", "b", "a"], [("d", "b", 1), ("c", "a", 1)])
+        decomp = decompose_strings(g, 1)
+        assert decomp.strings == (("d", "b"), ("c", "a"))
+        for covered, first in [("ad", "b"), ("bd", "c"), ("acd", "b"), ("", "d")]:
+            with pytest.raises(LabelingError) as info:
+                check_string_words(decomp, Labeling(labels=dict.fromkeys(covered, "0")))
+            assert str(info.value) == f"labeling does not cover vertex {first!r}"
+
     @given(graphs_with_labelings(max_vertices=6))
     @settings(max_examples=150)
     def test_agrees_with_check_local_string_by_string(self, pair):
